@@ -335,10 +335,7 @@ def _run_airy(cfg):
     norms = [oscillatory.airy_operator_norm(oscillatory.AirySpec(lam, **kwargs))
              for lam in lams]
     rows = [(_fmt(l), _fmt(v)) for l, v in zip(lams, norms)]
-    x = np.log(lams)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
-    slope = float(coef[1])
+    slope = restriction.loglog_fit(lams, norms)[0]
     results = {"case": case, "opnorms": norms, "slope": slope,
                "theoretical": -2.0 / 3.0, "tolerance": tolerance}
     if tolerance is None:

@@ -2,7 +2,8 @@
 
 All sphere families are L^2-normalized: zonal and associated harmonics by
 closed-form constants, highest-weight vectors by log-Gamma evaluation of the
-Beta integral, and window-averaged combinations by one ambient quadrature.
+Beta integral, and window-averaged combinations by the closed-form Gram
+matrix of their tilted beams.
 Evaluation is vectorized over point arrays and stays finite up to degree
 several thousand (ratio recurrences, no raw factorials).
 """
@@ -238,41 +239,43 @@ def averaged_node_count(degree):
     return 32 + int(math.ceil(4.0 * degree ** (1.0 / 3.0)))
 
 
+def _averaged_tilts(degree, delta, profile=unit_bump):
+    """Tilt angles phi_j and weights W_j = w wt_j Psi(phi_j/w) of the average."""
+    w = averaged_window(degree, delta)
+    nodes, wts = geometry.gauss_legendre(averaged_node_count(degree))
+    phis = w * nodes
+    return phis, w * wts * profile(phis / w)
+
+
 def eval_averaged_raw(degree, delta, points, profile=unit_bump):
     """Window average  int Psi(phi/w) (x1 + i(cos phi x2 + sin phi x3))^n dphi.
 
     Each tilted beam is a rotation of the highest-weight vector about the
-    x1-axis, so any finite quadrature of this integral is still an exact
-    degree-n harmonic; Gauss-Legendre node placement only sets how closely it
-    tracks the continuum average.  Unnormalized.
+    x1-axis, so the quadrature sum_j W_j e_n(R_j x) is still an exact degree-n
+    harmonic; Gauss-Legendre node placement only sets how closely it tracks
+    the continuum average.  Unnormalized.
     """
-    w = averaged_window(degree, delta)
     pts, single = _points2d(points)
-    nodes, wts = np.polynomial.legendre.leggauss(averaged_node_count(degree))
-    phis = w * nodes
-    logc = highest_weight_log_const(2, degree)
     out = np.zeros(pts.shape[0], dtype=complex)
-    for phi, wt in zip(phis, w * wts):
-        y = math.cos(phi) * pts[:, 1] + math.sin(phi) * pts[:, 2]
-        z = pts[:, 0] + 1j * y
-        rho = np.abs(z)
-        vals = np.zeros_like(out)
-        pos = rho > 0.0
-        vals[pos] = np.exp(logc + degree * np.log(rho[pos])) * np.exp(1j * degree * np.angle(z[pos]))
-        out += wt * float(profile(np.array([phi / w]))[0]) * vals
+    for phi, weight in zip(*_averaged_tilts(degree, delta, profile)):
+        c, s = math.cos(phi), math.sin(phi)
+        rotated = np.column_stack([pts[:, 0], c * pts[:, 1] + s * pts[:, 2],
+                                   c * pts[:, 2] - s * pts[:, 1]])
+        out += weight * eval_highest_weight(2, degree, rotated)
     return out[0] if single else out
 
 
 class _SphereFamily:
     """Shared surface for the sphere families: callable, graded, normalized."""
 
-    def ambient_grid(self):
-        res = 2 * self.degree + 16
-        return geometry.sphere_grid(self.dim, res)
-
     @property
     def eigenvalue(self):
         return eigenvalue(self.dim, self.degree)
+
+    @property
+    def l2_norm(self):
+        """||f||_{L^2(S^d)}: 1, fixed by each family's closed-form constant."""
+        return 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +291,6 @@ class Zonal(_SphereFamily):
 
     def __call__(self, points):
         return eval_zonal(self.dim, self.degree, self.pole, points)
-
-    def ambient_grid(self):
-        # zonal modulus is constant transverse to the pole axis: the reduced
-        # meridian rule integrates |Z|^2 exactly at any dimension
-        return geometry.zonal_grid(self.dim, self.pole, 2 * self.degree + 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,10 +308,6 @@ class AssocHarmonic(_SphereFamily):
     def __call__(self, points):
         return eval_assoc_harmonic(self.degree, self.order, points)
 
-    def ambient_grid(self):
-        # |Y_n^m| is independent of phi, so a meridian rule suffices
-        return geometry.zonal_grid(2, np.array([0.0, 0.0, 1.0]), 2 * self.degree + 16)
-
 
 @dataclass(frozen=True, eq=False)
 class HighestWeight(_SphereFamily):
@@ -323,16 +317,10 @@ class HighestWeight(_SphereFamily):
     def __call__(self, points):
         return eval_highest_weight(self.dim, self.degree, points)
 
-    def ambient_grid(self):
-        # |c z^n| depends only on |x1+i x2|: reduced rules are exact
-        if self.dim == 2:
-            return geometry.zonal_grid(2, np.array([0.0, 0.0, 1.0]), 2 * self.degree + 16)
-        return geometry.polar_pair_grid(2 * self.degree + 16)
-
 
 @dataclass(frozen=True, eq=False)
 class Averaged(_SphereFamily):
-    """Tilt-averaged beam: normalized numerically on its ambient grid."""
+    """Tilt-averaged beam, normalized by the Gram matrix of its tilted beams."""
 
     degree: int
     delta: float
@@ -345,12 +333,13 @@ class Averaged(_SphereFamily):
 
     @cached_property
     def _scale(self):
-        grid = self.ambient_grid()
-        vals = eval_averaged_raw(self.degree, self.delta, grid.nodes)
-        norm = math.sqrt(float(np.sum(grid.weights * np.abs(vals) ** 2)))
-        if norm == 0.0:
-            raise ValueError("degenerate averaged beam (zero norm)")
-        return 1.0 / norm
+        # the tilted beams are c (a_j . x)^n with isotropic a_j = (1, i cos phi_j,
+        # i sin phi_j), so <b_j, b_k> = (a_j . conj(a_k) / 2)^n
+        # = cos^{2n}((phi_j - phi_k)/2) and ||sum_j W_j b_j||^2 = W^T G W.
+        # Unit diagonal and positive weights keep the norm >= |W| > 0.
+        phis, weights = _averaged_tilts(self.degree, self.delta)
+        gram = np.cos(0.5 * (phis[:, None] - phis[None, :])) ** (2 * self.degree)
+        return 1.0 / math.sqrt(float(weights @ gram @ weights))
 
     def __call__(self, points):
         return self._scale * eval_averaged_raw(self.degree, self.delta, points)

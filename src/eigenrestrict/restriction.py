@@ -2,10 +2,10 @@
 
 The measurement pipeline is: evaluate a family member on a curve grid dense
 enough to resolve its oscillation (>= 20 points per wavelength), form the
-restricted L^p norm, divide by the ambient L^2 norm, and regress the log of
-that ratio against log(lambda) across a geometric ladder of degrees.  The
-theoretical_exponent oracle carries the sharp growth rates the fits are
-compared to.
+restricted L^p norm, divide by the family's closed-form ambient L^2 norm
+(`l2_norm`), and regress the log of that ratio against log(lambda) across a
+geometric ladder of degrees.  The theoretical_exponent oracle carries the
+sharp growth rates the fits are compared to.
 """
 
 import math
@@ -40,17 +40,21 @@ def _family_lambda(f, lam):
     if lam is not None:
         return float(lam)
     lam_attr = getattr(f, "eigenvalue", None)
-    return float(lam_attr) if lam_attr is not None else 0.0
+    if lam_attr is None:
+        raise ValueError("f has no eigenvalue attribute; pass lam explicitly "
+                         "so the grid can resolve its oscillation")
+    return float(lam_attr)
 
 
 def lp_norm_on_curve(f, curve, p, num_points=None, lam=None):
     """Restricted L^p norm of f over a curve (trapezoid in arc length).
 
     For 1-d curves the grid must satisfy N >= max(4096, 20 lambda); lambda is
-    read from f.eigenvalue unless passed explicitly.  p = inf takes the grid
-    max over N and 2N nodes (one doubling as a stability confirmation).  The
-    great subsphere uses the product surface rule instead, with `num_points`
-    interpreted as its resolution.
+    read from f.eigenvalue unless passed explicitly (a ValueError when neither
+    is available).  p = inf takes the grid max over 2N nodes: the N-node grid
+    is bit for bit its even-index subset, so the one doubling already covers
+    it.  The great subsphere uses the product surface rule instead, with
+    `num_points` interpreted as its resolution.
     """
     lam_val = _family_lambda(f, lam)
     if curve.kind is CurveKind.GREAT_SUBSPHERE:
@@ -65,16 +69,16 @@ def lp_norm_on_curve(f, curve, p, num_points=None, lam=None):
     n = num_points if num_points is not None else floor
     if n < floor:
         raise ValueError(f"curve grid N={n} underresolves lambda={lam_val:g}; need N >= {floor}")
-    grid = geometry.curve_grid(curve, n)
-    if math.isinf(p):
-        fine = geometry.curve_grid(curve, 2 * n)
-        return max(lp_norm_weighted(f(grid.nodes), grid.weights, p),
-                   lp_norm_weighted(f(fine.nodes), fine.weights, p))
+    grid = geometry.curve_grid(curve, 2 * n if math.isinf(p) else n)
     return lp_norm_weighted(f(grid.nodes), grid.weights, p)
 
 
 def l2_norm_on_manifold(f, grid):
-    """Ambient L^2 norm on a quadrature grid (caller picks adequate resolution)."""
+    """L^2 norm on a quadrature grid (caller picks adequate resolution).
+
+    The sweeps read the closed-form `l2_norm` of a family instead; this is
+    the independent cross-check of those constants.
+    """
     return lp_norm_weighted(f(grid.nodes), grid.weights, 2)
 
 
@@ -111,6 +115,20 @@ class ExponentFit:
         return "pass" if abs(self.slope - self.theoretical) <= self.tolerance else "fail"
 
 
+def loglog_fit(xs, ys):
+    """Least-squares line log(y) = intercept + slope log(x).
+
+    Returns (slope, intercept, rms residual); the shared log-log regression of
+    the exponent, Airy and torus fits.
+    """
+    x = np.log(xs)
+    y = np.log(ys)
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return float(coef[1]), float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+
+
 def fit_exponent(samples, theoretical=None, tolerance=None):
     """Least-squares slope of log(ratio) against log(lambda) over >= 4 samples."""
     if len(samples) < 4:
@@ -119,13 +137,8 @@ def fit_exponent(samples, theoretical=None, tolerance=None):
     ratios = np.array([s.ratio for s in samples])
     if np.any(ratios <= 0.0) or np.any(lams <= 0.0):
         raise ValueError("ratios and eigenvalues must be positive for a log-log fit")
-    x = np.log(lams)
-    y = np.log(ratios)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return ExponentFit(float(coef[1]), float(coef[0]), rms, theoretical, tolerance, len(samples))
+    slope, intercept, rms = loglog_fit(lams, ratios)
+    return ExponentFit(slope, intercept, rms, theoretical, tolerance, len(samples))
 
 
 @dataclass(frozen=True)
@@ -199,16 +212,15 @@ def _validate_degrees(degrees):
 def sweep(family_factory, curve, p, degrees, num_points=None):
     """One NormSample per degree: restricted L^p over ambient L^2, sorted by n.
 
-    family_factory(n) must return a callable family carrying .dim, .eigenvalue
-    and .ambient_grid().  Deterministic: no randomness anywhere in the path.
+    family_factory(n) must return a callable family carrying .eigenvalue and
+    .l2_norm.  Deterministic: no randomness anywhere in the path.
     """
     _validate_degrees(degrees)
     out = []
     for n in degrees:
         fam = family_factory(n)
         restricted = lp_norm_on_curve(fam, curve, p, num_points=num_points)
-        ambient = l2_norm_on_manifold(fam, fam.ambient_grid())
-        out.append(NormSample(n, fam.eigenvalue, float(p), restricted, ambient))
+        out.append(NormSample(n, fam.eigenvalue, float(p), restricted, fam.l2_norm))
     return out
 
 
@@ -238,8 +250,7 @@ def turning_point_sweep(colatitude, degrees, m_low_fraction=0.5):
         m_star = m_lo + int(np.argmax(row[m_lo:n + 1]))
         fam = harmonics.AssocHarmonic(n, m_star)
         restricted = lp_norm_on_curve(fam, curve, 2)
-        ambient = l2_norm_on_manifold(fam, fam.ambient_grid())
-        samples.append(NormSample(n, fam.eigenvalue, 2.0, restricted, ambient))
+        samples.append(NormSample(n, fam.eigenvalue, 2.0, restricted, fam.l2_norm))
         orders.append(m_star)
     return TurningPointResult(samples, orders)
 

@@ -7,7 +7,10 @@ import pytest
 
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
+from eigenrestrict.profiles import unit_bump
 from eigenrestrict.restriction import l2_norm_on_manifold
+
+Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def lb_residual(f, x, dim, h=2e-4):
@@ -106,8 +109,8 @@ def test_zonal_pole_value_and_norm():
     z10 = ha.Zonal(2, 10, pole)
     assert math.isclose(abs(complex(z10(pole))), math.sqrt(21.0 / (4 * math.pi)),
                         rel_tol=1e-13)
-    assert math.isclose(l2_norm_on_manifold(z10, z10.ambient_grid()), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(l2_norm_on_manifold(z10, geo.zonal_grid(2, pole, 2 * 10 + 16)),
+                        1.0, rel_tol=1e-12)
     # reduced meridian rule agrees with the full product grid
     full = l2_norm_on_manifold(z10, geo.sphere_grid(2, 2 * 10 + 16))
     assert math.isclose(full, 1.0, rel_tol=1e-12)
@@ -118,8 +121,8 @@ def test_zonal_s3_pole_value_and_norm():
     z6 = ha.Zonal(3, 6, pole)
     assert math.isclose(abs(complex(z6(pole))), 7.0 / math.sqrt(2 * math.pi**2),
                         rel_tol=1e-13)
-    assert math.isclose(l2_norm_on_manifold(z6, z6.ambient_grid()), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(l2_norm_on_manifold(z6, geo.zonal_grid(3, pole, 2 * 6 + 16)),
+                        1.0, rel_tol=1e-12)
 
 
 def test_pole_value_growth_rate():
@@ -150,13 +153,13 @@ def test_assoc_harmonic_norm_full_grid():
 
 def test_highest_weight_norms_and_values():
     e8 = ha.HighestWeight(2, 8)
-    assert math.isclose(l2_norm_on_manifold(e8, e8.ambient_grid()), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(l2_norm_on_manifold(e8, geo.zonal_grid(2, Z_AXIS, 2 * 8 + 16)),
+                        1.0, rel_tol=1e-12)
     assert math.isclose(l2_norm_on_manifold(e8, geo.sphere_grid(2, 2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
     s3 = ha.HighestWeight(3, 8)
-    assert math.isclose(l2_norm_on_manifold(s3, s3.ambient_grid()), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(l2_norm_on_manifold(s3, geo.polar_pair_grid(2 * 8 + 16)),
+                        1.0, rel_tol=1e-12)
     # closed form: |e_n|^2 integrates |x1+ix2|^(2n), total 2 pi^2/(n+1) on S^3
     x = np.array([1.0, 0.0, 0.0, 0.0])
     assert math.isclose(abs(complex(s3(x))), math.sqrt(9.0 / (2 * math.pi**2)),
@@ -204,10 +207,52 @@ def test_laplace_beltrami_eigen_equation(family, dim):
 
 def test_averaged_beam_is_harmonic_and_normalized():
     u16 = ha.Averaged(16, 0.9)
-    assert math.isclose(l2_norm_on_manifold(u16, u16.ambient_grid()), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(l2_norm_on_manifold(u16, geo.sphere_grid(2, 2 * 16 + 16)),
+                        1.0, rel_tol=1e-12)
     x = geo.curve_point(geo.equator(), 0.4)
     assert lb_residual(u16, x, 2) < 1e-4
+
+
+# ------------------------------------------- closed-form norms vs quadrature
+# The sweeps divide by `l2_norm`; each check integrates |f|^2 on a geometry
+# grid that is exact for the family (reduced grids use its symmetry).
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_averaged_l2_norm_matches_full_sphere_quadrature(n):
+    u = ha.Averaged(n, 0.9)
+    grid = geo.sphere_grid(2, 2 * n + 16)
+    assert math.isclose(l2_norm_on_manifold(u, grid), u.l2_norm, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family,grid,rel_tol", [
+    (lambda: ha.Zonal(2, 37, Z_AXIS), lambda: geo.zonal_grid(2, Z_AXIS, 90), 1e-12),
+    (lambda: ha.Zonal(2, 1024, Z_AXIS), lambda: geo.zonal_grid(2, Z_AXIS, 2064), 1e-10),
+    (lambda: ha.Zonal(3, 41, np.array([0.5, 0.5, 0.5, 0.5])),
+     lambda: geo.zonal_grid(3, np.array([0.5, 0.5, 0.5, 0.5]), 98), 1e-12),
+    (lambda: ha.HighestWeight(2, 45), lambda: geo.zonal_grid(2, Z_AXIS, 106), 1e-12),
+    (lambda: ha.HighestWeight(3, 45), lambda: geo.polar_pair_grid(106), 1e-12),
+    (lambda: ha.AssocHarmonic(40, 17), lambda: geo.zonal_grid(2, Z_AXIS, 96), 1e-12),
+    (lambda: ha.AssocHarmonic(40, -40), lambda: geo.zonal_grid(2, Z_AXIS, 96), 1e-12),
+])
+def test_closed_form_l2_norm_matches_reduced_quadrature(family, grid, rel_tol):
+    f = family()
+    assert math.isclose(l2_norm_on_manifold(f, grid()), f.l2_norm, rel_tol=rel_tol)
+
+
+def test_averaged_raw_is_weighted_sum_of_rotated_beams():
+    # the tilt average is sum_j W_j e_n(R_j x) with R_j the rotation by phi_j
+    # about the x1-axis; compare against the beam formula written out directly
+    n, delta = 24, 0.9
+    pts = geo.sphere_grid(2, 8).nodes
+    w = ha.averaged_window(n, delta)
+    t, wt = np.polynomial.legendre.leggauss(ha.averaged_node_count(n))
+    logc = ha.highest_weight_log_const(2, n)
+    want = np.zeros(pts.shape[0], dtype=complex)
+    for phi, weight in zip(w * t, w * wt):
+        z = pts[:, 0] + 1j * (math.cos(phi) * pts[:, 1] + math.sin(phi) * pts[:, 2])
+        want += weight * float(unit_bump(phi / w)) * math.exp(logc) * z**n
+    got = ha.eval_averaged_raw(n, delta, pts)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_averaged_window_guard():

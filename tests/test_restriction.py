@@ -55,6 +55,29 @@ def test_curve_norm_frozen_values():
                         math.sqrt(19.0 / (4 * math.pi)), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("curve", [geo.equator(), geo.latitude_circle(math.pi / 4)])
+def test_pinf_curve_norm_is_the_doubled_grid_max(curve):
+    # the N-node grid is the even-index subset of the 2N-node grid, bit for bit
+    f = ha.Zonal(2, 300, np.array([0.6, 0.0, 0.8]))
+    n = re_.required_curve_points(f.eigenvalue)
+    coarse, fine = geo.curve_grid(curve, n), geo.curve_grid(curve, 2 * n)
+    assert np.array_equal(coarse.nodes, fine.nodes[::2])
+    want = re_.lp_norm_weighted(f(fine.nodes), fine.weights, math.inf)
+    assert re_.lp_norm_on_curve(f, curve, math.inf) == want
+
+
+def test_curve_norm_needs_an_eigenvalue():
+    def bare(pts):
+        return np.ones(np.atleast_2d(pts).shape[0])
+
+    with pytest.raises(ValueError, match="eigenvalue"):
+        re_.lp_norm_on_curve(bare, geo.equator(), 2)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        re_.lp_norm_on_curve(bare, geo.great_subsphere(), 2)
+    assert math.isclose(re_.lp_norm_on_curve(bare, geo.equator(), 2, lam=1.0),
+                        math.sqrt(2 * math.pi), rel_tol=1e-13)
+
+
 def test_curve_norm_grid_refinement_converged():
     eq = geo.equator()
     f = ha.HighestWeight(2, 40)
@@ -177,6 +200,17 @@ def test_fit_exponent_recovers_synthetic_power_law(slope, amplitude):
     assert fit.residual < 1e-12
 
 
+def test_loglog_fit_shared_by_exponent_fit():
+    x = np.array([3.0, 7.0, 20.0, 55.0])
+    y = 2.5 * x ** -0.4 * np.array([1.0, 1.01, 0.99, 1.0])
+    slope, intercept, rms = re_.loglog_fit(x, y)
+    assert abs(slope + 0.4) < 0.01 and abs(intercept - math.log(2.5)) < 0.03
+    assert 0.0 < rms < 0.01
+    fit = re_.fit_exponent([re_.NormSample(4 + i, lam, 2.0, r, 1.0)
+                            for i, (lam, r) in enumerate(zip(x, y))])
+    assert (fit.slope, fit.intercept, fit.residual) == (slope, intercept, rms)
+
+
 def test_fit_exponent_needs_four_positive_samples():
     samples = [re_.NormSample(n, float(n), 2.0, 1.0, 1.0) for n in (4, 5, 6)]
     with pytest.raises(ValueError):
@@ -208,6 +242,7 @@ def test_sweep_produces_ordered_samples():
     samples = re_.sweep(lambda n: ha.HighestWeight(2, n), geo.equator(), 2.0,
                         [4, 6, 8, 11])
     assert [s.degree for s in samples] == [4, 6, 8, 11]
+    assert all(s.ambient_norm == 1.0 for s in samples)
     assert all(s.ratio > 0 for s in samples)
     assert all(b.lam > a.lam for a, b in zip(samples, samples[1:]))
     with pytest.raises(ValueError):

@@ -94,6 +94,17 @@ def test_grid_sup_exact_for_aligned_phases():
     assert abs(doubled - base) < 1e-12
 
 
+def test_grid_sup_base_is_the_coarse_grid():
+    # the base sup reads every other node of the doubled grid: it matches a
+    # direct evaluation on the base grid
+    f = torus.random_eigenfunction(325, 3)
+    m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    _, base = torus.grid_sup_norm(f)
+    x = 2.0 * math.pi * np.arange(m) / m
+    xy = np.column_stack([np.repeat(x, m), np.tile(x, m)])
+    assert math.isclose(base, float(np.max(np.abs(f(xy)))), rel_tol=1e-12)
+
+
 def test_grid_sup_underresolved_error():
     f = torus.random_eigenfunction(169, 0)
     with pytest.raises(ValueError, match="underresolves"):
