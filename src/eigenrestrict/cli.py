@@ -164,7 +164,10 @@ def _parse_curve(value):
     if name == "latitude":
         if not arg:
             raise ConfigError("curve: latitude needs a colatitude, e.g. latitude:0.785")
-        return geometry.latitude_circle(_parse_float("curve", arg))
+        try:
+            return geometry.latitude_circle(_parse_float("curve", arg))
+        except ValueError as exc:
+            raise ConfigError(f"curve: {exc}, got {arg!r}") from None
     if name == "subsphere" and not arg:
         return geometry.great_subsphere()
     raise ConfigError(f"curve: unknown curve {value!r} "
@@ -194,6 +197,9 @@ def _parse_family(value):
         if not arg:
             raise ConfigError("family: averaged needs a width factor, e.g. averaged:0.9")
         delta = _parse_float("family", arg)
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ConfigError(f"family: averaged width must be finite and positive, "
+                              f"got {arg!r}")
         return (lambda n: Averaged(n, delta), 2)
     raise ConfigError(f"family: unknown family {value!r} "
                       "(zonal | zonal-off | zonal-s3 | highest-weight | "
@@ -356,6 +362,8 @@ def _run_torus(cfg):
     if cfg["n-list"] is not None:
         ns = _parse_int_list("n-list", cfg["n-list"])
         n_seeds = _parse_int("seeds", cfg["seeds"])
+        if n_seeds < 1:
+            raise ConfigError(f"seeds: need at least one seed, got {n_seeds}")
         base = _parse_int("seed", cfg["seed"])
         grid_m = None if cfg["grid-m"] is None else _parse_int("grid-m", cfg["grid-m"])
         seeds = range(base, base + n_seeds)

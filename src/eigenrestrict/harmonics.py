@@ -5,7 +5,9 @@ closed-form constants, highest-weight vectors by log-Gamma evaluation of the
 Beta integral, and window-averaged combinations by the closed-form Gram
 matrix of their tilted beams.
 Evaluation is vectorized over point arrays and stays finite up to degree
-several thousand (ratio recurrences, no raw factorials).
+several thousand.  The polynomials come from one place each: Chebyshev U_n in
+closed form, and every normalized associated Legendre P-hat_n^m (P_n is the
+m = 0 row) from one rescaled degree recurrence, with no raw factorials.
 """
 
 import math
@@ -25,28 +27,23 @@ def eigenvalue(dim, degree):
     return math.sqrt(degree * (degree + dim - 1))
 
 
-def legendre_p(n, t):
-    """Legendre P_n(t) by the three-term recurrence, vectorized in t."""
-    t = np.asarray(t, dtype=float)
-    if n == 0:
-        return np.ones_like(t)
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * t * p - k * p_prev) / (k + 1), p
-    return p
-
-
 def gegenbauer_u(n, t):
-    """Chebyshev U_n(t) = C_n^{(1)}(t), the zonal kernel polynomial of S^3."""
+    """Chebyshev U_n(t) = C_n^{(1)}(t), the zonal kernel polynomial of S^3.
+
+    Closed form sin((n+1) theta) / sin(theta) with theta = arccos|t| in
+    [0, pi/2] and the parity U_n(-t) = (-1)^n U_n(t): folding onto |t| keeps
+    theta away from pi, where sin(float pi) = 1.2e-16 is not 0.  The limit
+    n + 1 holds at |t| = 1.
+    """
     t = np.asarray(t, dtype=float)
-    if n == 0:
-        return np.ones_like(t)
-    p_prev = np.ones_like(t)
-    p = 2.0 * t
-    for _ in range(1, n):
-        p, p_prev = 2.0 * t * p - p_prev, p
-    return p
+    mag = np.abs(t)
+    if np.any(mag > 1.0):
+        raise ValueError("gegenbauer_u is evaluated on [-1, 1]")
+    theta = np.arccos(mag)
+    sin_theta = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(sin_theta > 0.0, np.sin((n + 1) * theta) / sin_theta, n + 1.0)
+    return np.where(t < 0.0, -u, u) if n % 2 else u
 
 
 # rescaled-recurrence bookkeeping: renormalize whenever a value passes BIG and
@@ -60,7 +57,7 @@ def _diag_rescaled(m_max):
 
     Grows like m^(1/4), so it stays comfortably in range; the s^m factor that
     would underflow for large m at interior points is reattached in log space
-    by the callers.
+    by assoc_legendre_norm.
     """
     out = np.empty(m_max + 1)
     out[0] = 1.0 / math.sqrt(2.0)
@@ -72,80 +69,50 @@ def _diag_rescaled(m_max):
 def assoc_legendre_norm(n, m, t):
     """Order-m normalized associated Legendre P-hat_n^m(t), int_{-1}^{1} P-hat^2 = 1.
 
-    Fully normalized recurrence:
-      P-hat_m^m     = prod_{k<=m} -sqrt((2k+1)/(2k)) sqrt(1-t^2) * 1/sqrt(2)
-      P-hat_{m+1}^m = sqrt(2m+3) t P-hat_m^m
-      P-hat_k^m     = a(k,m) t P-hat_{k-1}^m - b(k,m) P-hat_{k-2}^m
+    The order m (a scalar or an integer array) broadcasts against t, so one
+    call returns the whole row m = 0..n at a point, or one order on a grid.
+    Fully normalized recurrence in the degree k, started at k = m:
+      P-hat_m^m = prod_{k<=m} -sqrt((2k+1)/(2k)) sqrt(1-t^2) * 1/sqrt(2)
+      P-hat_k^m = a(k,m) t P-hat_{k-1}^m - b(k,m) P-hat_{k-2}^m,  k > m,
     with a = sqrt((4k^2-1)/(k^2-m^2)), b = sqrt((2k+1)(k-1-m)(k-1+m) /
-    ((2k-3)(k-m)(k+m))) and the Condon-Shortley sign.  The s^m seed factor is
-    carried in log space: for large m it underflows double range while the
-    recurrence regrows it through the forbidden zone, so the naive form
-    amplifies pure roundoff there.
+    ((2k-3)(k-m)(k+m))) and the Condon-Shortley sign; b = 0 at k = m+1, so the
+    first step gives P-hat_{m+1}^m = sqrt(2m+3) t P-hat_m^m.  The s^m seed
+    factor is carried in log space: for large m it underflows double range
+    while the recurrence regrows it through the forbidden zone, so the naive
+    form amplifies pure roundoff there.
     """
-    if not 0 <= m <= n:
+    m_arr = np.asarray(m)
+    if np.any((m_arr < 0) | (m_arr > n)):
         raise ValueError("need 0 <= m <= n")
     t = np.asarray(t, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t**2))
-    seed = _diag_rescaled(m)[m]
-    p = np.full_like(t, seed)
-    offset = np.zeros_like(t)
-    if n > m:
-        p_prev = p
-        p = math.sqrt(2.0 * m + 3.0) * t * p
-        for k in range(m + 2, n + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = math.sqrt((2.0 * k + 1.0) * (k - 1.0 - m) * (k - 1.0 + m)
-                          / ((2.0 * k - 3.0) * (k - m) * (k + m)))
-            p, p_prev = a * t * p - b * p_prev, p
+    row = m_arr.ndim > 0
+    # a scalar order keeps the coefficients in Python floats
+    m = m_arr if row else int(m_arr)
+    shape = np.broadcast_shapes(m_arr.shape, t.shape)
+    p = _diag_rescaled(int(m_arr.max()))[m] * np.ones(shape)
+    p_prev = np.zeros(shape)
+    offset = np.zeros(shape)
+    # orders m >= k have not started at step k: their coefficients are not
+    # finite, and the live mask keeps their seed in place
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(int(m_arr.min()) + 1, n + 1):
+            a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+            b = np.sqrt((2.0 * k + 1.0) * (k - 1.0 - m) * (k - 1.0 + m)
+                        / ((2.0 * k - 3.0) * (k - m) * (k + m)))
+            new = a * t * p - b * p_prev
+            if row:
+                live = m < k
+                p, p_prev = np.where(live, new, p), np.where(live, p, p_prev)
+            else:
+                p, p_prev = new, p
             hot = np.abs(p) > _BIG
             if np.any(hot):
                 p = np.where(hot, p / _BIG, p)
                 p_prev = np.where(hot, p_prev / _BIG, p_prev)
                 offset = np.where(hot, offset + _LOG_BIG, offset)
-    if m == 0:
-        return p * np.exp(offset)
-    with np.errstate(divide="ignore"):
-        logs = offset + m * np.log(s)
-    return np.where(s > 0.0, p * np.exp(logs), 0.0)
-
-
-def assoc_legendre_norm_all(n, t0):
-    """P-hat_n^m(t0) for every order m = 0..n at a single point t0.
-
-    Runs the same rescaled recurrence as assoc_legendre_norm but batched over
-    m, injecting the diagonal value at each degree step; O(n^2) work total.
-    """
-    t0 = float(t0)
-    s = math.sqrt(max(0.0, 1.0 - t0 * t0))
-    diag = _diag_rescaled(n)
-    if n == 0:
-        return diag.copy()
-    cur = np.zeros(n + 1)
-    prev = np.zeros(n + 1)
-    offset = np.zeros(n + 1)
-    cur[0] = diag[0]
-    for k in range(1, n + 1):
-        new = np.zeros(n + 1)
-        if k >= 2:
-            m = np.arange(0, k - 1)
-            a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = np.sqrt((2.0 * k + 1.0) * (k - 1.0 - m) * (k - 1.0 + m)
-                        / ((2.0 * k - 3.0) * (k - m) * (k + m)))
-            new[m] = a * t0 * cur[m] - b * prev[m]
-            hot = np.abs(new) > _BIG
-            if np.any(hot):
-                new[hot] /= _BIG
-                cur[hot] /= _BIG
-                offset[hot] += _LOG_BIG
-        new[k - 1] = math.sqrt(2.0 * k + 1.0) * t0 * diag[k - 1]
-        new[k] = diag[k]
-        prev, cur = cur, new
-    ms = np.arange(n + 1, dtype=float)
-    if s == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = cur[0] * math.exp(offset[0])
-        return out
-    return cur * np.exp(offset + ms * math.log(s))
+        s = np.sqrt(np.maximum(0.0, 1.0 - t**2))
+        logs = offset + np.where(m_arr > 0, m * np.log(s), 0.0)
+    return np.where((s > 0.0) | (m_arr == 0), p * np.exp(logs), 0.0)
 
 
 def _points2d(points):
@@ -158,7 +125,8 @@ def _points2d(points):
 def eval_zonal(dim, degree, pole, points):
     """Normalized zonal harmonic of degree n about `pole`, evaluated at points.
 
-    S^2: sqrt((2n+1)/4pi) P_n(<x, pole>);  S^3: U_n(<x, pole>) / sqrt(2 pi^2).
+    S^2: P-hat_n^0(<x, pole>) / sqrt(2 pi) = sqrt((2n+1)/4pi) P_n(<x, pole>);
+    S^3: U_n(<x, pole>) / sqrt(2 pi^2).
     """
     if dim not in (2, 3):
         raise ValueError("zonal families are implemented on S^2 and S^3")
@@ -168,7 +136,7 @@ def eval_zonal(dim, degree, pole, points):
     pts, single = _points2d(points)
     t = np.clip(pts @ pole, -1.0, 1.0)
     if dim == 2:
-        vals = math.sqrt((2.0 * degree + 1.0) / (4.0 * math.pi)) * legendre_p(degree, t)
+        vals = assoc_legendre_norm(degree, 0, t) / math.sqrt(2.0 * math.pi)
     else:
         vals = gegenbauer_u(degree, t) / math.sqrt(2.0 * math.pi**2)
     return vals[0] if single else vals
@@ -227,7 +195,9 @@ def eval_highest_weight(dim, degree, points):
 
 
 def averaged_window(degree, delta):
-    """Half-width delta * n^{-1/3} of the tilt-angle window."""
+    """Half-width delta * n^{-1/3} of the tilt-angle window; delta finite and > 0."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"averaging width delta must be finite and positive, got {delta!r}")
     w = delta * degree ** (-1.0 / 3.0)
     if w > math.pi:
         raise ValueError("averaging window exceeds [-pi, pi]; shrink delta")

@@ -235,22 +235,23 @@ def turning_point_sweep(colatitude, degrees, m_low_fraction=0.5):
 
     For each degree the scan finds the order whose oscillation turns exactly
     at the circle's colatitude (the restricted norm peaks there, at the Airy
-    scale lambda^{1/6}); the winning member is then pushed through the
-    standard curve-quadrature path.  The exhaustive m scan is the oracle: on
-    a latitude circle |Y_n^m| is constant, proportional to the normalized
-    associated Legendre value at cos(theta0).
+    scale lambda^{1/6}).  On a latitude circle |Y_n^m| is constant, equal to
+    |P-hat_n^m(cos theta0)| / sqrt(2 pi), and the circle has length
+    2 pi sin(theta0); so the scan row itself gives the winner's restricted
+    norm |P-hat_n^m*(cos theta0)| sqrt(sin theta0), with no curve quadrature.
     """
     _validate_degrees(degrees)
     curve = geometry.latitude_circle(colatitude)
     t0 = math.cos(colatitude)
+    scale = math.sqrt(curve.length / (2.0 * math.pi))
     samples, orders = [], []
     for n in degrees:
-        row = np.abs(harmonics.assoc_legendre_norm_all(n, t0))
+        row = np.abs(harmonics.assoc_legendre_norm(n, np.arange(n + 1), t0))
         m_lo = int(math.ceil(m_low_fraction * n))
         m_star = m_lo + int(np.argmax(row[m_lo:n + 1]))
         fam = harmonics.AssocHarmonic(n, m_star)
-        restricted = lp_norm_on_curve(fam, curve, 2)
-        samples.append(NormSample(n, fam.eigenvalue, 2.0, restricted, fam.l2_norm))
+        samples.append(NormSample(n, fam.eigenvalue, 2.0, float(row[m_star]) * scale,
+                                  fam.l2_norm))
         orders.append(m_star)
     return TurningPointResult(samples, orders)
 

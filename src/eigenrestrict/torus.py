@@ -259,8 +259,12 @@ def verify_linfty_bound(Ns, seeds, grid_m=None):
     eigenfunction, measures its grid sup (Richardson-doubled) and the largest
     restricted L^2 norm over the standard curves, and checks the
     Cauchy-Schwarz ceiling sqrt(r_2).  The returned slope is the growth rate
-    of the per-N worst sup in log sqrt(N).
+    of the per-N worst sup in log sqrt(N).  Empty Ns or seeds raise
+    ValueError: a bound checked over no rows proves nothing.
     """
+    Ns, seeds = list(Ns), list(seeds)
+    if not Ns or not seeds:
+        raise ValueError("verify_linfty_bound needs at least one N and one seed")
     rows = []
     worst = -np.inf
     per_n_sup = {}

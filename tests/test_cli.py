@@ -141,6 +141,26 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("delta", ["-1", "0", "nan"])
+def test_averaged_width_must_be_finite_and_positive(tmp_path, capsys, delta):
+    out = tmp_path / "w"
+    argv = ["run", "sweep", "--family", f"averaged:{delta}", "--curve", "equator",
+            "--p", "2", "--degrees", "16:45", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "family: averaged width must be finite and positive" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("colatitude", ["nan", "0", "2"])
+def test_bad_colatitude_exits_two(tmp_path, capsys, colatitude):
+    out = tmp_path / "c"
+    argv = ["run", "sweep", "--family", "zonal", "--curve", f"latitude:{colatitude}",
+            "--p", "2", "--degrees", "16:45", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "curve: latitude circle needs colatitude" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_config_file_unknown_key_exits_two(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("experiment = phase\ntheta0-list = 0.8\nbogus = 1\n")
@@ -188,6 +208,15 @@ def test_torus_run(tmp_path):
     assert len(lines) == 1 + 8
     # torus with neither n-list nor n-max is a config error
     assert cli.main(["run", "torus", "--out", str(tmp_path / "t2")]) == 2
+
+
+def test_torus_without_seeds_exits_two(tmp_path, capsys):
+    out = tmp_path / "t0"
+    code = cli.main(["run", "torus", "--n-list", "25", "--seeds", "0",
+                     "--out", str(out)])
+    assert code == 2
+    assert "seeds: need at least one seed" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_oracle_table_run(tmp_path):

@@ -1,6 +1,7 @@
 """Eigenfunction families: normalization, recurrences, eigenvalue equation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,12 +57,56 @@ def test_eigenvalue_values():
         ha.eigenvalue(2, -1)
 
 
+def legendre_p(n, t):
+    """P_n(t) = sqrt(2/(2n+1)) P-hat_n^0(t)."""
+    return math.sqrt(2.0 / (2 * n + 1)) * ha.assoc_legendre_norm(n, 0, t)
+
+
 def test_legendre_and_gegenbauer_closed_forms():
     t = np.linspace(-1.0, 1.0, 31)
-    assert np.allclose(ha.legendre_p(2, t), 0.5 * (3 * t**2 - 1), atol=1e-14)
+    assert np.allclose(legendre_p(2, t), 0.5 * (3 * t**2 - 1), atol=1e-14)
     assert np.allclose(ha.gegenbauer_u(2, t), 4 * t**2 - 1, atol=1e-13)
-    assert np.allclose(ha.legendre_p(9, np.array([1.0])), 1.0)
+    assert np.allclose(legendre_p(9, np.array([1.0])), 1.0)
     assert np.allclose(ha.gegenbauer_u(9, np.array([1.0])), 10.0)
+    with pytest.raises(ValueError):
+        ha.gegenbauer_u(3, np.array([0.5, 1.5]))
+
+
+# Exact references: every float t is a dyadic rational a/d, so d^k U_k(t) and
+# k! d^k P_k(t) obey three-term recurrences in integers; the Fraction built
+# from the last term is the exact polynomial value.
+
+def exact_chebyshev_u(n, t):
+    a, d = Fraction(t).as_integer_ratio()
+    prev, cur = 1, (2 * a if n else 1)
+    for _ in range(1, n):
+        prev, cur = cur, 2 * a * cur - d * d * prev
+    return Fraction(cur, d**n)
+
+
+def exact_legendre_p(n, t):
+    a, d = Fraction(t).as_integer_ratio()
+    prev, cur = 1, (a if n else 1)
+    for k in range(1, n):
+        prev, cur = cur, (2 * k + 1) * a * cur - k * k * d * d * prev
+    return Fraction(cur, math.factorial(n) * d**n)
+
+
+ORACLE_POINTS = np.array([-1.0, np.nextafter(-1.0, 0.0), -0.3, 0.0,
+                          np.nextafter(1.0, 0.0), 1.0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 256, 1024])
+def test_gegenbauer_u_matches_exact_recurrence(n):
+    want = np.array([float(exact_chebyshev_u(n, t)) for t in ORACLE_POINTS])
+    err = np.max(np.abs(ha.gegenbauer_u(n, ORACLE_POINTS) - want))
+    assert err <= 1e-15 * (n + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 256, 1024])
+def test_normalized_legendre_matches_exact_recurrence(n):
+    want = np.array([float(exact_legendre_p(n, t)) for t in ORACLE_POINTS])
+    assert np.max(np.abs(legendre_p(n, ORACLE_POINTS) - want)) <= 1e-11
 
 
 def test_assoc_legendre_low_order_closed_form():
@@ -87,7 +132,7 @@ def test_assoc_legendre_unit_mass_and_orthogonality():
 def test_assoc_legendre_batched_scan_matches_single_m():
     t0 = math.cos(math.pi / 4)
     n = 37
-    row = ha.assoc_legendre_norm_all(n, t0)
+    row = ha.assoc_legendre_norm(n, np.arange(n + 1), t0)
     for m in (0, 1, 11, 19, 30, 37):
         single = float(ha.assoc_legendre_norm(n, m, np.array([t0]))[0])
         assert math.isclose(row[m], single, rel_tol=1e-11, abs_tol=1e-13)
@@ -97,7 +142,7 @@ def test_recurrence_stable_at_large_degree():
     t0 = math.cos(math.pi / 4)
     big = ha.assoc_legendre_norm(4096, 2048, np.array([t0]))
     assert np.isfinite(big).all()
-    row = ha.assoc_legendre_norm_all(4096, t0)
+    row = ha.assoc_legendre_norm(4096, np.arange(4097), t0)
     assert np.isfinite(row).all()
     assert np.max(np.abs(row)) < 1e3  # normalized values stay moderate
 
@@ -259,6 +304,9 @@ def test_averaged_window_guard():
     assert ha.averaged_window(64, 0.9) < math.pi
     with pytest.raises(ValueError):
         ha.averaged_window(4, 6.0)
+    for delta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ha.averaged_window(64, delta)
 
 
 # ------------------------------------------------------------------- torus

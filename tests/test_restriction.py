@@ -253,7 +253,7 @@ def test_turning_point_scan_matches_direct_argmax():
     theta0 = math.pi / 4
     t0 = math.cos(theta0)
     n = 48
-    row = np.abs(ha.assoc_legendre_norm_all(n, t0))
+    row = np.abs(ha.assoc_legendre_norm(n, np.arange(n + 1), t0))
     direct = [abs(float(ha.assoc_legendre_norm(n, m, np.array([t0]))[0]))
               for m in range(n + 1)]
     assert np.allclose(row, direct, atol=1e-13)
@@ -261,5 +261,10 @@ def test_turning_point_scan_matches_direct_argmax():
     # winning orders track the turning latitude: m*/n below but near sin(theta0)
     for m, s in zip(result.orders, result.samples):
         assert 0.5 <= m / s.degree <= math.sin(theta0) + 0.02
+    # the norm read from the scan row against the curve quadrature
+    circle = geo.latitude_circle(theta0)
+    for m, s in zip(result.orders, result.samples):
+        quad = re_.lp_norm_on_curve(ha.AssocHarmonic(s.degree, m), circle, 2)
+        assert math.isclose(s.restricted_norm, quad, rel_tol=1e-12)
     fit = re_.fit_exponent(result.samples)
     assert fit.slope > 0.1  # caustic growth clearly visible already

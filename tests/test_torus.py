@@ -130,3 +130,7 @@ def test_verify_linfty_bound_report():
         assert 0.0 < row.curve_l2 <= row.sup + 1e-12
     with pytest.raises(ValueError, match="not a sum of two squares"):
         torus.verify_linfty_bound([21], seeds=[0])
+    # a ceiling checked over no rows would pass vacuously
+    for ns, seeds in (([25], range(0)), ([], [0])):
+        with pytest.raises(ValueError, match="at least one N and one seed"):
+            torus.verify_linfty_bound(ns, seeds)
