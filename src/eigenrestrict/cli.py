@@ -1,21 +1,26 @@
 """Experiment runner: named experiments, CSV/JSON artifacts, optional SVG plots.
 
-Configuration is a flat key = value text file (or equivalent command-line
-overrides) validated against a per-experiment schema: unknown keys are
-rejected by name, and the physics of an experiment (family, curve, p, degree
-or frequency lists) must always be explicit.  Outputs are byte-deterministic
-for a fixed config and seed: CSV floats use 17 significant digits, JSON keys
-are sorted.
+Configuration is flat key = value text (a file, or --key value flags).  Each
+experiment is one record in EXPERIMENTS: runner, CSV header, and its keys
+with their raw-text defaults; REQUIRED keys carry the physics (family, curve,
+p, degree or frequency lists), and unknown keys are rejected by name.  Each
+key has one parser in KEYS that returns a typed, range-checked value; every
+value is parsed before any runner starts, so runners parse nothing.  A check
+tying two keys together sits at the top of its runner and names its own key.
+Outputs are byte-deterministic for a fixed config and seed: CSV floats use
+17 significant digits; summary.json is strict JSON with sorted keys.
 
 Exit codes: 0 all verdicts pass or carry no contract, 1 a numerical contract
-failed (the failing verdict is in the JSON summary), 2 invalid configuration
-(the message names the offending field).
+failed or the run failed (the verdict or error is in the JSON summary), 2
+invalid configuration (the message names the offending field).
 """
 
 import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,54 +28,6 @@ import numpy as np
 from . import geometry, oscillatory, restriction, torus
 from .harmonics import Averaged, HighestWeight, Zonal
 from .svgplot import loglog_svg
-
-EXPERIMENTS = ("sweep", "kernel", "phase", "airy", "torus", "oracle-table")
-
-CSV_HEADERS = {
-    "sweep": "n,lambda,p,restricted_norm,ambient_norm,ratio",
-    "kernel": "lambda,sup_scaled",
-    "phase": "theta0,c_hat,c_theory",
-    "airy": "lambda,opnorm",
-    "torus": "N,r2,sup,curve_l2,seed",
-}
-
-# required keys carry the experiment physics and have no defaults; optional
-# keys default to the calibrated module-level values
-SCHEMAS = {
-    "sweep": {"required": ("family", "curve", "p", "degrees"),
-              "optional": {"num-points": None, "tolerance": "0.05"}},
-    "kernel": {"required": ("lambda-list",),
-               "optional": {"radius": None, "window": None,
-                            "grid-points": None, "amplitude-support": None}},
-    "phase": {"required": ("theta0-list",),
-              "optional": {"tolerance": "1e-6"}},
-    "airy": {"required": ("lambda-list",),
-             "optional": {"case": "model", "tolerance": "0.05",
-                          "domain": None, "amplitude-support": None}},
-    "torus": {"required": (),
-              "optional": {"n-list": None, "n-max": None, "seeds": "8",
-                           "seed": "0", "grid-m": None}},
-    "oracle-table": {"required": ("d", "k"),
-                     "optional": {"p-list": "2,critical,4,6,inf",
-                                  "curved": "false"}},
-}
-COMMON_OPTIONAL = {"experiment": None, "out": ".", "plot": "false"}
-
-CATALOG = (
-    ("sweep", "restricted L^p norms of eigenfunction families along curves or "
-              "great subspheres; fits the lambda-growth exponent against the "
-              "sharp theoretical value"),
-    ("kernel", "oscillatory kernel decay: sup of |K(t,tau)| sqrt(1+lambda|t-tau|) "
-               "stays within a fixed band across frequencies"),
-    ("phase", "arc-length expansion of the geodesic phase on a curve: fitted "
-              "cubic coefficient against kappa^2/24"),
-    ("airy", "caustic-regime model operator: largest singular value decays "
-             "like lambda^(-2/3)"),
-    ("torus", "lattice circles m^2+n^2=N, divisor growth, sup-norm and "
-              "curve-restriction experiments for random flat eigenfunctions"),
-    ("oracle-table", "sharp restriction exponent over a p grid with "
-                     "log-endpoint flags"),
-)
 
 
 class ConfigError(Exception):
@@ -100,81 +57,91 @@ def render_config(cfg):
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
-def _parse_float(key, value):
+# ----------------------------------------------------------------- key parsers
+# Each turns the raw text into a typed value or raises ValueError (float and
+# int name the bad text themselves); parse_value prefixes the key.
+
+def _checked(parse, ok, need):
+    """parse, then reject a value outside the domain `ok` with `need`."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{need}, got {text!r}")
+        return value
+    return check
+
+
+def _list(item):
+    def parse(text):
+        items = [v.strip() for v in text.split(",") if v.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return [item(v) for v in items]
+    return parse
+
+
+_BOOLEANS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+             **dict.fromkeys(("false", "no", "0", "off"), False)}
+_boolean = _checked(lambda t: _BOOLEANS.get(t.strip().lower()),
+                    lambda b: b is not None, "expected a boolean")
+_p = _checked(float, lambda p: p >= 2.0, "need p in [2, inf]")  # NaN fails too
+
+
+def _tolerance(text):
+    """None (no contract) for `none`, else a finite number >= 0."""
+    if text.strip().lower() == "none":
+        return None
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"expected none or a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _latitude(text):
+    colatitude = float(text)
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        return geometry.latitude_circle(colatitude)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got {text!r}") from None
 
 
-def _parse_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _parse_bool(key, value):
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _parse_p(key, value):
-    if value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    p = _parse_float(key, value)
-    if p < 2.0:
-        raise ConfigError(f"{key}: p must lie in [2, inf], got {value!r}")
-    return p
-
-
-def _parse_float_list(key, value):
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    return [_parse_float(key, v) for v in items]
-
-
-def _parse_int_list(key, value):
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    return [_parse_int(key, v) for v in items]
-
-
-def _parse_degrees(value):
+def _degrees(text):
     """Either `lo:hi` (geometric ladder) or an explicit comma list."""
-    if ":" in value:
-        lo, _, hi = value.partition(":")
-        degrees = restriction.geometric_degrees(_parse_int("degrees", lo),
-                                                _parse_int("degrees", hi))
+    if ":" in text:
+        lo, _, hi = text.partition(":")
+        degrees = restriction.geometric_degrees(int(lo), int(hi))
     else:
-        degrees = _parse_int_list("degrees", value)
+        degrees = _list(int)(text)
+    restriction._validate_degrees(degrees)
+    if len(degrees) < 4:
+        raise ValueError(f"the exponent fit needs at least 4 degrees, got {len(degrees)}")
     return degrees
 
 
-def _parse_curve(value):
-    name, _, arg = value.partition(":")
+def _circle_number(text):
+    # bounded before the O(sqrt N) representation scan
+    n = _checked(int, lambda n: 1 <= n <= torus.DESK_N_MAX,
+                 f"need 1 <= N <= {torus.DESK_N_MAX}")(text)
+    if torus.representations(n).r2 == 0:
+        raise ValueError(f"N={n} is not a sum of two squares")
+    return n
+
+
+def _curve(text):
+    name, _, arg = text.partition(":")
     if name == "equator" and not arg:
         return geometry.equator()
     if name == "latitude":
         if not arg:
-            raise ConfigError("curve: latitude needs a colatitude, e.g. latitude:0.785")
-        try:
-            return geometry.latitude_circle(_parse_float("curve", arg))
-        except ValueError as exc:
-            raise ConfigError(f"curve: {exc}, got {arg!r}") from None
+            raise ValueError("latitude needs a colatitude, e.g. latitude:0.785")
+        return _latitude(arg)
     if name == "subsphere" and not arg:
         return geometry.great_subsphere()
-    raise ConfigError(f"curve: unknown curve {value!r} "
-                      "(equator | latitude:<colatitude> | subsphere)")
+    raise ValueError(f"unknown curve {text!r} "
+                     "(equator | latitude:<colatitude> | subsphere)")
 
 
-def _parse_family(value):
+def _family(text):
     """Family name -> (factory(n), ambient dimension).
 
     The zonal poles sit on the default curves (e1 lies on the equator and on
@@ -182,7 +149,7 @@ def _parse_family(value):
     zonal-off tilts the pole a generic 1 radian off the z-axis so the equator
     is neither nodal nor extremal for it.
     """
-    name, _, arg = value.partition(":")
+    name, _, arg = text.partition(":")
     off_pole = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
     plain = {
         "zonal": (lambda n: Zonal(2, n, np.array([1.0, 0.0, 0.0])), 2),
@@ -195,69 +162,71 @@ def _parse_family(value):
         return plain[name]
     if name == "averaged":
         if not arg:
-            raise ConfigError("family: averaged needs a width factor, e.g. averaged:0.9")
-        delta = _parse_float("family", arg)
+            raise ValueError("averaged needs a width factor, e.g. averaged:0.9")
+        delta = float(arg)
         if not (math.isfinite(delta) and delta > 0.0):
-            raise ConfigError(f"family: averaged width must be finite and positive, "
-                              f"got {arg!r}")
+            raise ValueError(f"averaged width must be finite and positive, got {arg!r}")
         return (lambda n: Averaged(n, delta), 2)
-    raise ConfigError(f"family: unknown family {value!r} "
-                      "(zonal | zonal-off | zonal-s3 | highest-weight | "
-                      "highest-weight-s3 | averaged:<delta>)")
+    raise ValueError(f"unknown family {text!r} "
+                     "(zonal | zonal-off | zonal-s3 | highest-weight | "
+                     "highest-weight-s3 | averaged:<delta>)")
 
 
-def validate_config(raw):
-    """Schema check: experiment known, keys known, required keys present.
+KEYS = {
+    "family": _family,
+    "curve": _curve,
+    "p": _p,
+    "degrees": _degrees,
+    "tolerance": _tolerance,
+    "lambda-list": _list(_checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                                  "lambda must be finite and positive")),
+    "theta0-list": _list(_latitude),
+    "case": _checked(str, lambda c: c in ("model", "variable"),
+                     "expected model or variable"),
+    "n-list": _list(_circle_number),
+    "n-max": _checked(int, lambda n: 1000 < n <= torus.DESK_N_MAX,
+                      f"need 1000 < n-max <= {torus.DESK_N_MAX}"),
+    "seeds": _checked(int, lambda n: n >= 1, "need at least one seed"),
+    "seed": _checked(int, lambda n: n >= 0, "need a seed >= 0"),
+    "d": _checked(int, lambda d: d >= 2, "need a sphere dimension d >= 2"),
+    "k": _checked(int, lambda k: k >= 1, "need a submanifold dimension k >= 1"),
+    "p-list": _list(lambda t: "critical" if t == "critical" else _p(t)),
+    "curved": _boolean,
+    "plot": _boolean,
+    "out": Path,
+}
 
-    Returns (experiment, cfg) where cfg maps every schema key to its raw
-    string value (defaults filled in, None for absent optionals).
-    """
-    experiment = raw.get("experiment")
-    if experiment is None:
-        raise ConfigError("experiment: missing (pass a subcommand argument or "
-                          "an `experiment = ...` config line)")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
-    schema = SCHEMAS[experiment]
-    known = set(schema["required"]) | set(schema["optional"]) | set(COMMON_OPTIONAL)
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key}")
-    for key in schema["required"]:
-        if key not in raw:
-            raise ConfigError(f"{key}: required for experiment {experiment}")
-    cfg = dict(COMMON_OPTIONAL)
-    cfg.update(schema["optional"])
-    cfg.update(raw)
-    cfg["experiment"] = experiment
-    return experiment, cfg
 
+def parse_value(key, text):
+    """The typed, range-checked value of `key`; ConfigError names the key."""
+    try:
+        return KEYS[key](text)
+    except (ValueError, ArithmeticError) as exc:  # huge integers overflow floats
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+# ----------------------------------------------------------------- runners
+# Each takes the typed config and returns (csv rows, results, verdicts,
+# plot series or None).
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _parse_tolerance(value):
-    if value is None or str(value).strip().lower() == "none":
-        return None
-    return _parse_float("tolerance", str(value))
-
-
 def _run_sweep(cfg):
-    factory, dim = _parse_family(cfg["family"])
-    curve = _parse_curve(cfg["curve"])
+    (factory, dim), curve, degrees = cfg["family"], cfg["curve"], cfg["degrees"]
     if curve.ambient_dim != dim:
         raise ConfigError("curve: curve and family live on different spheres")
-    p = _parse_p("p", cfg["p"])
-    degrees = _parse_degrees(cfg["degrees"])
-    num_points = None if cfg["num-points"] is None else _parse_int("num-points", cfg["num-points"])
-    tolerance = _parse_tolerance(cfg["tolerance"])
+    try:
+        factory(degrees[0])  # the averaged window is widest at the lowest degree
+    except ValueError as exc:
+        raise ConfigError(f"family: {exc}") from None
 
-    samples = restriction.sweep(factory, curve, p, degrees, num_points=num_points)
+    samples = restriction.sweep(factory, curve, cfg["p"], degrees)
     k = 2 if curve.kind is geometry.CurveKind.GREAT_SUBSPHERE else 1
-    oracle = restriction.theoretical_exponent(dim, k, p)
+    oracle = restriction.theoretical_exponent(dim, k, cfg["p"])
     contract = None if oracle.log_endpoint else oracle.value
-    fit = restriction.fit_exponent(samples, contract, tolerance)
+    fit = restriction.fit_exponent(samples, contract, cfg["tolerance"])
     rows = [(str(s.degree), _fmt(s.lam), _fmt(s.p), _fmt(s.restricted_norm),
              _fmt(s.ambient_norm), _fmt(s.ratio)) for s in samples]
     results = {
@@ -282,18 +251,7 @@ def _run_sweep(cfg):
 
 
 def _run_kernel(cfg):
-    lams = _parse_float_list("lambda-list", cfg["lambda-list"])
-    kwargs = {}
-    if cfg["radius"] is not None:
-        kwargs["radius"] = _parse_float("radius", cfg["radius"])
-    if cfg["window"] is not None:
-        kwargs["window"] = _parse_float("window", cfg["window"])
-    if cfg["grid-points"] is not None:
-        kwargs["grid_points"] = _parse_int("grid-points", cfg["grid-points"])
-    if cfg["amplitude-support"] is not None:
-        kwargs["amplitude_support"] = _parse_float("amplitude-support",
-                                                   cfg["amplitude-support"])
-    report = oscillatory.verify_kernel_bound(lams, **kwargs)
+    report = oscillatory.verify_kernel_bound(cfg["lambda-list"])
     rows = [(_fmt(l), _fmt(s)) for l, s in zip(report.lams, report.sups)]
     results = {"sups": list(report.sups), "ratios": list(report.ratios),
                "ok": report.ok}
@@ -303,12 +261,12 @@ def _run_kernel(cfg):
 
 
 def _run_phase(cfg):
-    theta0s = _parse_float_list("theta0-list", cfg["theta0-list"])
-    tolerance = _parse_tolerance(cfg["tolerance"])
+    tolerance = cfg["tolerance"]
     rows, deviations, table = [], [], []
-    for theta0 in theta0s:
-        curve = (geometry.equator() if math.isclose(theta0, math.pi / 2)
-                 else geometry.latitude_circle(theta0))
+    for curve in cfg["theta0-list"]:
+        theta0 = curve.colatitude
+        if math.isclose(theta0, math.pi / 2):
+            curve = geometry.equator()
         fit = oscillatory.phase_expansion_fit(curve)
         rows.append((_fmt(theta0), _fmt(fit.c_hat), _fmt(fit.c_theory)))
         deviations.append(fit.deviation)
@@ -324,17 +282,8 @@ def _run_phase(cfg):
 
 
 def _run_airy(cfg):
-    lams = _parse_float_list("lambda-list", cfg["lambda-list"])
-    tolerance = _parse_tolerance(cfg["tolerance"])
-    case = cfg["case"]
-    if case not in ("model", "variable"):
-        raise ConfigError(f"case: expected model or variable, got {case!r}")
+    lams, tolerance, case = cfg["lambda-list"], cfg["tolerance"], cfg["case"]
     kwargs = {}
-    if cfg["domain"] is not None:
-        kwargs["domain"] = _parse_float("domain", cfg["domain"])
-    if cfg["amplitude-support"] is not None:
-        kwargs["amplitude_support"] = _parse_float("amplitude-support",
-                                                   cfg["amplitude-support"])
     if case == "variable":
         kwargs["c"] = lambda tau: 1.0 + 0.2 * np.sin(tau)
         kwargs["d"] = lambda tau, delta: 0.1 * np.cos(tau)
@@ -360,14 +309,8 @@ def _run_torus(cfg):
     rows, results, verdicts = [], {}, {}
     series = None
     if cfg["n-list"] is not None:
-        ns = _parse_int_list("n-list", cfg["n-list"])
-        n_seeds = _parse_int("seeds", cfg["seeds"])
-        if n_seeds < 1:
-            raise ConfigError(f"seeds: need at least one seed, got {n_seeds}")
-        base = _parse_int("seed", cfg["seed"])
-        grid_m = None if cfg["grid-m"] is None else _parse_int("grid-m", cfg["grid-m"])
-        seeds = range(base, base + n_seeds)
-        report = torus.verify_linfty_bound(ns, seeds, grid_m)
+        seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
+        report = torus.verify_linfty_bound(cfg["n-list"], seeds)
         rows = [(str(r.N), str(r.r2), _fmt(r.sup), _fmt(r.curve_l2), str(r.seed))
                 for r in report.rows]
         results["sup_bound"] = {"ok": report.bound_ok,
@@ -383,11 +326,8 @@ def _run_torus(cfg):
             series = [("max sup", [math.sqrt(n) for n in xs],
                        [per_n[n] for n in xs])]
     if cfg["n-max"] is not None:
-        n_max = _parse_int("n-max", cfg["n-max"])
-        cutoffs = tuple(c for c in (10**3, 10**4, 10**5) if c < n_max)
-        if not cutoffs:
-            raise ConfigError("n-max: must exceed 1000 for the growth trend")
-        maxima, decreasing = torus.exponent_trend(n_max, cutoffs)
+        cutoffs = tuple(c for c in (10**3, 10**4, 10**5) if c < cfg["n-max"])
+        maxima, decreasing = torus.exponent_trend(cfg["n-max"], cutoffs)
         results["divisor_growth"] = {"cutoffs": list(cutoffs),
                                      "max_exponent": maxima,
                                      "decreasing": decreasing}
@@ -396,86 +336,144 @@ def _run_torus(cfg):
 
 
 def _run_oracle_table(cfg):
-    d = _parse_int("d", cfg["d"])
-    k = _parse_int("k", cfg["k"])
-    curved = _parse_bool("curved", cfg["curved"])
+    d, k, curved = cfg["d"], cfg["k"], cfg["curved"]
+    if k > d - 1:
+        raise ConfigError(f"k: need k <= d - 1 = {d - 1}, got {k}")
+    if curved and (d, k) != (2, 1):
+        raise ConfigError("curved: the curved refinement applies to curves on S^2 "
+                          "only (d = 2, k = 1)")
     table = []
-    for item in (v.strip() for v in cfg["p-list"].split(",")):
-        if not item:
-            continue
-        if item == "critical":
-            p = 2.0 * d / (d - 1.0)
-        else:
-            p = _parse_p("p-list", item)
-        try:
-            oracle = restriction.theoretical_exponent(d, k, p, curved=curved)
-        except ValueError as exc:
-            raise ConfigError(f"p-list: {exc}") from None
+    for item in cfg["p-list"]:
+        p = 2.0 * d / (d - 1.0) if item == "critical" else item
+        oracle = restriction.theoretical_exponent(d, k, p, curved=curved)
         table.append({"p": "inf" if math.isinf(p) else p,
                       "exponent": oracle.value,
                       "log_endpoint": oracle.log_endpoint})
-    if not table:
-        raise ConfigError("p-list: empty list")
     results = {"d": d, "k": k, "curved": curved, "table": table}
     return [], results, {"oracle_table": "no_contract"}, None
 
 
-RUNNERS = {
-    "sweep": _run_sweep,
-    "kernel": _run_kernel,
-    "phase": _run_phase,
-    "airy": _run_airy,
-    "torus": _run_torus,
-    "oracle-table": _run_oracle_table,
+# ----------------------------------------------------------------- experiments
+
+REQUIRED = object()  # default of a key the config must set
+
+
+@dataclass(frozen=True)
+class Experiment:
+    about: str      # one-line catalog description
+    run: Callable   # runner(typed cfg) -> (rows, results, verdicts, series)
+    keys: dict      # key -> raw default text, None (absent) or REQUIRED
+    csv: str | None = None  # CSV header
+
+
+EXPERIMENTS = {
+    "sweep": Experiment(
+        "restricted L^p norms of eigenfunction families along curves or "
+        "great subspheres; fits the lambda-growth exponent against the "
+        "sharp theoretical value",
+        _run_sweep,
+        {"family": REQUIRED, "curve": REQUIRED, "p": REQUIRED,
+         "degrees": REQUIRED, "tolerance": "0.05"},
+        "n,lambda,p,restricted_norm,ambient_norm,ratio"),
+    "kernel": Experiment(
+        "oscillatory kernel decay: sup of |K(t,tau)| sqrt(1+lambda|t-tau|) "
+        "stays within a fixed band across frequencies",
+        _run_kernel, {"lambda-list": REQUIRED}, "lambda,sup_scaled"),
+    "phase": Experiment(
+        "arc-length expansion of the geodesic phase on a curve: fitted "
+        "cubic coefficient against kappa^2/24",
+        _run_phase, {"theta0-list": REQUIRED, "tolerance": "1e-6"},
+        "theta0,c_hat,c_theory"),
+    "airy": Experiment(
+        "caustic-regime model operator: largest singular value decays "
+        "like lambda^(-2/3)",
+        _run_airy,
+        {"lambda-list": REQUIRED, "case": "model", "tolerance": "0.05"},
+        "lambda,opnorm"),
+    "torus": Experiment(
+        "lattice circles m^2+n^2=N, divisor growth, sup-norm and "
+        "curve-restriction experiments for random flat eigenfunctions",
+        _run_torus,
+        {"n-list": None, "n-max": None, "seeds": "8", "seed": "0"},
+        "N,r2,sup,curve_l2,seed"),
+    "oracle-table": Experiment(
+        "sharp restriction exponent over a p grid with log-endpoint flags",
+        _run_oracle_table,
+        {"d": REQUIRED, "k": REQUIRED, "p-list": "2,critical,4,6,inf",
+         "curved": "false"}),
 }
+COMMON_KEYS = {"experiment": None, "out": ".", "plot": "false"}
+
+
+def validate_config(raw):
+    """Schema check: experiment known, keys known, required keys present.
+
+    Returns (experiment, cfg) where cfg maps every key of the experiment to
+    its raw string value (defaults filled in, None for absent optionals).
+    """
+    experiment = raw.get("experiment")
+    if experiment is None:
+        raise ConfigError("experiment: missing (pass a subcommand argument or "
+                          "an `experiment = ...` config line)")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
+    keys = {**COMMON_KEYS, **EXPERIMENTS[experiment].keys}
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown config key: {key}")
+    for key, default in keys.items():
+        if default is REQUIRED and key not in raw:
+            raise ConfigError(f"{key}: required for experiment {experiment}")
+    return experiment, {**keys, **raw}
+
+
+def _dumps(summary):
+    # allow_nan=False: a NaN or inf result raises instead of writing bad JSON
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run(raw_config):
     """Validate, execute, and write artifacts; returns the process exit code."""
     try:
-        experiment, cfg = validate_config(raw_config)
-        out_dir = Path(cfg["out"])
-        plot = _parse_bool("plot", str(cfg["plot"]))
+        experiment, raw = validate_config(raw_config)
+        cfg = {key: None if text is None else parse_value(key, text)
+               for key, text in raw.items() if key != "experiment"}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    spec, out_dir = EXPERIMENTS[experiment], cfg["out"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # echo the physics config only: artifact destinations must not leak into
     # the summary bytes or identical runs into different directories diverge
-    summary = {"experiment": experiment,
-               "config": {k: str(v) for k, v in sorted(cfg.items())
-                          if v is not None and k not in ("out", "plot")}}
+    echo = {"experiment": experiment,
+            "config": {k: v for k, v in sorted(raw.items())
+                       if v is not None and k not in ("out", "plot")}}
     try:
-        rows, results, verdicts, series = RUNNERS[experiment](cfg)
+        rows, results, verdicts, series = spec.run(cfg)
+        exit_code = 0 if all(v in ("pass", "no_contract") for v in verdicts.values()) else 1
+        summary = {**echo, "results": results, "verdicts": verdicts,
+                   "exit_code": exit_code}
+        if spec.csv is not None:
+            summary["csv"] = f"{experiment}.csv"
+        if cfg["plot"] and series:
+            summary["svg"] = f"{experiment}.svg"
+        text = _dumps(summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        summary["error"] = str(exc)
-        summary["verdicts"] = {}
-        summary["exit_code"] = 1
         _write_text(out_dir / "summary.json",
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                    _dumps({**echo, "error": str(exc), "verdicts": {}, "exit_code": 1}))
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
 
-    exit_code = 0 if all(v in ("pass", "no_contract") for v in verdicts.values()) else 1
-    summary["results"] = results
-    summary["verdicts"] = verdicts
-    summary["exit_code"] = exit_code
-
-    if experiment in CSV_HEADERS:
-        csv_path = out_dir / f"{experiment}.csv"
-        lines = [CSV_HEADERS[experiment]] + [",".join(r) for r in rows]
-        _write_text(csv_path, "\n".join(lines) + "\n")
-        summary["csv"] = csv_path.name
-    if plot and series:
-        svg_path = out_dir / f"{experiment}.svg"
-        _write_text(svg_path, loglog_svg(series, title=experiment))
-        summary["svg"] = svg_path.name
-    _write_text(out_dir / "summary.json",
-                json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if "csv" in summary:
+        lines = [spec.csv] + [",".join(r) for r in rows]
+        _write_text(out_dir / summary["csv"], "\n".join(lines) + "\n")
+    if "svg" in summary:
+        _write_text(out_dir / summary["svg"], loglog_svg(series, title=experiment))
+    _write_text(out_dir / "summary.json", text)
 
     for name in sorted(verdicts):
         print(f"{experiment}:{name}: {verdicts[name]}")
@@ -488,15 +486,12 @@ def _write_text(path, text):
 
 
 def list_experiments():
-    width = max(len(name) for name, _ in CATALOG)
-    return "".join(f"{name:<{width}}  {desc}\n" for name, desc in CATALOG)
+    width = max(len(name) for name in EXPERIMENTS)
+    return "".join(f"{name:<{width}}  {e.about}\n" for name, e in EXPERIMENTS.items())
 
 
-# every schema key doubles as a --flag override; sorted for stable --help
-FLAG_KEYS = tuple(sorted(
-    {"out", "seed"}
-    | {key for schema in SCHEMAS.values()
-       for key in (*schema["required"], *schema["optional"])}))
+# every experiment key doubles as a --flag override; sorted for stable --help
+FLAG_KEYS = tuple(sorted({"out"} | {key for e in EXPERIMENTS.values() for key in e.keys}))
 
 
 def main(argv=None):

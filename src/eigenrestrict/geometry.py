@@ -40,11 +40,6 @@ def sphere_distance(x, y):
     return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
 
 
-def _distances_to(points, y):
-    """Vectorized d(points[i], y) without per-point validation (internal hot path)."""
-    return np.arccos(np.clip(points @ y, -1.0, 1.0))
-
-
 def exp_map(x, v):
     """Exponential map exp_x(v) = cos|v| x + sin|v| v/|v| for tangent v at x."""
     x = as_unit_vector(x)

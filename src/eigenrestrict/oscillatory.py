@@ -118,17 +118,23 @@ def verify_kernel_bound(lams=(50.0, 100.0, 200.0, 400.0), curve=None, radius=KER
 
     Pairs with |t - tau| < 2/lambda (no oscillation to average) or
     |t - tau| > 0.9 r (outside the polar patch) are excluded from the sup.
+    Every lambda is checked for an admissible pair before any kernel is
+    computed; one without raises ValueError naming it.
     """
     if curve is None:
         curve = geometry.equator()
     ts = np.linspace(-window, window, grid_points)
     gaps = np.abs(ts[:, None] - ts[None, :])
+    specs = [KernelSpec(curve, lam, radius, amplitude_support) for lam in lams]
+    masks = [(gaps >= 2.0 / s.lam) & (gaps <= 0.9 * radius) for s in specs]
+    for spec, admissible in zip(specs, masks):
+        if not admissible.any():
+            raise ValueError(
+                f"lambda={spec.lam:g} leaves no admissible pair: need "
+                f"2/lambda <= |t - tau| <= 0.9 r on the window [-{window:g}, {window:g}]")
     sups = []
-    for lam in lams:
-        spec = KernelSpec(curve, lam, radius, amplitude_support)
-        kmat = kernel_matrix(spec, ts)
-        admissible = (gaps >= 2.0 / lam) & (gaps <= 0.9 * radius)
-        scaled = np.abs(kmat) * np.sqrt(1.0 + lam * gaps)
+    for spec, admissible in zip(specs, masks):
+        scaled = np.abs(kernel_matrix(spec, ts)) * np.sqrt(1.0 + spec.lam * gaps)
         sups.append(float(np.max(scaled[admissible])))
     ratios = tuple(b / a for a, b in zip(sups, sups[1:]))
     ok = all(ratio_band[0] <= q <= ratio_band[1] for q in ratios)

@@ -1,13 +1,15 @@
 """Config parsing, schema validation, artifacts and exit codes."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenrestrict import cli
+from eigenrestrict import cli, geometry
 
 _KEY = st.text(alphabet="abcdefgh-", min_size=1, max_size=8).filter(
     lambda s: s.strip("-") == s)
@@ -52,6 +54,49 @@ def test_validate_config_fills_defaults():
     assert experiment == "phase"
     assert cfg["tolerance"] == "1e-6"
     assert cfg["out"] == "."
+
+
+def test_unused_tuning_keys_are_rejected():
+    for experiment, key in (("sweep", "num-points"), ("kernel", "radius"),
+                            ("kernel", "window"), ("kernel", "grid-points"),
+                            ("kernel", "amplitude-support"), ("airy", "domain"),
+                            ("airy", "amplitude-support"), ("torus", "grid-m")):
+        with pytest.raises(cli.ConfigError, match=f"unknown config key: {key}"):
+            cli.validate_config({"experiment": experiment, key: "1"})
+
+
+# every key's parser: a typed value, or a ConfigError that names the key
+_TYPES = {"family": tuple, "curve": geometry.CurveSpec, "p": float,
+          "degrees": list, "tolerance": (float, type(None)), "lambda-list": list,
+          "theta0-list": list, "case": str, "n-list": list, "n-max": int,
+          "seeds": int, "seed": int, "d": int, "k": int, "p-list": list,
+          "curved": bool, "plot": bool, "out": Path}
+_TOKENS = ["4", "16", "45", "25", "3", "0", "-1", "0.5", "2", "nan", "inf",
+           "critical", "none", "true", "model", "equator", "latitude",
+           "averaged", "zonal", "1e400", "9" * 30, "1" + "0" * 400]
+_TEXT = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet="0123456789.,:+-einfatoc ", max_size=16),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=5).map(",".join),
+    st.lists(st.sampled_from(_TOKENS), min_size=2, max_size=2).map(":".join),
+)
+
+
+def test_key_table_covers_every_experiment_key():
+    assert set(_TYPES) == set(cli.KEYS)
+    keys = {k for e in cli.EXPERIMENTS.values() for k in e.keys}
+    assert keys | {"out", "plot"} == set(cli.KEYS)
+    assert sum(len(e.keys) for e in cli.EXPERIMENTS.values()) == 19
+
+
+@given(st.sampled_from(sorted(cli.KEYS)), _TEXT)
+def test_every_key_gives_typed_value_or_names_itself(key, text):
+    try:
+        value = cli.parse_value(key, text)
+    except cli.ConfigError as exc:
+        assert str(exc).startswith(f"{key}: ")
+    else:
+        assert isinstance(value, _TYPES[key])
 
 
 # ----------------------------------------------------------------- list
@@ -117,9 +162,13 @@ def test_failed_contract_exits_one(tmp_path, capsys):
     assert "sweep:exponent_fit: fail" in capsys.readouterr().out
 
 
-def test_runtime_failure_still_writes_summary(tmp_path, capsys):
+def test_runtime_failure_still_writes_summary(tmp_path, capsys, monkeypatch):
+    def underresolved(*args, **kwargs):
+        raise ValueError("curve grid N=8 underresolves lambda=272; need N >= 330")
+
+    monkeypatch.setattr(cli.restriction, "sweep", underresolved)
     out = tmp_path / "e"
-    code = cli.main(SWEEP_ARGS + ["--num-points", "8", "--out", str(out)])
+    code = cli.main(SWEEP_ARGS + ["--out", str(out)])
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert "underresolves" in summary["error"]
@@ -234,3 +283,63 @@ def test_oracle_table_run(tmp_path):
     # curved improvement asks for the (2, 1) geometry only
     assert cli.main(["run", "oracle-table", "--d", "3", "--k", "2",
                      "--curved", "true", "--out", str(out)]) == 2
+
+
+SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
+               "--p", "2", "--degrees", "16:45"]
+
+
+@pytest.mark.parametrize("field,argv", [
+    ("tolerance", SWEEP_ZONAL + ["--tolerance", "nan"]),
+    ("tolerance", SWEEP_ZONAL + ["--tolerance", "-1"]),
+    ("p", SWEEP_ZONAL + ["--p", "nan"]),
+    ("degrees", SWEEP_ZONAL + ["--degrees", "16,8,32,45"]),
+    ("degrees", SWEEP_ZONAL + ["--degrees", "16,23,32"]),
+    ("family", SWEEP_ZONAL + ["--family", "averaged:6", "--degrees", "4,6,8,11"]),
+    ("lambda-list", ["run", "kernel", "--lambda-list", "200,nan,800"]),
+    ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
+    ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
+    ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
+    ("n-list", ["run", "torus", "--n-list", "3"]),
+    ("n-list", ["run", "torus", "--n-list", "20000000"]),
+    ("n-max", ["run", "torus", "--n-max", "1000"]),
+    ("seed", ["run", "torus", "--n-list", "25", "--seed", "-1"]),
+    ("case", ["run", "airy", "--lambda-list", "200,400", "--case", "caustic"]),
+    ("d", ["run", "oracle-table", "--d", "1", "--k", "1"]),
+    ("k", ["run", "oracle-table", "--d", "2", "--k", "2"]),
+    ("curved", ["run", "oracle-table", "--d", "3", "--k", "2", "--curved", "true"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v[1:]))
+def test_invalid_value_exits_two_naming_field(tmp_path, capsys, field, argv):
+    out = tmp_path / "bad"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not (out / "summary.json").exists()
+
+
+def test_non_finite_result_exits_one_with_strict_summary(tmp_path, capsys, monkeypatch):
+    def nan_runner(cfg):
+        return [], {"max_deviation": float("nan")}, {"phase_expansion": "pass"}, None
+
+    phase = cli.EXPERIMENTS["phase"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "phase", dataclasses.replace(phase, run=nan_runner))
+    out = tmp_path / "n"
+    assert cli.main(["run", "phase", "--theta0-list", "0.8", "--out", str(out)]) == 1
+
+    def reject(constant):
+        raise AssertionError(f"summary.json holds {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert "not JSON compliant" in summary["error"]
+    assert summary["verdicts"] == {} and summary["exit_code"] == 1
+    assert not (out / "phase.csv").exists()
+    assert "experiment failed" in capsys.readouterr().err
+
+
+def test_kernel_without_admissible_pair_exits_one(tmp_path, capsys):
+    out = tmp_path / "k"
+    assert cli.main(["run", "kernel", "--lambda-list", "1,100", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert "lambda=1 leaves no admissible pair" in summary["error"]
+    assert summary["exit_code"] == 1
+    assert not (out / "kernel.csv").exists()
+    assert "experiment failed" in capsys.readouterr().err

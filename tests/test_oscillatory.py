@@ -73,6 +73,16 @@ def test_kernel_bound_short_ladder():
     assert all(s > 0 for s in report.sups)
 
 
+def test_kernel_bound_rejects_lambda_without_admissible_pair(monkeypatch):
+    # 2/lambda = 2 exceeds every gap of the [-0.15, 0.15] window; the check
+    # runs for every lambda before the first kernel is computed
+    calls = []
+    monkeypatch.setattr(osc, "kernel_matrix", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=r"lambda=1 leaves no admissible pair"):
+        osc.verify_kernel_bound(lams=(100.0, 1.0))
+    assert calls == []
+
+
 # ----------------------------------------------------------- critical points
 
 def _psi(x, center, r, w_angles, u1, u2):
