@@ -178,8 +178,12 @@ KEYS = {
     "p": _p,
     "degrees": _degrees,
     "tolerance": _tolerance,
-    "lambda-list": _list(_checked(float, lambda x: math.isfinite(x) and x > 0.0,
-                                  "lambda must be finite and positive")),
+    # a decay rate needs two frequencies: one lambda would pass vacuously
+    "lambda-list": _checked(
+        _list(_checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                       "lambda must be finite and positive")),
+        lambda lams: len(lams) >= 2 and all(a < b for a, b in zip(lams, lams[1:])),
+        "need at least two strictly increasing values"),
     "theta0-list": _list(_latitude),
     "case": _checked(str, lambda c: c in ("model", "variable"),
                      "expected model or variable"),
@@ -287,8 +291,13 @@ def _run_airy(cfg):
     if case == "variable":
         kwargs["c"] = lambda tau: 1.0 + 0.2 * np.sin(tau)
         kwargs["d"] = lambda tau, delta: 0.1 * np.cos(tau)
-    norms = [oscillatory.airy_operator_norm(oscillatory.AirySpec(lam, **kwargs))
-             for lam in lams]
+    specs = [oscillatory.AirySpec(lam, **kwargs) for lam in lams]
+    for spec in specs:  # every size before the first norm
+        n = oscillatory.airy_matrix_dim(spec)
+        if n > oscillatory.AIRY_MAX_DIM:
+            raise ConfigError(f"lambda-list: lambda={spec.lam:g} needs matrix dimension "
+                              f"{n}, above the cap {oscillatory.AIRY_MAX_DIM}")
+    norms = [oscillatory.airy_operator_norm(spec) for spec in specs]
     rows = [(_fmt(l), _fmt(v)) for l, v in zip(lams, norms)]
     slope = restriction.loglog_fit(lams, norms)[0]
     results = {"case": case, "opnorms": norms, "slope": slope,

@@ -11,7 +11,11 @@ Four numerical experiments live here:
 * phase_expansion_fit: the cubic coefficient of the arc-length expansion of
   the geodesic distance along a curve, which equals curvature^2 / 24.
 * airy_operator_norm: the L^2 operator norm of the caustic-regime model
-  kernel, which decays like lambda^{-2/3}.
+  kernel, which decays like lambda^{-2/3}.  The kernel is assembled from
+  its offset factors (on the 2n-1 offsets i - j) and column factors (on the
+  n nodes); its top singular value comes from Golub-Kahan-Lanczos
+  bidiagonalization with full reorthogonalization, stopped by the Ritz
+  residual bound, with no dense SVD.
 
 psi_r(x, w) = -d(x, exp_center(r w)) throughout, with r the polar radius.
 """
@@ -119,8 +123,11 @@ def verify_kernel_bound(lams=(50.0, 100.0, 200.0, 400.0), curve=None, radius=KER
     Pairs with |t - tau| < 2/lambda (no oscillation to average) or
     |t - tau| > 0.9 r (outside the polar patch) are excluded from the sup.
     Every lambda is checked for an admissible pair before any kernel is
-    computed; one without raises ValueError naming it.
+    computed; one without raises ValueError naming it.  Fewer than two
+    lambdas raise ValueError too: there is no ratio to hold in the band.
     """
+    if len(lams) < 2:
+        raise ValueError("kernel decay compares successive lambdas; need at least two")
     if curve is None:
         curve = geometry.equator()
     ts = np.linspace(-window, window, grid_points)
@@ -231,7 +238,9 @@ class AirySpec:
     by a positive constant; chi is 1 on [-1/2, 1/2] and 0 outside [-1, 1], so
     the kernel vanishes identically near the diagonal.  The amplitude is the
     product bump a = bump(tau/s) bump(D/s) with s = amplitude_support unless
-    `amplitude` overrides it.
+    `amplitude` overrides it.  c is evaluated on the grid nodes tau; d and an
+    `amplitude` override on the whole (tau, D) grid, the vanishing diagonal
+    band included, so they must be finite there.
     """
 
     lam: float
@@ -256,15 +265,11 @@ class AirySpec:
             raise ValueError("c(tau) must stay strictly positive")
         return vals
 
-    def d_values(self, tau, delta):
-        if self.d is None:
-            return np.zeros_like(delta)
-        return np.asarray(self.d(tau, delta), dtype=float) * np.ones_like(delta)
 
-    def amplitude_values(self, tau, delta):
-        if self.amplitude is not None:
-            return np.asarray(self.amplitude(tau, delta), dtype=float) * np.ones_like(delta)
-        return bump(tau / self.amplitude_support) * bump(delta / self.amplitude_support)
+AIRY_MAX_DIM = 8192        # default cap on the kernel dimension n
+GKL_MAX_STEPS = 200        # Golub-Kahan-Lanczos step limit
+GKL_RTOL = 1e-12           # Ritz residual bound, relative to sigma_1
+_GKL_SEED = 20050          # fixed start vector: byte-deterministic norms
 
 
 def airy_step_floor(lam):
@@ -272,34 +277,142 @@ def airy_step_floor(lam):
     return (2.0 * math.pi / lam) / 20.0
 
 
-def airy_operator_norm(spec, step=None, max_matrix_dim=8192):
-    """Largest singular value of the discretized model kernel on [-domain, domain].
+def airy_matrix_dim(spec, step=None):
+    """Kernel dimension n = ceil(2 domain / step) + 1 at `step` (default: the floor).
 
-    The matrix is K(t_i, t_j) * step (midpoint discretization of the integral
-    operator), and the spectral norm comes from a dense SVD.
+    A step coarser than airy_step_floor(lambda) raises ValueError.
     """
     floor = airy_step_floor(spec.lam)
     if step is None:
         step = floor
     elif step > floor:
         raise ValueError(f"step {step:g} too coarse for lambda={spec.lam:g}; need <= {floor:g}")
-    n = int(math.ceil(2.0 * spec.domain / step)) + 1
+    return int(math.ceil(2.0 * spec.domain / step)) + 1
+
+
+def _toeplitz(offsets):
+    """n x n view T[i, j] = offsets[i - j + n - 1] of a length 2n-1 vector."""
+    n = (offsets.size + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(offsets[::-1], n)[::-1]
+
+
+def _airy_kernel(spec, step, n):
+    """step * K(t_i, t_j) on the nodes t = -domain + step * arange(n).
+
+    Each factor is evaluated at the shape it depends on: the cutoff
+    1 - chi(lambda^{1/3} D), (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1
+    offsets D = (i - j) step, read through the Toeplitz index i - j + n - 1;
+    c(tau) and bump(tau/s) on the n column nodes; only d(tau, D), an
+    amplitude override and the exponential on the n^2 entries.  With c, d
+    and the amplitude at their defaults the phase depends on D alone, so the
+    kernel is one Toeplitz vector times a column scale.
+    """
+    tau = -spec.domain + step * np.arange(n)
+    offsets = step * np.arange(1 - n, n)
+    dist = np.abs(offsets)
+    cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * offsets)
+    weight = np.zeros_like(offsets)
+    live = cut > 0.0
+    weight[live] = cut[live] / np.sqrt(spec.lam * dist[live])
+    column = np.full(n, step)
+    if spec.amplitude is None:
+        weight *= bump(offsets / spec.amplitude_support)
+        column *= bump(tau / spec.amplitude_support)
+    if spec.c is None and spec.d is None and spec.amplitude is None:
+        phase = -dist * (1.0 - offsets**2)
+        return _toeplitz(np.exp(1j * spec.lam * phase) * weight) * column
+    # lambda gamma = -lambda |D| (1 - c D^2 + d D^3), in place on one n^2 array
+    delta = _toeplitz(offsets)
+    gamma = 0.0 if spec.d is None else np.asarray(spec.d(tau, delta), dtype=float)
+    gamma = gamma * delta
+    gamma -= spec.c_values(tau)
+    gamma *= delta
+    gamma *= delta
+    gamma += 1.0
+    gamma *= _toeplitz(-spec.lam * dist)
+    kernel = np.empty(gamma.shape, dtype=complex)
+    np.cos(gamma, out=kernel.real)
+    np.sin(gamma, out=kernel.imag)
+    del gamma
+    kernel *= _toeplitz(weight)
+    kernel *= column
+    if spec.amplitude is not None:
+        kernel *= np.asarray(spec.amplitude(tau, delta), dtype=float)
+    return kernel
+
+
+def _gkl_sigma1(matrix):
+    """Top singular value of `matrix` by Golub-Kahan-Lanczos bidiagonalization.
+
+    Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965).  From a fixed-seed complex
+    unit vector v_1 the recurrence builds orthonormal V_k, U_k (each fully
+    reorthogonalized, twice) with A V_k = U_k B_k and
+    A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T, B_k upper bidiagonal.  If
+    (sigma, x, y) is the top singular triplet of B_k, the Ritz pair
+    (U_k x, V_k y) has residual beta_k |e_k^T x|; the iteration stops once
+    that is <= GKL_RTOL sigma, or a zero alpha or beta leaves an invariant
+    subspace on which sigma is exact.  Returns (sigma, steps, residual); the
+    residual exceeds the bound only after GKL_MAX_STEPS steps.
+    """
+    n = matrix.shape[1]
+    limit = GKL_MAX_STEPS
+    rng = np.random.default_rng(_GKL_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vs = np.empty((limit + 1, n), dtype=complex)
+    us = np.empty((limit, n), dtype=complex)
+    vs[0] = v / np.linalg.norm(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(limit):
+        p = matrix @ vs[k]
+        if k:
+            p -= beta * us[k - 1]
+        p = _reorthogonalize(p, us[:k])
+        alpha = float(np.linalg.norm(p))
+        alphas.append(alpha)
+        if alpha > 0.0:
+            us[k] = p / alpha
+            r = (us[k].conj() @ matrix).conj() - alpha * vs[k]
+            r = _reorthogonalize(r, vs[:k + 1])
+            beta = float(np.linalg.norm(r))
+        bidiag = np.diag(alphas) + np.diag(betas, 1)
+        left, sv, _ = np.linalg.svd(bidiag)
+        residual = beta * float(abs(left[-1, 0])) if alpha > 0.0 else 0.0
+        if residual <= GKL_RTOL * sv[0]:
+            return float(sv[0]), k + 1, residual
+        betas.append(beta)
+        vs[k + 1] = r / beta
+    return float(sv[0]), limit, residual
+
+
+def _reorthogonalize(w, basis):
+    """w minus its projection on the orthonormal rows of basis, applied twice."""
+    for _ in range(2):
+        w = w - (basis.conj() @ w) @ basis
+    return w
+
+
+def airy_operator_norm(spec, step=None, max_matrix_dim=AIRY_MAX_DIM):
+    """Largest singular value of the discretized model kernel on [-domain, domain].
+
+    The matrix is K(t_i, t_j) * step (midpoint discretization of the integral
+    operator), assembled factor by factor (_airy_kernel): offset factors on
+    the 2n-1 offsets, column factors on the n nodes, and for the default c,
+    d and amplitude the whole kernel gathered from one offset vector.  Its
+    spectral norm comes from Golub-Kahan-Lanczos with full
+    reorthogonalization (_gkl_sigma1), stopped when the Ritz residual bound
+    is <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS steps do not
+    reach it.
+    """
+    if step is None:
+        step = airy_step_floor(spec.lam)
+    n = airy_matrix_dim(spec, step)
     if n > max_matrix_dim:
         raise ValueError(
             f"matrix dimension {n} exceeds the cap {max_matrix_dim}; increase the step")
-    tt = -spec.domain + step * np.arange(n)
-    delta = tt[:, None] - tt[None, :]
-    tau = np.broadcast_to(tt[None, :], delta.shape)
-    cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * delta)
-    live = cut > 0.0
-    kernel = np.zeros_like(delta, dtype=complex)
-    if np.any(live):
-        dlive = delta[live]
-        taulive = tau[live]
-        phase = -np.abs(dlive) * (1.0 - spec.c_values(taulive) * dlive**2
-                                  + spec.d_values(taulive, dlive) * dlive**3)
-        amp = spec.amplitude_values(taulive, dlive)
-        kernel[live] = (np.exp(1j * spec.lam * phase) * amp * cut[live]
-                        / np.sqrt(spec.lam * np.abs(dlive)))
-    sv = np.linalg.svd(kernel * step, compute_uv=False)
-    return float(sv[0])
+    sigma, steps, residual = _gkl_sigma1(_airy_kernel(spec, step, n))
+    if residual > GKL_RTOL * sigma:
+        raise ArithmeticError(
+            f"Golub-Kahan-Lanczos for lambda={spec.lam:g} stopped after {steps} steps "
+            f"with Ritz residual {residual:.3g} > {GKL_RTOL:g} sigma_1 = {sigma:.6g}")
+    return sigma

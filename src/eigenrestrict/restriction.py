@@ -9,6 +9,7 @@ sharp growth rates the fits are compared to.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +120,12 @@ def loglog_fit(xs, ys):
     """Least-squares line log(y) = intercept + slope log(x).
 
     Returns (slope, intercept, rms residual); the shared log-log regression of
-    the exponent, Airy and torus fits.
+    the exponent, Airy and torus fits.  Fewer than two distinct x raise
+    ValueError: the slope would be lstsq's minimum-norm guess, not a fit.
     """
     x = np.log(xs)
+    if x.size < 2 or x.min() == x.max():
+        raise ValueError("a log-log fit needs at least two distinct x values")
     y = np.log(ys)
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -188,6 +192,8 @@ def geometric_degrees(lo, hi, ratio=SWEEP_RATIO):
     """Geometric degree ladder lo..hi with the standard sqrt(2) spacing."""
     if lo < 4 or hi < lo:
         raise ValueError("need 4 <= lo <= hi")
+    if hi > sys.float_info.max:  # the ladder steps in floats
+        raise ValueError(f"hi exceeds the largest float, {sys.float_info.max:g}")
     out = []
     x = float(lo)
     while x < hi - 0.5:

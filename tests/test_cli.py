@@ -298,6 +298,10 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("family", SWEEP_ZONAL + ["--family", "averaged:6", "--degrees", "4,6,8,11"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "200,nan,800"]),
     ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "50"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
+    ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "200,5000"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
     ("n-list", ["run", "torus", "--n-list", "3"]),
@@ -333,6 +337,16 @@ def test_non_finite_result_exits_one_with_strict_summary(tmp_path, capsys, monke
     assert summary["verdicts"] == {} and summary["exit_code"] == 1
     assert not (out / "phase.csv").exists()
     assert "experiment failed" in capsys.readouterr().err
+
+
+def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.oscillatory, "airy_operator_norm", calls.append)
+    out = tmp_path / "big"
+    assert cli.main(["run", "airy", "--lambda-list", "200,5000", "--out", str(out)]) == 2
+    assert calls == []
+    assert "lambda=5000 needs matrix dimension 15917, above the cap 8192" in \
+        capsys.readouterr().err
 
 
 def test_kernel_without_admissible_pair_exits_one(tmp_path, capsys):

@@ -178,3 +178,57 @@ def test_airy_norm_decays_at_caustic_rate():
     assert 0.0 < hi < lo
     rate = math.log(hi / lo) / math.log(2.0)
     assert -0.75 < rate < -0.55
+
+
+def _dense_airy_norm(spec):
+    """Oracle: every kernel entry from the model formula, then a dense SVD."""
+    step = osc.airy_step_floor(spec.lam)
+    n = osc.airy_matrix_dim(spec, step)
+    assert n <= 2000
+    tt = -spec.domain + step * np.arange(n)
+    delta = tt[:, None] - tt[None, :]
+    tau = np.broadcast_to(tt[None, :], delta.shape)
+    c = 1.0 if spec.c is None else spec.c(tau)
+    d = 0.0 if spec.d is None else spec.d(tau, delta)
+    if spec.amplitude is None:
+        amp = bump(tau / spec.amplitude_support) * bump(delta / spec.amplitude_support)
+    else:
+        amp = spec.amplitude(tau, delta)
+    cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * delta)
+    gap = np.where(cut > 0.0, np.abs(delta), 1.0)
+    phase = -gap * (1.0 - c * delta**2 + d * delta**3)
+    kernel = np.exp(1j * spec.lam * phase) * amp * cut / np.sqrt(spec.lam * gap)
+    return float(np.linalg.svd(kernel * step, compute_uv=False)[0])
+
+
+_AIRY_CASES = {
+    "model": {},
+    "variable": {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
+                 "d": lambda tau, delta: 0.1 * np.cos(tau)},
+    "amplitude": {"amplitude": lambda tau, delta: np.cos(2.0 * tau + delta) ** 2},
+}
+
+
+@pytest.mark.parametrize("lam", [100.0, 200.0, 400.0])
+@pytest.mark.parametrize("case", sorted(_AIRY_CASES))
+def test_airy_norm_matches_dense_svd(case, lam):
+    spec = osc.AirySpec(lam, **_AIRY_CASES[case])
+    reference = _dense_airy_norm(spec)
+    assert abs(osc.airy_operator_norm(spec) - reference) <= 1e-10 * reference
+
+
+def test_airy_norm_is_deterministic():
+    spec = osc.AirySpec(300.0, **_AIRY_CASES["variable"])
+    first = osc.airy_operator_norm(spec)
+    assert osc.airy_operator_norm(spec) == first
+
+
+def test_airy_norm_raises_when_lanczos_stalls(monkeypatch):
+    monkeypatch.setattr(osc, "GKL_MAX_STEPS", 2)
+    with pytest.raises(ArithmeticError, match=r"lambda=200 stopped after 2 steps"):
+        osc.airy_operator_norm(osc.AirySpec(lam=200.0))
+
+
+def test_kernel_bound_needs_two_lambdas():
+    with pytest.raises(ValueError, match="at least two"):
+        osc.verify_kernel_bound(lams=(100.0,))

@@ -189,6 +189,17 @@ def test_geometric_degrees_frozen_ladders():
         re_.geometric_degrees(2, 64)
 
 
+def test_geometric_degrees_rejects_end_beyond_float_range():
+    with pytest.raises(ValueError, match="hi exceeds the largest float"):
+        re_.geometric_degrees(4, 10**400)
+
+
+@pytest.mark.parametrize("xs", [[50.0], [200.0, 200.0], []])
+def test_loglog_fit_needs_two_distinct_x(xs):
+    with pytest.raises(ValueError, match="two distinct x"):
+        re_.loglog_fit(xs, [1.0] * len(xs))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(-1.0, 1.0), st.floats(0.1, 10.0))
 def test_fit_exponent_recovers_synthetic_power_law(slope, amplitude):
