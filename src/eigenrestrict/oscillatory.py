@@ -277,17 +277,22 @@ def airy_step_floor(lam):
     return (2.0 * math.pi / lam) / 20.0
 
 
-def airy_matrix_dim(spec, step=None):
+def airy_matrix_dim(spec, step=None, cap=AIRY_MAX_DIM):
     """Kernel dimension n = ceil(2 domain / step) + 1 at `step` (default: the floor).
 
-    A step coarser than airy_step_floor(lambda) raises ValueError.
+    A step coarser than airy_step_floor(lambda) or an n above `cap` raises
+    ValueError.
     """
     floor = airy_step_floor(spec.lam)
     if step is None:
         step = floor
     elif step > floor:
         raise ValueError(f"step {step:g} too coarse for lambda={spec.lam:g}; need <= {floor:g}")
-    return int(math.ceil(2.0 * spec.domain / step)) + 1
+    n = int(math.ceil(2.0 * spec.domain / step)) + 1
+    if n > cap:
+        raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}, "
+                         f"which exceeds the cap {cap}")
+    return n
 
 
 def _toeplitz(offsets):
@@ -352,7 +357,8 @@ def _gkl_sigma1(matrix):
     (U_k x, V_k y) has residual beta_k |e_k^T x|; the iteration stops once
     that is <= GKL_RTOL sigma, or a zero alpha or beta leaves an invariant
     subspace on which sigma is exact.  Returns (sigma, steps, residual); the
-    residual exceeds the bound only after GKL_MAX_STEPS steps.
+    residual exceeds the bound only after GKL_MAX_STEPS steps, and both are
+    NaN if the matrix has a NaN or infinite entry.
     """
     n = matrix.shape[1]
     limit = GKL_MAX_STEPS
@@ -369,6 +375,8 @@ def _gkl_sigma1(matrix):
             p -= beta * us[k - 1]
         p = _reorthogonalize(p, us[:k])
         alpha = float(np.linalg.norm(p))
+        if not math.isfinite(alpha):  # a NaN or inf entry reaches p at once
+            return math.nan, k + 1, math.nan
         alphas.append(alpha)
         if alpha > 0.0:
             us[k] = p / alpha
@@ -402,16 +410,14 @@ def airy_operator_norm(spec, step=None, max_matrix_dim=AIRY_MAX_DIM):
     spectral norm comes from Golub-Kahan-Lanczos with full
     reorthogonalization (_gkl_sigma1), stopped when the Ritz residual bound
     is <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS steps do not
-    reach it.
+    reach it or the kernel has a non-finite entry.  ValueError for a step
+    above the floor or a dimension above max_matrix_dim (airy_matrix_dim).
     """
     if step is None:
         step = airy_step_floor(spec.lam)
-    n = airy_matrix_dim(spec, step)
-    if n > max_matrix_dim:
-        raise ValueError(
-            f"matrix dimension {n} exceeds the cap {max_matrix_dim}; increase the step")
+    n = airy_matrix_dim(spec, step, max_matrix_dim)
     sigma, steps, residual = _gkl_sigma1(_airy_kernel(spec, step, n))
-    if residual > GKL_RTOL * sigma:
+    if not residual <= GKL_RTOL * sigma:  # NaN too: a non-finite kernel entry
         raise ArithmeticError(
             f"Golub-Kahan-Lanczos for lambda={spec.lam:g} stopped after {steps} steps "
             f"with Ritz residual {residual:.3g} > {GKL_RTOL:g} sigma_1 = {sigma:.6g}")

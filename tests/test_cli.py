@@ -298,7 +298,6 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("family", SWEEP_ZONAL + ["--family", "averaged:6", "--degrees", "4,6,8,11"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "200,nan,800"]),
     ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
-    ("lambda-list", ["run", "airy", "--lambda-list", "50"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,5000"]),
@@ -345,8 +344,18 @@ def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
     out = tmp_path / "big"
     assert cli.main(["run", "airy", "--lambda-list", "200,5000", "--out", str(out)]) == 2
     assert calls == []
-    assert "lambda=5000 needs matrix dimension 15917, above the cap 8192" in \
-        capsys.readouterr().err
+    assert "lambda-list: lambda=5000 needs matrix dimension 15917, which exceeds the " \
+        "cap 8192" in capsys.readouterr().err
+
+
+def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
+    out = tmp_path / "one"
+    assert cli.main(["run", "airy", "--lambda-list", "50", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"airy_decay": "no_contract"}
+    assert summary["results"]["slope"] is None
+    assert len(summary["results"]["opnorms"]) == 1
+    assert "airy:airy_decay: no_contract" in capsys.readouterr().out
 
 
 def test_kernel_without_admissible_pair_exits_one(tmp_path, capsys):

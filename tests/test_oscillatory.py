@@ -229,6 +229,18 @@ def test_airy_norm_raises_when_lanczos_stalls(monkeypatch):
         osc.airy_operator_norm(osc.AirySpec(lam=200.0))
 
 
+def test_airy_norm_raises_on_non_finite_kernel():
+    spec = osc.AirySpec(100.0, amplitude=lambda tau, delta: np.where(delta == 0.0, np.nan, 1.0))
+    with pytest.raises(ArithmeticError, match=r"lambda=100 stopped after 1 steps"):
+        osc.airy_operator_norm(spec)
+
+
+def test_airy_matrix_dim_cap():
+    assert osc.airy_matrix_dim(osc.AirySpec(2573.0)) == osc.AIRY_MAX_DIM
+    with pytest.raises(ValueError, match="lambda=2574 needs matrix dimension 8195"):
+        osc.airy_matrix_dim(osc.AirySpec(2574.0))
+
+
 def test_kernel_bound_needs_two_lambdas():
     with pytest.raises(ValueError, match="at least two"):
         osc.verify_kernel_bound(lams=(100.0,))
