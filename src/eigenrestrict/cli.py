@@ -258,6 +258,10 @@ def _run_kernel(cfg):
     if len(cfg["lambda-list"]) < 2:  # the only product is the successive ratios
         raise ConfigError("lambda-list: kernel decay compares successive lambdas; "
                           "need at least two")
+    try:  # the library's default window and radius, before any kernel
+        oscillatory.kernel_pair_masks(cfg["lambda-list"])
+    except ValueError as exc:
+        raise ConfigError(f"lambda-list: {exc}") from None
     report = oscillatory.verify_kernel_bound(cfg["lambda-list"])
     rows = [(_fmt(l), _fmt(s)) for l, s in zip(report.lams, report.sups)]
     results = {"sups": list(report.sups), "ratios": list(report.ratios),
@@ -316,6 +320,10 @@ def _run_airy(cfg):
     return rows, results, {"airy_decay": verdict}, series
 
 
+def _enclosure(sup):
+    return {"lo": sup.lo, "hi": sup.hi, "m": sup.m, "depth": sup.depth, "cells": sup.cells}
+
+
 def _run_torus(cfg):
     if cfg["n-list"] is None and cfg["n-max"] is None:
         raise ConfigError("n-list: torus needs n-list and/or n-max")
@@ -324,17 +332,27 @@ def _run_torus(cfg):
     if cfg["n-list"] is not None:
         seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
         report = torus.verify_linfty_bound(cfg["n-list"], seeds)
-        rows = [(str(r.N), str(r.r2), _fmt(r.sup), _fmt(r.curve_l2), str(r.seed))
+        rows = [(str(r.N), str(r.r2), _fmt(r.sup.lo), _fmt(r.curve_l2), str(r.seed))
                 for r in report.rows]
-        results["sup_bound"] = {"ok": report.bound_ok,
-                                "worst_margin": report.worst_margin}
+        results["rows"] = [{"N": r.N, "seed": r.seed, **_enclosure(r.sup), "curves": r.curves}
+                           for r in report.rows]
+        results["sup_bound"] = {
+            "ok": report.bound_ok, "worst_margin": report.worst_margin,
+            "max_width": report.max_width,
+            "witnesses": [{"N": w.N, "ceiling": math.sqrt(w.r2), **_enclosure(w.sup)}
+                          for w in report.witnesses]}
         verdicts["sup_bound"] = "pass" if report.bound_ok else "fail"
+        results["geodesic_l2"] = {
+            "ok": report.geodesic_ok, "worst_ratio": report.geodesic_ratio,
+            "witnesses": [{"N": w.N, "norms": w.geodesics, "expected": w.expected}
+                          for w in report.witnesses]}
+        verdicts["geodesic_l2"] = "pass" if report.geodesic_ok else "fail"
         if report.slope is not None:
             results["sup_slope"] = report.slope
             verdicts["sup_slope"] = "pass" if report.slope <= 0.15 else "fail"
             per_n = {}
             for r in report.rows:
-                per_n[r.N] = max(per_n.get(r.N, 0.0), r.sup)
+                per_n[r.N] = max(per_n.get(r.N, 0.0), r.sup.lo)
             xs = sorted(per_n)
             series = [("max sup", [math.sqrt(n) for n in xs],
                        [per_n[n] for n in xs])]

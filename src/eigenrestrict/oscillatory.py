@@ -29,6 +29,8 @@ from . import geometry
 from .profiles import bump, cutoff_chi
 
 KERNEL_RADIUS = 0.4  # default polar radius r, well inside the injectivity scale
+KERNEL_WINDOW = 0.15  # default half-width of the kernel decay sample window
+KERNEL_GRID_POINTS = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,30 +117,43 @@ class KernelDecayReport:
     ok: bool
 
 
+def kernel_pair_masks(lams, radius=KERNEL_RADIUS, window=KERNEL_WINDOW,
+                      grid_points=KERNEL_GRID_POINTS):
+    """The sample grid on [-window, window] and, per lambda, its admissible pairs.
+
+    Returns (ts, gaps, masks): a pair (t, tau) is admissible when
+    2/lambda <= |t - tau| <= 0.9 r.  A lambda without any raises ValueError
+    naming it, before any kernel is computed.
+    """
+    ts = np.linspace(-window, window, grid_points)
+    gaps = np.abs(ts[:, None] - ts[None, :])
+    masks = [(gaps >= 2.0 / lam) & (gaps <= 0.9 * radius) for lam in lams]
+    for lam, admissible in zip(lams, masks):
+        if not admissible.any():
+            raise ValueError(
+                f"lambda={lam:g} leaves no admissible pair: need "
+                f"2/lambda <= |t - tau| <= 0.9 r on the window [-{window:g}, {window:g}]")
+    return ts, gaps, masks
+
+
 def verify_kernel_bound(lams=(50.0, 100.0, 200.0, 400.0), curve=None, radius=KERNEL_RADIUS,
-                        amplitude_support=0.25, window=0.15, grid_points=25,
-                        ratio_band=(0.5, 1.5)):
+                        amplitude_support=0.25, window=KERNEL_WINDOW,
+                        grid_points=KERNEL_GRID_POINTS, ratio_band=(0.5, 1.5)):
     """Scaled kernel sup across frequencies; flat to within the stated band.
 
     Pairs with |t - tau| < 2/lambda (no oscillation to average) or
     |t - tau| > 0.9 r (outside the polar patch) are excluded from the sup.
     Every lambda is checked for an admissible pair before any kernel is
-    computed; one without raises ValueError naming it.  Fewer than two
-    lambdas raise ValueError too: there is no ratio to hold in the band.
+    computed (`kernel_pair_masks`); one without raises ValueError naming it.
+    Fewer than two lambdas raise ValueError too: there is no ratio to hold
+    in the band.
     """
     if len(lams) < 2:
         raise ValueError("kernel decay compares successive lambdas; need at least two")
     if curve is None:
         curve = geometry.equator()
-    ts = np.linspace(-window, window, grid_points)
-    gaps = np.abs(ts[:, None] - ts[None, :])
     specs = [KernelSpec(curve, lam, radius, amplitude_support) for lam in lams]
-    masks = [(gaps >= 2.0 / s.lam) & (gaps <= 0.9 * radius) for s in specs]
-    for spec, admissible in zip(specs, masks):
-        if not admissible.any():
-            raise ValueError(
-                f"lambda={spec.lam:g} leaves no admissible pair: need "
-                f"2/lambda <= |t - tau| <= 0.9 r on the window [-{window:g}, {window:g}]")
+    ts, gaps, masks = kernel_pair_masks([s.lam for s in specs], radius, window, grid_points)
     sups = []
     for spec, admissible in zip(specs, masks):
         scaled = np.abs(kernel_matrix(spec, ts)) * np.sqrt(1.0 + spec.lam * gaps)

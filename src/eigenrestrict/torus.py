@@ -6,6 +6,11 @@ exactly the sums f = sum_j c_j e^{i<k_j, x>} over the lattice circle
 ways to write N as an ordered sum of two integer squares.  Cauchy-Schwarz
 gives sup |f| <= sqrt(r_2(N)) ||f||_2, and r_2 grows slower than any power of
 N, which is what the sup-norm and curve-restriction experiments probe.
+
+Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
+provably contains sup |f| (a Bernstein bound on the Hessian of |f|^2 turns
+grid values into an upper bound), so the ceiling check hi <= sqrt(r_2) can
+fail.  Norms along closed geodesics are exact finite sums.
 """
 
 import math
@@ -17,8 +22,16 @@ from .harmonics import TorusSum
 from .restriction import loglog_fit, lp_norm_weighted
 
 DESK_N_MAX = 10**7
-POINTS_PER_AXIS_WAVELENGTH = 20
+POINTS_PER_AXIS_WAVELENGTH = 20  # side of the starting sup grid, per sqrt(N)
+SUP_RTOL = 1e-9                  # sup enclosures are refined to hi / lo - 1 <= this
+MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are needed)
+MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
+BLOCK_BYTES = 1 << 24            # working set of one grid row block or point chunk
 CIRCLE_RADIUS = 1.0
+GEODESIC_RTOL = 1e-12
+# closed geodesics t -> t w, t in [0, 2 pi), by label and integer direction w
+GEODESICS = (("slope0", (1, 0)), ("slope1", (1, 1)), ("slope1/2", (2, 1)))
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,150 +152,353 @@ def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
     return maxima, decreasing
 
 
+def _lattice_circle(N):
+    reps = representations(N)
+    if reps.degenerate or reps.r2 == 0:
+        raise ValueError(f"N={N} has no lattice circle to draw from")
+    return reps
+
+
 def random_eigenfunction(N, seed):
     """Eigenfunction with seeded unimodular coefficients on the circle |k|^2 = N.
 
     Every coefficient has modulus 1/sqrt(r_2(N)), so the L^2 norm is exactly 1
     and sup |f| <= sqrt(r_2(N)) with equality iff all phases align somewhere.
     """
-    reps = representations(N)
-    if reps.degenerate or reps.r2 == 0:
-        raise ValueError(f"N={N} has no lattice circle to draw from")
+    reps = _lattice_circle(N)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=reps.r2)
     coeffs = np.exp(1j * phases) / math.sqrt(reps.r2)
     return TorusSum(reps.points, coeffs)
 
 
-def _grid_abs(f, m):
-    # exact evaluation on the uniform m x m grid: place the coefficients in
-    # an m x m spectral array and inverse-FFT (numpy ifft normalizes by 1/m^2)
-    spec = np.zeros((m, m), dtype=complex)
-    spec[f.freqs[:, 0] % m, f.freqs[:, 1] % m] = f.coeffs
-    return np.abs(np.fft.ifft2(spec) * m * m)
+def equal_coefficient_witness(N):
+    """The eigenfunction with every coefficient 1/sqrt(r_2(N)) on |k|^2 = N.
 
-
-def grid_sup_norm(f, grid_m=None):
-    """Max of |f| over a uniform grid with one Richardson doubling.
-
-    Trig polynomials have bounded second derivatives at scale sqrt(N), so a
-    grid of 20 points per wavelength pins the sup to a fraction of a percent
-    and doubling certifies it.  Returns (doubled-grid sup, base-grid sup);
-    the base grid is every other node of the doubled one, so one FFT serves
-    both.
+    Its phases align at the origin, so sup |f| = f(0) = sqrt(r_2): it attains
+    the Cauchy-Schwarz ceiling, and a certified enclosure of its sup must
+    contain sqrt(r_2).  Along a closed geodesic of direction w its restricted
+    L^2 norm is sqrt(2 - s/r_2), s the circle points alone on their level of
+    <k, w> (`alone_on_level`).
     """
-    lam = f.eigenvalue
-    floor = max(8, math.ceil(POINTS_PER_AXIS_WAVELENGTH * lam))
-    if grid_m is None:
-        grid_m = floor
-    elif grid_m < floor:
-        raise ValueError(
-            f"grid M={grid_m} underresolves sqrt(N)={lam:g}; need M >= {floor}")
-    mags = _grid_abs(f, 2 * grid_m)
-    return float(np.max(mags)), float(np.max(mags[::2, ::2]))
+    reps = _lattice_circle(N)
+    return TorusSum(reps.points, np.full(reps.r2, 1.0 / math.sqrt(reps.r2)))
 
 
-def standard_curves():
-    """Sampling rules for the standard restriction curves on T^2.
+@dataclass(frozen=True)
+class SupEnclosure:
+    """Certified interval lo <= sup |f| <= hi, and how it was reached.
 
-    Closed geodesics of slope 0, 1, sampled by arc length, plus one round
-    circle (not a geodesic; curvature probes the restriction claim off the
-    flat directions).  Each entry is (label, sampler) with sampler(M) giving
-    M points on the curve.
+    `m` is the side of the starting grid, `depth` the number of 4 x 4
+    refinements after it and `cells` the cells still able to hold the max
+    at the end.
     """
 
-    def geodesic(p, q):
-        speed = math.hypot(p, q)
+    lo: float
+    hi: float
+    m: int
+    depth: int
+    cells: int
 
-        def sample(m):
-            s = np.linspace(0.0, 2.0 * math.pi * speed, m, endpoint=False)
-            return np.column_stack([s * q / speed, s * p / speed])
+    @property
+    def width(self):
+        """Relative width hi / lo - 1."""
+        return self.hi / self.lo - 1.0
 
-        return sample
 
-    def circle(m):
-        s = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        return np.column_stack([math.pi + CIRCLE_RADIUS * np.cos(s),
-                                math.pi + CIRCLE_RADIUS * np.sin(s)])
+# sub-cell centres of a 4 x 4 split, in units of the sub-cell side
+_SPLIT = np.stack(np.meshgrid(np.arange(4) - 1.5, np.arange(4) - 1.5,
+                              indexing="ij"), axis=-1).reshape(16, 2)
 
-    return (("slope0", geodesic(0, 1)),
-            ("slope1", geodesic(1, 1)),
-            ("slope1/2", geodesic(1, 2)),
-            ("circle", circle))
+
+def _roundoff(f):
+    # bound on |computed f(g) - f(g)| at every node g the enclosure visits:
+    # each phase, at most 2 pi sqrt(N) in size, carries the rounding of its
+    # node's coordinates (a few eps per refinement) and of its products, the
+    # cosines and sines a few eps each, and the sums r_2 eps; all scaled by
+    # sum |c_j|.  The constants are generous on purpose.
+    return (_EPS * float(np.sum(np.abs(f.coeffs)))
+            * (64.0 * math.pi * f.eigenvalue + 4.0 * len(f.coeffs) + 32.0))
+
+
+def _bounds(best, level_max, h, N, rho, hi):
+    """(lo, hi, floor) once the nodes of side-h cells have been evaluated.
+
+    best is the largest computed |f| so far and level_max the largest over
+    the cells of side h that may hold the maximiser; a cell whose computed
+    |f(g)|^2 is below floor cannot hold it.
+    """
+    lo = best - rho
+    hi = min(hi, (level_max + rho) / math.sqrt(1.0 - N * h * h) * (1.0 + 8.0 * _EPS))
+    reach = lo * lo * (1.0 - 8.0 * _EPS) - N * h * h * hi * hi * (1.0 + 8.0 * _EPS)
+    if reach <= rho * rho:
+        return lo, hi, 0.0
+    return lo, hi, (math.sqrt(reach) - rho) ** 2 * (1.0 - 4.0 * _EPS)
+
+
+def _too_flat(N, cells):
+    return ArithmeticError(
+        f"sup enclosure of N={N}: {cells} cells can still hold the max "
+        f"(cap {MAX_CELLS}); |f| is too flat to certify")
+
+
+def _grid_stage(f, m, rho):
+    """Largest computed |f| over the m x m grid, and the nodes that may hold the sup.
+
+    f is separable: f(x_a, y_b) = sum_u e^{i u x_a} G[u, b], where G[u, :]
+    sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  Grouping by
+    distinct k1 about halves the inner dimension (about r_2/2) of this GEMM,
+    which runs in real arithmetic on row blocks of BLOCK_BYTES.  Each block
+    keeps only the nodes above the floor set by the running max; the floor
+    only rises with it, so no node that the final floor keeps is lost.
+    """
+    N = f.circle_number
+    h = 2.0 * math.pi / m
+    x = h * np.arange(m)
+    k1, group = np.unique(f.freqs[:, 0], return_inverse=True)
+    g = np.zeros((len(k1), m), dtype=complex)
+    for row, k2, c in zip(group, f.freqs[:, 1], f.coeffs):
+        g[row] += c * np.exp(1j * k2 * x)
+    g = np.concatenate([g.real, g.imag])
+    rows = max(1, BLOCK_BYTES // (16 * m))
+    best, kept = 0.0, np.zeros((0, 3))  # columns x, y, computed |f|^2
+    for a0 in range(0, m, rows):
+        phase = np.outer(x[a0:a0 + rows], k1)
+        cos, sin = np.cos(phase), np.sin(phase)
+        reim = np.block([[cos, -sin], [sin, cos]]) @ g  # [Re f; Im f] on the block
+        n = len(phase)
+        sq = reim[:n] ** 2
+        sq += reim[n:] ** 2
+        best = max(best, math.sqrt(float(sq.max())))
+        floor = _bounds(best, best, h, N, rho, math.inf)[2]
+        a, b = np.nonzero(sq >= floor)
+        kept = np.concatenate([kept[kept[:, 2] >= floor],
+                               np.column_stack([x[a0 + a], x[b], sq[a, b]])])
+        if len(kept) > MAX_CELLS:
+            raise _too_flat(N, len(kept))
+    return best, kept[:, :2]
+
+
+def _abs2(f, pts):
+    # |f|^2 at the points, in chunks of BLOCK_BYTES of phase factors
+    chunk = max(1, BLOCK_BYTES // (16 * len(f.coeffs)))
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), chunk):
+        vals = f(pts[i:i + chunk])
+        out[i:i + chunk] = vals.real ** 2 + vals.imag ** 2
+    return out
+
+
+def grid_sup_norm(f):
+    """Certified enclosure of sup |f| over T^2, as a SupEnclosure [lo, hi].
+
+    Let R = sqrt(N) and M = sup |f|.  Along any line f is a sum of
+    exponentials of frequency at most R, so Bernstein's inequality gives
+    |d_u f| <= R M and |d_u^2 f| <= R^2 M, hence Hess |f|^2 <= 4 R^2 M^2.  At
+    the maximiser the gradient of |f|^2 vanishes, so the centre g of a cell
+    of half-diagonal delta holding it has |f(g)|^2 >= M^2 (1 - 2 R^2 delta^2).
+    Two consequences:
+
+    - M <= max |f(g)| / sqrt(1 - 2 R^2 delta^2) over the cells that may hold
+      the maximiser; on the starting grid, m = ceil(20 R) points a side, the
+      factor is 1 / sqrt(1 - (2 pi / 20)^2) = 1.053;
+    - a cell with |f(g)|^2 + 2 R^2 hi^2 delta^2 < lo^2 cannot hold it.
+
+    The grid comes from a blocked separable GEMM (`_grid_stage`), after the
+    frequencies are divided by their gcd g (which leaves the sup unchanged
+    and makes m = ceil(20 sqrt(N) / g)).  Cells that can still hold the max
+    are split 4 x 4 until hi / lo - 1 <= SUP_RTOL, which takes 7 splits.  lo is the best node value; both ends carry an
+    explicit bound on the roundoff of the computed values.  ArithmeticError
+    if more than MAX_CELLS cells survive (|f| nearly flat) or MAX_DEPTH splits
+    do not reach the tolerance.
+    """
+    # with g the gcd of every frequency component, f(x) = f~(g x): the same
+    # sup on a circle g^2 times smaller, without g^2 copies of every peak
+    g = int(np.gcd.reduce(np.abs(f.freqs).ravel()))
+    f = TorusSum(f.freqs // g, f.coeffs)
+    N = f.circle_number
+    m = math.ceil(POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    h = 2.0 * math.pi / m
+    rho = _roundoff(f)
+    best, pts = _grid_stage(f, m, rho)
+    lo, hi, _ = _bounds(best, best, h, N, rho, math.inf)
+    depth = 0
+    while hi > lo * (1.0 + SUP_RTOL):
+        if depth == MAX_DEPTH:
+            raise ArithmeticError(
+                f"sup enclosure of N={N}: width {hi / lo - 1.0:.3g} after "
+                f"{depth} splits, above {SUP_RTOL:g}")
+        if 16 * len(pts) > MAX_CELLS:
+            raise _too_flat(N, 16 * len(pts))
+        depth += 1
+        h /= 4.0
+        pts = (pts[:, None, :] + h * _SPLIT).reshape(-1, 2)
+        sq = _abs2(f, pts)
+        level_max = math.sqrt(float(sq.max()))
+        best = max(best, level_max)
+        lo, hi, floor = _bounds(best, level_max, h, N, rho, hi)
+        pts = pts[sq >= floor]
+    return SupEnclosure(lo, hi, m, depth, len(pts))
+
+
+def geodesic_l2_norm(f, w):
+    """Restricted L^2 norm of f along the closed geodesic t -> t w, t in [0, 2 pi).
+
+    On it f(t w) = sum_j (sum over <k, w> = j of c_k) e^{ijt}, so under the
+    normalized arc measure the norm is sqrt(sum_j |sum_{<k,w>=j} c_k|^2).  A
+    level set of <k, w> meets the circle |k| = sqrt(N) at most twice, so the
+    norm is at most sqrt(2) ||f||_2.
+    """
+    level = f.freqs @ np.asarray(w, dtype=np.int64)
+    _, group = np.unique(level, return_inverse=True)
+    sums = np.zeros(group.max() + 1, dtype=complex)
+    np.add.at(sums, group, f.coeffs)
+    return float(np.sqrt(np.sum(sums.real ** 2 + sums.imag ** 2)))
 
 
 def curve_l2_norms(f, num_points=None):
     """Restricted L^2 norms of f along the standard curves.
 
-    Normalized arc measure, so a constant of modulus 1 has norm 1 on every
-    curve and the values compare directly with ||f||_{L^2} = 1.
+    The closed geodesics of slope 0, 1 and 1/2 through the origin, in closed
+    form (`geodesic_l2_norm`), and one round circle of radius CIRCLE_RADIUS
+    about (pi, pi), not a geodesic, by the trapezoid rule on num_points
+    nodes.  Normalized arc measure, so a constant of modulus 1 has norm 1 on
+    every curve and the values compare directly with ||f||_{L^2} = 1.
     """
+    out = {label: geodesic_l2_norm(f, w) for label, w in GEODESICS}
     if num_points is None:
         num_points = max(4096, math.ceil(40 * f.eigenvalue))
-    out = {}
-    for label, sample in standard_curves():
-        vals = f(sample(num_points))
-        w = np.full(num_points, 1.0 / num_points)
-        out[label] = lp_norm_weighted(vals, w, 2.0)
+    s = np.linspace(0.0, 2.0 * math.pi, num_points, endpoint=False)
+    vals = f(np.column_stack([math.pi + CIRCLE_RADIUS * np.cos(s),
+                              math.pi + CIRCLE_RADIUS * np.sin(s)]))
+    out["circle"] = lp_norm_weighted(vals, np.full(num_points, 1.0 / num_points), 2.0)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class TorusRow:
+    """One random eigenfunction: its sup enclosure and its curve norms."""
+
     N: int
     r2: int
-    sup: float
-    curve_l2: float
     seed: int
+    sup: SupEnclosure
+    curves: dict  # curve label -> restricted L^2 norm
+
+    @property
+    def curve_l2(self):
+        return max(self.curves.values())
+
+
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """The equal-coefficient witness on one circle, with its exact values.
+
+    `geodesics` holds the closed-form norms and `expected` sqrt(2 - s/r_2),
+    s the circle points alone on their level of <k, w> (`alone_on_level`).
+    """
+
+    N: int
+    r2: int
+    sup: SupEnclosure
+    geodesics: dict
+    expected: dict
+
+    @property
+    def sup_ok(self):
+        return self.sup.lo <= math.sqrt(self.r2) <= self.sup.hi
+
+    @property
+    def geodesic_gap(self):
+        return max(abs(self.geodesics[k] - self.expected[k]) for k in self.expected)
+
+
+def alone_on_level(points, w):
+    """How many of the lattice points are alone on their level set of <k, w>.
+
+    The level set through k meets the circle at k and at its mirror image
+    across the line R w, so k is alone when it is parallel to w or when that
+    image is not a lattice point of the circle.  The reflections of slope 0
+    and slope 1 are lattice symmetries, so there only parallel points count.
+    """
+    w = np.asarray(w, dtype=np.int64)
+    ww = int(w @ w)
+    scaled = {tuple(k) for k in ww * points}
+    images = 2 * (points @ w)[:, None] * w[None, :] - ww * points  # ww * mirror
+    return sum(1 for k, img in zip(ww * points, images)
+               if tuple(img) == tuple(k) or tuple(img) not in scaled)
+
+
+def witness(N):
+    """The equal-coefficient witness on |k|^2 = N with its sup enclosure."""
+    f = equal_coefficient_witness(N)
+    r2 = len(f.coeffs)
+    geodesics = {label: geodesic_l2_norm(f, w) for label, w in GEODESICS}
+    expected = {label: math.sqrt(2.0 - alone_on_level(f.freqs, w) / r2)
+                for label, w in GEODESICS}
+    return Witness(int(N), r2, grid_sup_norm(f), geodesics, expected)
 
 
 @dataclass(frozen=True, eq=False)
 class LinftyReport:
-    """Sup-norm experiment outcome across (N, seed) pairs.
+    """Sup-norm and geodesic experiment outcome across (N, seed) pairs.
 
-    `bound_ok` asserts sup <= sqrt(r_2(N)) for every row (no tolerance: the
-    grid max is a lower bound for the true sup, which Cauchy-Schwarz caps).
-    `slope` fits log(max_seed sup) against log sqrt(N) and is None when fewer
-    than two distinct N are present.
+    `bound_ok`: every row has hi <= sqrt(r_2(N)), and every witness
+    enclosure contains sqrt(r_2).  `worst_margin` is the largest
+    hi - sqrt(r_2) and `max_width` the largest hi / lo - 1 over the rows.
+    `geodesic_ok`: every geodesic norm is at most sqrt(2) ||f||_2 (their
+    largest ratio is `geodesic_ratio`) up to GEODESIC_RTOL, and every witness
+    norm is within GEODESIC_RTOL of sqrt(2 - s/r_2).  `slope` fits
+    log(max_seed lo) against log sqrt(N) and is None when fewer than two
+    distinct N are present.
     """
 
     rows: tuple
+    witnesses: tuple
     bound_ok: bool
     worst_margin: float
+    max_width: float
+    geodesic_ok: bool
+    geodesic_ratio: float
     slope: object
 
 
-def verify_linfty_bound(Ns, seeds, grid_m=None):
-    """Sup norms and curve restrictions for random eigenfunctions on each circle.
+def verify_linfty_bound(Ns, seeds):
+    """Certified sups and curve norms for random eigenfunctions on each circle.
 
     For every N in Ns and seed in seeds, draws a unimodular random
-    eigenfunction, measures its grid sup (Richardson-doubled) and the largest
-    restricted L^2 norm over the standard curves, and checks the
-    Cauchy-Schwarz ceiling sqrt(r_2).  The returned slope is the growth rate
-    of the per-N worst sup in log sqrt(N).  Empty Ns or seeds raise
-    ValueError: a bound checked over no rows proves nothing.
+    eigenfunction, encloses its sup (`grid_sup_norm`) and takes its
+    restricted L^2 norms on the standard curves; each N also gets its
+    equal-coefficient witness.  The returned slope is the growth rate of
+    the per-N worst lo in log sqrt(N).  Empty Ns or seeds raise ValueError:
+    a bound checked over no rows proves nothing.
     """
     Ns, seeds = list(Ns), list(seeds)
     if not Ns or not seeds:
         raise ValueError("verify_linfty_bound needs at least one N and one seed")
-    rows = []
-    worst = -np.inf
-    per_n_sup = {}
+    rows, witnesses, ratio = [], [], 0.0
     for N in Ns:
         reps = representations(N)
         if reps.r2 == 0:
             raise ValueError(f"N={N} is not a sum of two squares")
-        ceiling = math.sqrt(reps.r2)
+        witnesses.append(witness(N))
         for seed in seeds:
             f = random_eigenfunction(N, seed)
-            sup, _ = grid_sup_norm(f, grid_m)
-            curve = max(curve_l2_norms(f).values())
-            rows.append(TorusRow(int(N), reps.r2, sup, curve, int(seed)))
-            worst = max(worst, sup - ceiling)
-            per_n_sup[int(N)] = max(per_n_sup.get(int(N), 0.0), sup)
+            row = TorusRow(int(N), reps.r2, int(seed), grid_sup_norm(f), curve_l2_norms(f))
+            cap = math.sqrt(2.0) * f.l2_norm
+            ratio = max(ratio, *(row.curves[label] / cap for label, _ in GEODESICS))
+            rows.append(row)
+    per_n = {}
+    for r in rows:
+        per_n[r.N] = max(per_n.get(r.N, 0.0), r.sup.lo)
     slope = None
-    if len(per_n_sup) >= 2:
-        ns = np.array(sorted(per_n_sup), dtype=float)
-        tops = np.array([per_n_sup[int(n)] for n in ns])
-        slope = loglog_fit(np.sqrt(ns), tops)[0]
-    return LinftyReport(tuple(rows), bool(worst <= 1e-12), float(worst), slope)
+    if len(per_n) >= 2:
+        ns = sorted(per_n)
+        slope = loglog_fit(np.sqrt(np.array(ns, dtype=float)), [per_n[n] for n in ns])[0]
+    worst = max(r.sup.hi - math.sqrt(r.r2) for r in rows)
+    bound_ok = worst <= 0.0 and all(w.sup_ok for w in witnesses)
+    geodesic_ok = (ratio <= 1.0 + GEODESIC_RTOL
+                   and all(w.geodesic_gap <= GEODESIC_RTOL for w in witnesses))
+    return LinftyReport(tuple(rows), tuple(witnesses), bool(bound_ok), float(worst),
+                        float(max(r.sup.width for r in rows)), bool(geodesic_ok),
+                        float(ratio), slope)

@@ -252,9 +252,24 @@ def test_torus_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"]["sup_bound"] == "pass"
     assert summary["verdicts"]["sup_slope"] == "pass"
+    assert summary["verdicts"]["geodesic_l2"] == "pass"
     lines = (out / "torus.csv").read_text().splitlines()
     assert lines[0] == "N,r2,sup,curve_l2,seed"
     assert len(lines) == 1 + 8
+    # every row's diagnostics: the CSV sup is lo, the curve column the max
+    # over the four curves
+    results = summary["results"]
+    for line, row in zip(lines[1:], results["rows"]):
+        n, _, sup, curve_l2, seed = line.split(",")
+        assert (int(n), int(seed)) == (row["N"], row["seed"])
+        assert float(sup) == row["lo"] and float(curve_l2) == max(row["curves"].values())
+        assert row["hi"] / row["lo"] - 1.0 <= 1e-9
+        assert row["m"] == math.ceil(20 * math.sqrt(row["N"])) and row["depth"] >= 1
+        assert row["cells"] >= 1
+    assert results["sup_bound"]["max_width"] <= 1e-9
+    assert [w["N"] for w in results["sup_bound"]["witnesses"]] == [25, 169]
+    for w in results["sup_bound"]["witnesses"]:
+        assert w["lo"] <= w["ceiling"] <= w["hi"]
     # torus with neither n-list nor n-max is a config error
     assert cli.main(["run", "torus", "--out", str(tmp_path / "t2")]) == 2
 
@@ -300,6 +315,7 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
+    ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,5000"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
@@ -356,13 +372,3 @@ def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
     assert summary["results"]["slope"] is None
     assert len(summary["results"]["opnorms"]) == 1
     assert "airy:airy_decay: no_contract" in capsys.readouterr().out
-
-
-def test_kernel_without_admissible_pair_exits_one(tmp_path, capsys):
-    out = tmp_path / "k"
-    assert cli.main(["run", "kernel", "--lambda-list", "1,100", "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert "lambda=1 leaves no admissible pair" in summary["error"]
-    assert summary["exit_code"] == 1
-    assert not (out / "kernel.csv").exists()
-    assert "experiment failed" in capsys.readouterr().err

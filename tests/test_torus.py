@@ -77,38 +77,100 @@ def test_random_eigenfunction_seeded_and_normalized():
         torus.random_eigenfunction(0, seed=0)
 
 
+def _fine_grid_max(f, m):
+    # max of |f| over the uniform m x m grid by one inverse FFT: the oracle
+    # the enclosure must contain
+    spec = np.zeros((m, m), dtype=complex)
+    spec[f.freqs[:, 0] % m, f.freqs[:, 1] % m] = f.coeffs
+    return float(np.max(np.abs(np.fft.ifft2(spec)))) * m * m
+
+
 def test_grid_sup_respects_cauchy_schwarz():
     for seed in range(6):
         f = torus.random_eigenfunction(325, seed)  # r_2(325) = 24
-        doubled, base = torus.grid_sup_norm(f)
-        assert base <= doubled + 1e-12
-        assert doubled <= math.sqrt(24) + 1e-12
+        sup = torus.grid_sup_norm(f)
+        assert 0.0 < sup.lo <= sup.hi <= math.sqrt(24)
+        assert sup.width <= torus.SUP_RTOL
+
+
+@pytest.mark.parametrize("N", [25, 65, 169])
+def test_enclosure_contains_fine_grid_max(N):
+    # an m = 3000 grid is 15 to 30 times finer than the starting grid.  Its
+    # max is a lower bound of the sup, and the same Bernstein factor turns it
+    # into the independent enclosure [fine, fine / sqrt(1 - N h^2)], which
+    # must hold [lo, hi] up to its width; lo may exceed the grid max, which
+    # misses the peak by up to 1e-4 here
+    ceiling = 1.0 / math.sqrt(1.0 - N * (2.0 * math.pi / 3000) ** 2)
+    for seed in range(3):
+        f = torus.random_eigenfunction(N, seed)
+        sup = torus.grid_sup_norm(f)
+        fine = _fine_grid_max(f, 3000)
+        assert fine <= sup.hi <= fine * ceiling * (1.0 + 2.0 * torus.SUP_RTOL)
+    witness = torus.witness(N)
+    assert witness.sup_ok
+    assert witness.sup.lo <= math.sqrt(witness.r2) <= witness.sup.hi
 
 
 def test_grid_sup_exact_for_aligned_phases():
     # all-ones coefficients align at the origin: sup = sqrt(r_2) exactly
-    reps = torus.representations(25)
-    f = TorusSum(reps.points, np.full(reps.r2, 1.0 / math.sqrt(reps.r2)))
-    doubled, base = torus.grid_sup_norm(f)
-    assert math.isclose(doubled, math.sqrt(reps.r2), rel_tol=1e-12)
-    assert abs(doubled - base) < 1e-12
+    f = torus.equal_coefficient_witness(25)
+    np.testing.assert_array_equal(f.coeffs, np.full(12, 1.0 / math.sqrt(12)))
+    sup = torus.grid_sup_norm(f)
+    assert sup.lo <= math.sqrt(12) <= sup.hi
+    assert math.isclose(sup.lo, math.sqrt(12), rel_tol=1e-12)
+    assert sup.width <= torus.SUP_RTOL
+    # the same phases aligned at a point off every grid node: the grid max
+    # misses the peak by about 1e-3, the last split by about 1e-10, so only
+    # the Bernstein factor keeps sqrt(r_2) inside the enclosure
+    shift = np.array([0.1234567, 2.3456789])
+    for N in (25, 65, 169, 4225):
+        reps = torus.representations(N)
+        f = TorusSum(reps.points, np.exp(-1j * reps.points @ shift) / math.sqrt(reps.r2))
+        sup = torus.grid_sup_norm(f)
+        assert sup.lo <= math.sqrt(reps.r2) <= sup.hi, N
+        assert sup.width <= torus.SUP_RTOL
 
 
 def test_grid_sup_base_is_the_coarse_grid():
-    # the base sup reads every other node of the doubled grid: it matches a
-    # direct evaluation on the base grid
+    # the starting grid is ceil(20 sqrt(N)) a side; the blocked GEMM over it
+    # matches a direct evaluation, and lo is at least its max
     f = torus.random_eigenfunction(325, 3)
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
-    _, base = torus.grid_sup_norm(f)
+    sup = torus.grid_sup_norm(f)
+    assert (sup.m, sup.depth) == (m, 7) and sup.cells >= 1
     x = 2.0 * math.pi * np.arange(m) / m
     xy = np.column_stack([np.repeat(x, m), np.tile(x, m)])
-    assert math.isclose(base, float(np.max(np.abs(f(xy)))), rel_tol=1e-12)
+    base = float(np.max(np.abs(f(xy))))
+    best, kept = torus._grid_stage(f, m, torus._roundoff(f))
+    assert math.isclose(best, base, rel_tol=1e-12)
+    assert sup.lo >= base - 1e-12
+    # the kept nodes include the grid argmax, and the starting factor bounds hi
+    assert np.any(np.all(np.isclose(kept, xy[np.argmax(np.abs(f(xy)))]), axis=1))
+    assert sup.hi <= base / math.sqrt(1.0 - (2.0 * math.pi * f.eigenvalue / m) ** 2)
+    # each split tiles its cell: 16 sub-cells of a quarter side, centred
+    # at -3/8, -1/8, 1/8, 3/8 of the parent side on both axes
+    centres = {tuple(c) for c in torus._SPLIT}
+    assert centres == {(a, b) for a in (-1.5, -0.5, 0.5, 1.5) for b in (-1.5, -0.5, 0.5, 1.5)}
 
 
 def test_grid_sup_underresolved_error():
-    f = torus.random_eigenfunction(169, 0)
-    with pytest.raises(ValueError, match="underresolves"):
-        torus.grid_sup_norm(f, grid_m=32)
+    # one frequency: |f| is constant, every cell could hold the max, and
+    # the enclosure refuses instead of refining the whole torus
+    f = TorusSum(np.array([[3, 4]]), np.array([1.0 + 0j]))
+    with pytest.raises(ArithmeticError, match="too flat to certify"):
+        torus.grid_sup_norm(f)
+
+
+def test_grid_sup_divides_out_shared_factor():
+    # f(8x) has the sup of f: its enclosure is that of f, on f's grid
+    f = torus.random_eigenfunction(25, 4)
+    scaled = TorusSum(8 * f.freqs, f.coeffs)  # N = 1600
+    assert torus.grid_sup_norm(scaled) == torus.grid_sup_norm(f)
+    # every point of |k|^2 = 8192 = 2 * 64^2 is a multiple of 64; without the
+    # reduction 4096 copies of each peak exceed the cell cap
+    sup = torus.grid_sup_norm(torus.random_eigenfunction(8192, 0))
+    assert sup.m == math.ceil(20 * math.sqrt(2)) and sup.width <= torus.SUP_RTOL
+    assert sup.hi <= 2.0
 
 
 def test_curve_l2_of_constant_is_one():
@@ -120,14 +182,53 @@ def test_curve_l2_of_constant_is_one():
         assert math.isclose(val, 1.0, rel_tol=1e-12)
 
 
+def _trapezoid_geodesic_l2(f, p, q, num_points):
+    # the sampled closed geodesic of slope p/q at arc length, trapezoid rule
+    speed = math.hypot(p, q)
+    s = np.linspace(0.0, 2.0 * math.pi * speed, num_points, endpoint=False)
+    vals = f(np.column_stack([s * q / speed, s * p / speed]))
+    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def test_geodesic_closed_form_matches_trapezoid():
+    # the trapezoid rule with more than 2 max|<k, w>| nodes is exact for
+    # |f|^2, so both must agree to roundoff
+    directions = {"slope0": (0, 1), "slope1": (1, 1), "slope1/2": (1, 2)}
+    for N in (25, 65, 625, 4225):
+        for f in (torus.random_eigenfunction(N, 1), torus.equal_coefficient_witness(N)):
+            num_points = max(4096, math.ceil(40 * f.eigenvalue))
+            norms = torus.curve_l2_norms(f)
+            for label, (p, q) in directions.items():
+                ref = _trapezoid_geodesic_l2(f, p, q, num_points)
+                assert abs(norms[label] - ref) <= 1e-12, (N, label)
+
+
+def test_witness_geodesic_norms():
+    # slope 1 at odd N: no circle point is parallel to (1, 1), and the
+    # mirror of (a, b) is (b, a), so every level holds a pair: sqrt(2)
+    for N in (25, 65, 169, 625):
+        w = torus.witness(N)
+        assert math.isclose(w.geodesics["slope1"], math.sqrt(2.0), rel_tol=1e-15)
+        assert w.geodesic_gap <= torus.GEODESIC_RTOL
+    # slope 0 at N = 25: (+-5, 0) are alone, so sqrt(2 - 2/12)
+    assert torus.alone_on_level(torus.representations(25).points, (1, 0)) == 2
+    assert math.isclose(torus.witness(25).geodesics["slope0"], math.sqrt(2.0 - 2.0 / 12.0))
+    # slope 1/2 at N = 25: (4, 3) mirrors to (24/5, 7/5), not a lattice point
+    assert torus.alone_on_level(np.array([[4, 3], [3, 4], [5, 0]]), (2, 1)) == 1
+
+
 def test_verify_linfty_bound_report():
     report = torus.verify_linfty_bound([25, 169], seeds=range(3))
-    assert len(report.rows) == 6
-    assert report.bound_ok and report.worst_margin <= 1e-12
+    assert len(report.rows) == 6 and len(report.witnesses) == 2
+    assert report.bound_ok and report.worst_margin <= 0.0
+    assert report.geodesic_ok and report.geodesic_ratio <= 1.0 + torus.GEODESIC_RTOL
+    assert report.max_width <= torus.SUP_RTOL
     assert report.slope is not None
     for row in report.rows:
-        assert row.sup <= math.sqrt(row.r2) + 1e-12
-        assert 0.0 < row.curve_l2 <= row.sup + 1e-12
+        assert row.sup.hi <= math.sqrt(row.r2)
+        assert row.sup.width <= torus.SUP_RTOL
+        assert set(row.curves) == {"slope0", "slope1", "slope1/2", "circle"}
+        assert 0.0 < row.curve_l2 <= row.sup.lo + 1e-12
     with pytest.raises(ValueError, match="not a sum of two squares"):
         torus.verify_linfty_bound([21], seeds=[0])
     # a ceiling checked over no rows would pass vacuously
