@@ -13,7 +13,7 @@ from .geometry import (CurveKind, CurveSpec, QuadratureGrid, curve_grid,
 from .harmonics import (AssocHarmonic, Averaged, HighestWeight, TorusSum,
                         Zonal, eigenvalue)
 from .oscillatory import (AirySpec, KernelSpec, airy_operator_norm,
-                          critical_points, kernel_K, phase_expansion_fit,
+                          critical_points, phase_expansion_fit,
                           verify_kernel_bound)
 from .restriction import (ExponentFit, NormSample, envelope_check,
                           fit_exponent, geometric_degrees, lp_norm_on_curve,
@@ -27,7 +27,7 @@ __all__ = [
     "QuadratureGrid", "TorusSum", "Zonal", "airy_operator_norm",
     "critical_points", "curve_grid", "divisor_growth", "eigenvalue",
     "envelope_check", "equator", "exp_map", "fit_exponent",
-    "geometric_degrees", "great_subsphere", "kernel_K", "latitude_circle",
+    "geometric_degrees", "great_subsphere", "latitude_circle",
     "lp_norm_on_curve", "phase_expansion_fit", "r2_table",
     "random_eigenfunction", "representations", "sphere_distance",
     "sphere_grid", "sweep", "theoretical_exponent", "turning_point_sweep",

@@ -228,7 +228,10 @@ def _run_sweep(cfg):
 
     samples = restriction.sweep(factory, curve, cfg["p"], degrees)
     k = 2 if curve.kind is geometry.CurveKind.GREAT_SUBSPHERE else 1
-    oracle = restriction.theoretical_exponent(dim, k, cfg["p"])
+    # latitude circles off the equator have non-vanishing geodesic curvature
+    curved = (curve.kind is geometry.CurveKind.LATITUDE_CIRCLE
+              and not math.isclose(curve.colatitude, math.pi / 2))
+    oracle = restriction.theoretical_exponent(dim, k, cfg["p"], curved=curved)
     contract = None if oracle.log_endpoint else oracle.value
     fit = restriction.fit_exponent(samples, contract, cfg["tolerance"])
     rows = [(str(s.degree), _fmt(s.lam), _fmt(s.p), _fmt(s.restricted_norm),

@@ -1,10 +1,12 @@
 """Closed-form geometry on round unit spheres.
 
 Distances, the exponential map, arc-length parametrized closed curves
-(great circles, latitude circles, and the great 2-subsphere of S^3), and
+(the equator, latitude circles, and the great 2-subsphere of S^3), and
 quadrature grids whose weights sum exactly to the measure of the target.
-Everything here is pure and immutable; downstream modules rely on these
-functions being deterministic.
+Curves sit in one standard position each, written in the coordinate basis
+e1, e2, e3 (there are no frames to rotate them).  Everything here is pure
+and immutable; downstream modules rely on these functions being
+deterministic.
 """
 
 import math
@@ -76,37 +78,28 @@ class CurveKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class CurveSpec:
-    """A closed curve (or great subsphere) with an orthonormal frame.
+    """A closed curve on S^2, or the great 2-subsphere of S^3.
 
-    frame rows form an orthonormal basis of the ambient R^(d+1).  Great
-    circles run through frame rows e1, e2; latitude circles sit at
-    colatitude theta0 from the axis e3; the great subsphere spans e1..e3
-    inside R^4.  Arc-length parametrization throughout, so |gamma'| = 1.
+    The great circle runs through e1, e2; latitude circles sit at
+    colatitude theta0 from the axis e3; the great subsphere is the unit
+    sphere of span(e1, e2, e3) inside R^4.  Arc-length parametrization
+    throughout, so |gamma'| = 1.
     """
 
     kind: CurveKind
-    frame: np.ndarray
     colatitude: float | None = None
 
     def __post_init__(self):
-        frame = np.asarray(self.frame, dtype=float)
-        if frame.ndim != 2 or frame.shape[0] != frame.shape[1] or frame.shape[0] < 3:
-            raise ValueError("frame must be a square orthonormal basis of R^(d+1)")
-        if not np.allclose(frame @ frame.T, np.eye(frame.shape[0]), atol=1e-12):
-            raise ValueError("frame rows are not orthonormal within 1e-12")
-        object.__setattr__(self, "frame", frame)
         if self.kind is CurveKind.LATITUDE_CIRCLE:
             if self.colatitude is None or not (0.0 < self.colatitude <= math.pi / 2):
                 raise ValueError("latitude circle needs colatitude in (0, pi/2]")
         elif self.colatitude is not None:
             raise ValueError("colatitude only applies to latitude circles")
-        if self.kind is CurveKind.GREAT_SUBSPHERE and frame.shape[0] != 4:
-            raise ValueError("great subsphere lives in S^3, frame must be 4x4")
 
     @property
     def ambient_dim(self):
         """Dimension d of the ambient sphere S^d."""
-        return self.frame.shape[0] - 1
+        return 3 if self.kind is CurveKind.GREAT_SUBSPHERE else 2
 
     @property
     def length(self):
@@ -116,39 +109,29 @@ class CurveSpec:
             return 2.0 * math.pi * math.sin(self.colatitude)
         raise ValueError("a great subsphere has no arc length; use its area 4*pi")
 
-    @property
-    def measure(self):
-        """Total measure: curve length, or area for the great subsphere."""
-        if self.kind is CurveKind.GREAT_SUBSPHERE:
-            return 4.0 * math.pi
-        return self.length
+
+def equator():
+    """Great circle through e1, e2 of R^3."""
+    return CurveSpec(CurveKind.GREAT_CIRCLE)
 
 
-def equator(dim=2):
-    """Great circle through e1, e2 of R^(dim+1)."""
-    return CurveSpec(CurveKind.GREAT_CIRCLE, np.eye(dim + 1))
+def latitude_circle(colatitude):
+    return CurveSpec(CurveKind.LATITUDE_CIRCLE, colatitude)
 
 
-def latitude_circle(colatitude, frame=None):
-    f = np.eye(3) if frame is None else frame
-    return CurveSpec(CurveKind.LATITUDE_CIRCLE, f, colatitude)
-
-
-def great_subsphere(frame=None):
-    f = np.eye(4) if frame is None else frame
-    return CurveSpec(CurveKind.GREAT_SUBSPHERE, f)
+def great_subsphere():
+    return CurveSpec(CurveKind.GREAT_SUBSPHERE)
 
 
 def curve_points(curve, s):
     """Points gamma(s) for an array of arc-length parameters (wraps mod L)."""
-    s = np.asarray(s, dtype=float)
-    f = curve.frame
+    s = np.asarray(s, dtype=float).ravel()
     if curve.kind is CurveKind.GREAT_CIRCLE:
-        return np.outer(np.cos(s), f[0]) + np.outer(np.sin(s), f[1])
+        return np.column_stack([np.cos(s), np.sin(s), np.zeros(s.size)])
     if curve.kind is CurveKind.LATITUDE_CIRCLE:
         st, ct = math.sin(curve.colatitude), math.cos(curve.colatitude)
         a = s / st
-        return st * (np.outer(np.cos(a), f[0]) + np.outer(np.sin(a), f[1])) + ct * f[2]
+        return np.column_stack([st * np.cos(a), st * np.sin(a), np.full(s.size, ct)])
     raise ValueError("curve_points applies to 1-d curves, not the great subsphere")
 
 
@@ -159,16 +142,15 @@ def curve_point(curve, s):
 def curve_tangent(curve, s):
     """Unit tangent gamma'(s) (1-d curves only)."""
     s = float(s)
-    f = curve.frame
     if curve.kind is CurveKind.GREAT_CIRCLE:
-        return -math.sin(s) * f[0] + math.cos(s) * f[1]
+        return np.array([-math.sin(s), math.cos(s), 0.0])
     if curve.kind is CurveKind.LATITUDE_CIRCLE:
         a = s / math.sin(curve.colatitude)
-        return -math.sin(a) * f[0] + math.cos(a) * f[1]
+        return np.array([-math.sin(a), math.cos(a), 0.0])
     raise ValueError("curve_tangent applies to 1-d curves")
 
 
-def geodesic_curvature(curve, s=0.0):
+def geodesic_curvature(curve):
     """Geodesic curvature: 0 for great circles, cot(theta0) for latitude circles."""
     if curve.kind is CurveKind.GREAT_CIRCLE:
         return 0.0
@@ -177,7 +159,7 @@ def geodesic_curvature(curve, s=0.0):
     raise ValueError("geodesic curvature applies to 1-d curves")
 
 
-def distance_gradient_check(x, r, omega, h=FD_STEP):
+def distance_gradient_check(x, r, omega):
     """Deviation of the numerical gradient of psi_r from omega at the base point.
 
     psi_r(z) = -d(z, exp_x(r omega)) is differentiated at z = x by central
@@ -199,24 +181,19 @@ def distance_gradient_check(x, r, omega, h=FD_STEP):
     u1, u2 = tangent_basis(x)
     grad = np.empty(2)
     for i, u in enumerate((u1, u2)):
-        d_plus = sphere_distance(exp_map(x, h * u), y)
-        d_minus = sphere_distance(exp_map(x, -h * u), y)
-        grad[i] = -(d_plus - d_minus) / (2.0 * h)
+        d_plus = sphere_distance(exp_map(x, FD_STEP * u), y)
+        d_minus = sphere_distance(exp_map(x, -FD_STEP * u), y)
+        grad[i] = -(d_plus - d_minus) / (2.0 * FD_STEP)
     target = np.array([float(np.dot(omega, u1)), float(np.dot(omega, u2))])
     return float(np.linalg.norm(grad - target))
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Nodes on the target (rows of `nodes`) with positive weights.
-
-    For curve grids `params` carries the arc-length parameters alongside the
-    embedded points.
-    """
+    """Nodes on the target (rows of `nodes`) with positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    params: np.ndarray | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -249,73 +226,43 @@ def gauss_chebyshev2(n):
     return np.cos(theta), math.pi / (n + 1) * np.sin(theta) ** 2
 
 
-def sphere_grid(dim, resolution):
-    """Product quadrature grid on S^dim with weights summing to its measure.
+def sphere_grid(resolution):
+    """Product quadrature grid on S^2 with weights summing to 4 pi.
 
-    S^2: Gauss-Legendre in cos(theta) x uniform phi (resolution x 2*resolution
-    nodes), exact for harmonic polynomials of degree < 2*resolution.  S^3 adds
-    a Gauss-Chebyshev (second kind) factor in cos(chi) for the sin^2 density.
+    Gauss-Legendre in cos(theta) x uniform phi (resolution x 2*resolution
+    nodes), exact for harmonic polynomials of degree < 2*resolution.
     """
     if resolution < 4:
         raise ValueError("grid resolution must be at least 4")
-    if dim == 2:
-        t, wt = gauss_legendre(resolution)
-        nphi = 2 * resolution
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        wphi = 2.0 * math.pi / nphi
-        st = np.sqrt(1.0 - t**2)
-        x = np.outer(st, np.cos(phi)).ravel()
-        y = np.outer(st, np.sin(phi)).ravel()
-        z = np.repeat(t, nphi)
-        nodes = np.column_stack([x, y, z])
-        weights = np.repeat(wt * wphi, nphi)
-        return QuadratureGrid(nodes, weights)
-    if dim == 3:
-        return sphere3_grid(resolution, resolution, 2 * resolution)
-    raise ValueError("only S^2 and S^3 grids are implemented")
-
-
-def sphere3_grid(n_chi, n_theta, n_phi):
-    """S^3 product grid with independent per-axis resolutions (all >= 1 node).
-
-    Coordinates: x = (cos chi, sin chi * xi) with xi in S^2; volume element
-    sin^2(chi) d(chi) d(sigma_{S^2}).  Weight sum is exactly 2 pi^2.
-    """
-    if min(n_chi, n_theta, n_phi) < 1:
-        raise ValueError("each axis needs at least one node")
-    u, wu = gauss_chebyshev2(n_chi)
-    t, wt = gauss_legendre(n_theta)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
+    t, wt = gauss_legendre(resolution)
+    nphi = 2 * resolution
+    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    wphi = 2.0 * math.pi / nphi
     st = np.sqrt(1.0 - t**2)
-    # S^2 factor nodes
-    xi = np.column_stack([
-        np.outer(st, np.cos(phi)).ravel(),
-        np.outer(st, np.sin(phi)).ravel(),
-        np.repeat(t, n_phi),
-    ])
-    wxi = np.repeat(wt * wphi, n_phi)
-    su = np.sqrt(1.0 - u**2)
-    nodes = np.empty((n_chi * xi.shape[0], 4))
-    nodes[:, 0] = np.repeat(u, xi.shape[0])
-    nodes[:, 1:] = np.repeat(su, xi.shape[0])[:, None] * np.tile(xi, (n_chi, 1))
-    weights = np.repeat(wu, xi.shape[0]) * np.tile(wxi, n_chi)
+    x = np.outer(st, np.cos(phi)).ravel()
+    y = np.outer(st, np.sin(phi)).ravel()
+    z = np.repeat(t, nphi)
+    nodes = np.column_stack([x, y, z])
+    weights = np.repeat(wt * wphi, nphi)
     return QuadratureGrid(nodes, weights)
 
 
 def curve_grid(curve, n):
-    """Uniform arc-length grid on a closed curve (or product grid on the subsphere)."""
+    """Uniform arc-length grid on a closed curve (or product grid on the subsphere).
+
+    The subsphere grid is the S^2 grid of resolution n with a zero 4th
+    coordinate.
+    """
     if n < 4:
         raise ValueError("curve grid needs at least 4 nodes")
     if curve.kind is CurveKind.GREAT_SUBSPHERE:
-        base = sphere_grid(2, n)
-        nodes = base.nodes @ curve.frame[:3]
+        base = sphere_grid(n)
+        nodes = np.column_stack([base.nodes, np.zeros(base.nodes.shape[0])])
         return QuadratureGrid(nodes, base.weights)
     length = curve.length
     s = length * np.arange(n) / n
-    nodes = curve_points(curve, s)
     weights = np.full(n, length / n)
-    return QuadratureGrid(nodes, weights, params=s)
+    return QuadratureGrid(curve_points(curve, s), weights)
 
 
 def polar_pair_grid(n):

@@ -13,6 +13,7 @@ m = 0 row) from one rescaled degree recurrence, with no raw factorials.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -267,11 +268,9 @@ class Zonal(_SphereFamily):
 class AssocHarmonic(_SphereFamily):
     degree: int
     order: int
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise ValueError("associated harmonics are implemented on S^2")
         if abs(self.order) > self.degree:
             raise ValueError("order exceeds degree")
 
@@ -294,11 +293,9 @@ class Averaged(_SphereFamily):
 
     degree: int
     delta: float
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise ValueError("averaged beams are implemented on S^2")
         averaged_window(self.degree, self.delta)  # validates the window
 
     @cached_property

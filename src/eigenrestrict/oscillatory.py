@@ -2,16 +2,20 @@
 
 Four numerical experiments live here:
 
-* kernel_K / kernel_matrix: the curve-pair kernel K(t, tau) obtained by
-  integrating e^{i lambda [psi_r(x(t), w) - psi_r(x(tau), w)]} over the circle
-  of directions w at the patch center, with a smooth amplitude.  Its modulus
-  should decay like (1 + lambda |t - tau|)^{-1/2}.
+* kernel_matrix: the curve-pair kernel K(t, tau) obtained by integrating
+  e^{i lambda [psi_r(x(t), w) - psi_r(x(tau), w)]} over the circle of
+  directions w at the patch center, with a smooth amplitude.  Its modulus
+  should decay like (1 + lambda |t - tau|)^{-1/2}.  The radius, amplitude
+  support, sample window and ratio band are the calibrated constants
+  KERNEL_*.
 * critical_points: the two stationary directions of w -> psi_r(x, w) for a
   pair x, x' and the exact phase values -d(x, x') and +d(x, x') they carry.
 * phase_expansion_fit: the cubic coefficient of the arc-length expansion of
   the geodesic distance along a curve, which equals curvature^2 / 24.
 * airy_operator_norm: the L^2 operator norm of the caustic-regime model
-  kernel, which decays like lambda^{-2/3}.  The kernel is assembled from
+  kernel on [-AIRY_DOMAIN, AIRY_DOMAIN], which decays like lambda^{-2/3}.
+  Its amplitude is always the product bump of AirySpec.amplitude_support;
+  only c and d vary between cases.  The kernel is assembled from
   its offset factors (on the 2n-1 offsets i - j) and column factors (on the
   n nodes); its top singular value comes from Golub-Kahan-Lanczos
   bidiagonalization with full reorthogonalization, stopped by the Ritz
@@ -28,33 +32,36 @@ import numpy as np
 from . import geometry
 from .profiles import bump, cutoff_chi
 
-KERNEL_RADIUS = 0.4  # default polar radius r, well inside the injectivity scale
-KERNEL_WINDOW = 0.15  # default half-width of the kernel decay sample window
+KERNEL_RADIUS = 0.4  # polar radius r, well inside the injectivity scale
+KERNEL_SUPPORT = 0.25  # half-width of the arc-length amplitude bump
+KERNEL_WINDOW = 0.15  # half-width of the kernel decay sample window
 KERNEL_GRID_POINTS = 25
+KERNEL_RATIO_BAND = (0.5, 1.5)  # successive scaled sups must stay in it
+
+
+def _check_lambda(lam):
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Curve, polar radius, frequency and amplitude window for kernel_K.
+    """Curve and frequency of the pair kernel (kernel_matrix).
 
-    The polar coordinates are centered at gamma(0); directions are
-    w -> cos(w) gamma'(0) + sin(w) (gamma(0) x gamma'(0)).  The amplitude is
-    a smooth bump in arc length, a(s) = bump(s / amplitude_support), constant
-    in w (values in [0, 1], compactly supported).
+    The polar coordinates of radius KERNEL_RADIUS are centered at gamma(0);
+    directions are w -> cos(w) gamma'(0) + sin(w) (gamma(0) x gamma'(0)).
+    The amplitude is a smooth bump in arc length,
+    a(s) = bump(s / KERNEL_SUPPORT), constant in w (values in [0, 1],
+    compactly supported).
     """
 
     curve: geometry.CurveSpec
     lam: float
-    radius: float = KERNEL_RADIUS
-    amplitude_support: float = 0.25
 
     def __post_init__(self):
         if self.curve.kind is geometry.CurveKind.GREAT_SUBSPHERE:
             raise ValueError("kernel experiments run on 1-d curves of S^2")
-        if not (0.0 < self.radius < math.pi / 2):
-            raise ValueError("polar radius must lie in (0, pi/2)")
-        if self.lam <= 0.0 or self.amplitude_support <= 0.0:
-            raise ValueError("lambda and amplitude support must be positive")
+        _check_lambda(self.lam)
 
     def center_basis(self):
         x0 = geometry.curve_point(self.curve, 0.0)
@@ -67,10 +74,10 @@ class KernelSpec:
         x0, u1, u2 = self.center_basis()
         w = 2.0 * math.pi * np.arange(m) / m
         omega = np.outer(np.cos(w), u1) + np.outer(np.sin(w), u2)
-        return math.cos(self.radius) * x0 + math.sin(self.radius) * omega
+        return math.cos(KERNEL_RADIUS) * x0 + math.sin(KERNEL_RADIUS) * omega
 
     def amplitude(self, s):
-        return bump(np.asarray(s, dtype=float) / self.amplitude_support)
+        return bump(np.asarray(s, dtype=float) / KERNEL_SUPPORT)
 
 
 def kernel_node_floor(spec, separation):
@@ -84,29 +91,20 @@ def kernel_node_floor(spec, separation):
     return 64 + int(math.ceil(20.0 * turns))
 
 
-def kernel_matrix(spec, ts, m=None):
+def kernel_matrix(spec, ts):
     """Hermitian matrix K(t_i, t_j) over arc positions ts, by exact factorization.
 
     K = dw * G G^H where G[i, w] = a(t_i) e^{i lambda psi_r(x(t_i), w)}, so
     Hermitian symmetry and positive semidefiniteness hold by construction.
+    The direction count is the floor for the widest pair (kernel_node_floor).
     """
     ts = np.asarray(ts, dtype=float)
     pts = geometry.curve_points(spec.curve, ts)
-    sep = float(np.max(np.abs(ts[:, None] - ts[None, :])))
-    floor = kernel_node_floor(spec, sep)
-    if m is None:
-        m = floor
-    elif m < floor:
-        raise ValueError(f"direction count M={m} underresolves the phase; need M >= {floor}")
+    m = kernel_node_floor(spec, float(np.max(np.abs(ts[:, None] - ts[None, :]))))
     circle = spec.direction_circle(m)
     dist = np.arccos(np.clip(pts @ circle.T, -1.0, 1.0))
     g = spec.amplitude(ts)[:, None] * np.exp(-1j * spec.lam * dist)
     return (2.0 * math.pi / m) * (g @ g.conj().T)
-
-
-def kernel_K(spec, t, tau, m=None):
-    """Single kernel value K(t, tau); see kernel_matrix."""
-    return complex(kernel_matrix(spec, np.array([float(t), float(tau)]), m=m)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -117,29 +115,26 @@ class KernelDecayReport:
     ok: bool
 
 
-def kernel_pair_masks(lams, radius=KERNEL_RADIUS, window=KERNEL_WINDOW,
-                      grid_points=KERNEL_GRID_POINTS):
-    """The sample grid on [-window, window] and, per lambda, its admissible pairs.
+def kernel_pair_masks(lams):
+    """The sample grid on [-KERNEL_WINDOW, KERNEL_WINDOW] and, per lambda, its admissible pairs.
 
     Returns (ts, gaps, masks): a pair (t, tau) is admissible when
     2/lambda <= |t - tau| <= 0.9 r.  A lambda without any raises ValueError
     naming it, before any kernel is computed.
     """
-    ts = np.linspace(-window, window, grid_points)
+    ts = np.linspace(-KERNEL_WINDOW, KERNEL_WINDOW, KERNEL_GRID_POINTS)
     gaps = np.abs(ts[:, None] - ts[None, :])
-    masks = [(gaps >= 2.0 / lam) & (gaps <= 0.9 * radius) for lam in lams]
+    masks = [(gaps >= 2.0 / lam) & (gaps <= 0.9 * KERNEL_RADIUS) for lam in lams]
     for lam, admissible in zip(lams, masks):
         if not admissible.any():
             raise ValueError(
-                f"lambda={lam:g} leaves no admissible pair: need "
-                f"2/lambda <= |t - tau| <= 0.9 r on the window [-{window:g}, {window:g}]")
+                f"lambda={lam:g} leaves no admissible pair: need 2/lambda <= |t - tau| "
+                f"<= 0.9 r on the window [-{KERNEL_WINDOW:g}, {KERNEL_WINDOW:g}]")
     return ts, gaps, masks
 
 
-def verify_kernel_bound(lams=(50.0, 100.0, 200.0, 400.0), curve=None, radius=KERNEL_RADIUS,
-                        amplitude_support=0.25, window=KERNEL_WINDOW,
-                        grid_points=KERNEL_GRID_POINTS, ratio_band=(0.5, 1.5)):
-    """Scaled kernel sup across frequencies; flat to within the stated band.
+def verify_kernel_bound(lams):
+    """Scaled kernel sup across frequencies on the equator; flat within KERNEL_RATIO_BAND.
 
     Pairs with |t - tau| < 2/lambda (no oscillation to average) or
     |t - tau| > 0.9 r (outside the polar patch) are excluded from the sup.
@@ -150,16 +145,14 @@ def verify_kernel_bound(lams=(50.0, 100.0, 200.0, 400.0), curve=None, radius=KER
     """
     if len(lams) < 2:
         raise ValueError("kernel decay compares successive lambdas; need at least two")
-    if curve is None:
-        curve = geometry.equator()
-    specs = [KernelSpec(curve, lam, radius, amplitude_support) for lam in lams]
-    ts, gaps, masks = kernel_pair_masks([s.lam for s in specs], radius, window, grid_points)
+    specs = [KernelSpec(geometry.equator(), lam) for lam in lams]
+    ts, gaps, masks = kernel_pair_masks([s.lam for s in specs])
     sups = []
     for spec, admissible in zip(specs, masks):
         scaled = np.abs(kernel_matrix(spec, ts)) * np.sqrt(1.0 + spec.lam * gaps)
         sups.append(float(np.max(scaled[admissible])))
     ratios = tuple(b / a for a, b in zip(sups, sups[1:]))
-    ok = all(ratio_band[0] <= q <= ratio_band[1] for q in ratios)
+    ok = all(KERNEL_RATIO_BAND[0] <= q <= KERNEL_RATIO_BAND[1] for q in ratios)
     return KernelDecayReport(tuple(float(l) for l in lams), tuple(sups), ratios, ok)
 
 
@@ -201,7 +194,7 @@ def critical_points(x, x_prime, r):
     return CriticalPoints(omega_star, phase_star, phase_anti, d)
 
 
-DEFAULT_PHASE_STEPS = tuple(5e-3 * (10 ** (j / 7.0)) for j in range(8))  # 5e-3 .. 5e-2
+PHASE_STEPS = tuple(5e-3 * (10 ** (j / 7.0)) for j in range(8))  # 5e-3 .. 5e-2, rising
 
 
 @dataclass(frozen=True)
@@ -215,33 +208,25 @@ class PhaseExpansionFit:
         return abs(self.c_hat - self.c_theory)
 
 
-def phase_expansion_fit(curve, tau=0.0, steps=None):
-    """Cubic coefficient of d(gamma(tau+h), gamma(tau)) = |h|(1 - c h^2 + ...).
+def phase_expansion_fit(curve):
+    """Cubic coefficient of d(gamma(h), gamma(0)) = |h|(1 - c h^2 + ...).
 
-    Regresses (|h| - d) / |h|^3 on [1, h, h^2] so the cubic and quartic
-    remainder terms are absorbed; the intercept estimates c.  Distances use
-    the chordal form 2 arcsin(|x - y| / 2), which keeps the h^3-scale
-    cancellation fully accurate at step sizes down to 1e-3.
+    Regresses (|h| - d) / |h|^3 on [1, h, h^2] over h in PHASE_STEPS so the
+    cubic and quartic remainder terms are absorbed; the intercept estimates
+    c.  Distances use the chordal form 2 arcsin(|x - y| / 2), which keeps the
+    h^3-scale cancellation fully accurate at step sizes down to 1e-3.
     """
-    if steps is None:
-        steps = DEFAULT_PHASE_STEPS
-    h = np.asarray(sorted(float(s) for s in steps))
-    if h.size < 4:
-        raise ValueError("need at least 4 step sizes")
-    if np.any(h < 1e-3) or np.any(h > 1e-1):
-        raise ValueError("steps must lie in [1e-3, 1e-1]")
-    base = geometry.curve_point(curve, tau)
-    pts = geometry.curve_points(curve, tau + h)
+    h = np.array(PHASE_STEPS)
+    base = geometry.curve_point(curve, 0.0)
+    pts = geometry.curve_points(curve, h)
     chord = np.linalg.norm(pts - base[None, :], axis=1)
     dist = 2.0 * np.arcsin(np.clip(chord / 2.0, -1.0, 1.0))
     y = (h - dist) / h**3
     hs = h / h[-1]
     design = np.column_stack([np.ones_like(hs), hs, hs**2])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
-        raise ValueError("degenerate step design; spread the steps out")
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    kappa = geometry.geodesic_curvature(curve, tau)
+    kappa = geometry.geodesic_curvature(curve)
     return PhaseExpansionFit(float(coef[0]), kappa**2 / 24.0, resid)
 
 
@@ -252,25 +237,22 @@ class AirySpec:
     gamma(tau, D) = -|D| (1 - c(tau) D^2 + d(tau, D) D^3) with c bounded below
     by a positive constant; chi is 1 on [-1/2, 1/2] and 0 outside [-1, 1], so
     the kernel vanishes identically near the diagonal.  The amplitude is the
-    product bump a = bump(tau/s) bump(D/s) with s = amplitude_support unless
-    `amplitude` overrides it.  c is evaluated on the grid nodes tau; d and an
-    `amplitude` override on the whole (tau, D) grid, the vanishing diagonal
-    band included, so they must be finite there.
+    product bump a = bump(tau/s) bump(D/s) with s = amplitude_support, on
+    tau, D in [-AIRY_DOMAIN, AIRY_DOMAIN].  c is evaluated on the grid nodes
+    tau; d on the whole (tau, D) grid, the vanishing diagonal band included,
+    so it must be finite there.
     """
 
     lam: float
     c: object = None           # callable tau -> c(tau); default constant 1
     d: object = None           # callable (tau, D) -> correction; default 0
-    domain: float = 0.5
     # support comparable to the domain: narrow windows push the sup of the
     # kernel symbol onto an interior stationary family that decays like
     # lambda^{-1/2} until lambda ~ 1e4, masking the 2/3 rate at desk scale
     amplitude_support: float = 1.0
-    amplitude: object = None   # callable (tau, D) -> amplitude override
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be positive")
+        _check_lambda(self.lam)
 
     def c_values(self, tau):
         if self.c is None:
@@ -281,7 +263,8 @@ class AirySpec:
         return vals
 
 
-AIRY_MAX_DIM = 8192        # default cap on the kernel dimension n
+AIRY_DOMAIN = 0.5          # half-width of the kernel's tau and D range
+AIRY_MAX_DIM = 8192        # cap on the kernel dimension n
 GKL_MAX_STEPS = 200        # Golub-Kahan-Lanczos step limit
 GKL_RTOL = 1e-12           # Ritz residual bound, relative to sigma_1
 _GKL_SEED = 20050          # fixed start vector: byte-deterministic norms
@@ -292,21 +275,15 @@ def airy_step_floor(lam):
     return (2.0 * math.pi / lam) / 20.0
 
 
-def airy_matrix_dim(spec, step=None, cap=AIRY_MAX_DIM):
-    """Kernel dimension n = ceil(2 domain / step) + 1 at `step` (default: the floor).
+def airy_matrix_dim(spec):
+    """Kernel dimension n = ceil(2 AIRY_DOMAIN / step) + 1 at step airy_step_floor(lambda).
 
-    A step coarser than airy_step_floor(lambda) or an n above `cap` raises
-    ValueError.
+    An n above AIRY_MAX_DIM raises ValueError.
     """
-    floor = airy_step_floor(spec.lam)
-    if step is None:
-        step = floor
-    elif step > floor:
-        raise ValueError(f"step {step:g} too coarse for lambda={spec.lam:g}; need <= {floor:g}")
-    n = int(math.ceil(2.0 * spec.domain / step)) + 1
-    if n > cap:
+    n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
+    if n > AIRY_MAX_DIM:
         raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}, "
-                         f"which exceeds the cap {cap}")
+                         f"which exceeds the cap {AIRY_MAX_DIM}")
     return n
 
 
@@ -317,28 +294,26 @@ def _toeplitz(offsets):
 
 
 def _airy_kernel(spec, step, n):
-    """step * K(t_i, t_j) on the nodes t = -domain + step * arange(n).
+    """step * K(t_i, t_j) on the nodes t = -AIRY_DOMAIN + step * arange(n).
 
     Each factor is evaluated at the shape it depends on: the cutoff
     1 - chi(lambda^{1/3} D), (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1
     offsets D = (i - j) step, read through the Toeplitz index i - j + n - 1;
-    c(tau) and bump(tau/s) on the n column nodes; only d(tau, D), an
-    amplitude override and the exponential on the n^2 entries.  With c, d
-    and the amplitude at their defaults the phase depends on D alone, so the
-    kernel is one Toeplitz vector times a column scale.
+    c(tau) and bump(tau/s) on the n column nodes; only d(tau, D) and the
+    exponential on the n^2 entries.  With c and d at their defaults the
+    phase depends on D alone, so the kernel is one Toeplitz vector times a
+    column scale.
     """
-    tau = -spec.domain + step * np.arange(n)
+    tau = -AIRY_DOMAIN + step * np.arange(n)
     offsets = step * np.arange(1 - n, n)
     dist = np.abs(offsets)
     cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * offsets)
     weight = np.zeros_like(offsets)
     live = cut > 0.0
     weight[live] = cut[live] / np.sqrt(spec.lam * dist[live])
-    column = np.full(n, step)
-    if spec.amplitude is None:
-        weight *= bump(offsets / spec.amplitude_support)
-        column *= bump(tau / spec.amplitude_support)
-    if spec.c is None and spec.d is None and spec.amplitude is None:
+    weight *= bump(offsets / spec.amplitude_support)
+    column = step * bump(tau / spec.amplitude_support)
+    if spec.c is None and spec.d is None:
         phase = -dist * (1.0 - offsets**2)
         return _toeplitz(np.exp(1j * spec.lam * phase) * weight) * column
     # lambda gamma = -lambda |D| (1 - c D^2 + d D^3), in place on one n^2 array
@@ -356,8 +331,6 @@ def _airy_kernel(spec, step, n):
     del gamma
     kernel *= _toeplitz(weight)
     kernel *= column
-    if spec.amplitude is not None:
-        kernel *= np.asarray(spec.amplitude(tau, delta), dtype=float)
     return kernel
 
 
@@ -415,22 +388,21 @@ def _reorthogonalize(w, basis):
     return w
 
 
-def airy_operator_norm(spec, step=None, max_matrix_dim=AIRY_MAX_DIM):
-    """Largest singular value of the discretized model kernel on [-domain, domain].
+def airy_operator_norm(spec):
+    """Largest singular value of the discretized model kernel on [-AIRY_DOMAIN, AIRY_DOMAIN].
 
     The matrix is K(t_i, t_j) * step (midpoint discretization of the integral
-    operator), assembled factor by factor (_airy_kernel): offset factors on
-    the 2n-1 offsets, column factors on the n nodes, and for the default c,
-    d and amplitude the whole kernel gathered from one offset vector.  Its
-    spectral norm comes from Golub-Kahan-Lanczos with full
-    reorthogonalization (_gkl_sigma1), stopped when the Ritz residual bound
-    is <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS steps do not
-    reach it or the kernel has a non-finite entry.  ValueError for a step
-    above the floor or a dimension above max_matrix_dim (airy_matrix_dim).
+    operator at step airy_step_floor(lambda)), assembled factor by factor
+    (_airy_kernel): offset factors on the 2n-1 offsets, column factors on
+    the n nodes, and for the default c and d the whole kernel gathered from
+    one offset vector.  Its spectral norm comes from Golub-Kahan-Lanczos
+    with full reorthogonalization (_gkl_sigma1), stopped when the Ritz
+    residual bound is <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS
+    steps do not reach it or the kernel has a non-finite entry.  ValueError
+    for a dimension above AIRY_MAX_DIM (airy_matrix_dim).
     """
-    if step is None:
-        step = airy_step_floor(spec.lam)
-    n = airy_matrix_dim(spec, step, max_matrix_dim)
+    n = airy_matrix_dim(spec)
+    step = airy_step_floor(spec.lam)
     sigma, steps, residual = _gkl_sigma1(_airy_kernel(spec, step, n))
     if not residual <= GKL_RTOL * sigma:  # NaN too: a non-finite kernel entry
         raise ArithmeticError(

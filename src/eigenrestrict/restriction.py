@@ -4,7 +4,9 @@ The measurement pipeline is: evaluate a family member on a curve grid dense
 enough to resolve its oscillation (>= 20 points per wavelength), form the
 restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
-geometric ladder of degrees.  The theoretical_exponent oracle carries the
+geometric ladder of degrees.  The grid size is always derived from the
+family's eigenvalue (`required_curve_points`; the subsphere resolution
+likewise); no caller picks it.  The theoretical_exponent oracle carries the
 sharp growth rates the fits are compared to.
 """
 
@@ -19,7 +21,9 @@ from .geometry import CurveKind
 
 CURVE_FLOOR = 4096
 POINTS_PER_WAVELENGTH = 20
+SUBSPHERE_FLOOR = 64
 SWEEP_RATIO = math.sqrt(2.0)  # degree ladder spacing
+ENVELOPE_SLACK = 0.02  # exponent slack of the envelope check
 
 
 def required_curve_points(lam):
@@ -29,48 +33,33 @@ def required_curve_points(lam):
 
 def lp_norm_weighted(values, weights, p):
     """(sum w |v|^p)^(1/p), or the grid max for p = inf (shared norm kernel)."""
+    if not p > 0:  # NaN too
+        raise ValueError(f"p must be positive or inf, got {p!r}")
     mags = np.abs(np.asarray(values))
     if math.isinf(p):
         return float(np.max(mags))
-    if p <= 0:
-        raise ValueError("p must be positive or inf")
     return float(np.sum(np.asarray(weights) * mags**p) ** (1.0 / p))
 
 
-def _family_lambda(f, lam):
-    if lam is not None:
-        return float(lam)
-    lam_attr = getattr(f, "eigenvalue", None)
-    if lam_attr is None:
-        raise ValueError("f has no eigenvalue attribute; pass lam explicitly "
-                         "so the grid can resolve its oscillation")
-    return float(lam_attr)
-
-
-def lp_norm_on_curve(f, curve, p, num_points=None, lam=None):
+def lp_norm_on_curve(f, curve, p):
     """Restricted L^p norm of f over a curve (trapezoid in arc length).
 
-    For 1-d curves the grid must satisfy N >= max(4096, 20 lambda); lambda is
-    read from f.eigenvalue unless passed explicitly (a ValueError when neither
-    is available).  p = inf takes the grid max over 2N nodes: the N-node grid
-    is bit for bit its even-index subset, so the one doubling already covers
-    it.  The great subsphere uses the product surface rule instead, with
-    `num_points` interpreted as its resolution.
+    lambda is read from f.eigenvalue (a ValueError when f has none).  1-d
+    curves take N = max(4096, 20 lambda) nodes; p = inf takes the grid max
+    over 2N nodes: the N-node grid is bit for bit its even-index subset, so
+    the one doubling already covers it.  The great subsphere uses the
+    product surface rule instead, at resolution max(64, ceil(2 lambda) + 16).
     """
-    lam_val = _family_lambda(f, lam)
+    if getattr(f, "eigenvalue", None) is None:
+        raise ValueError("f has no eigenvalue attribute, so no grid can be "
+                         "sized to resolve its oscillation")
+    lam = float(f.eigenvalue)
     if curve.kind is CurveKind.GREAT_SUBSPHERE:
-        res = num_points if num_points is not None else max(64, int(math.ceil(2 * lam_val)) + 16)
-        if res < max(4, int(math.ceil(2 * lam_val))):
-            raise ValueError(
-                f"subsphere resolution {res} underresolves lambda={lam_val:g}; "
-                f"need at least {max(4, int(math.ceil(2 * lam_val)))}")
-        grid = geometry.curve_grid(curve, res)
-        return lp_norm_weighted(f(grid.nodes), grid.weights, p)
-    floor = required_curve_points(lam_val)
-    n = num_points if num_points is not None else floor
-    if n < floor:
-        raise ValueError(f"curve grid N={n} underresolves lambda={lam_val:g}; need N >= {floor}")
-    grid = geometry.curve_grid(curve, 2 * n if math.isinf(p) else n)
+        n = max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16)
+    else:
+        n = required_curve_points(lam)
+        n = 2 * n if math.isinf(p) else n
+    grid = geometry.curve_grid(curve, n)
     return lp_norm_weighted(f(grid.nodes), grid.weights, p)
 
 
@@ -188,7 +177,7 @@ def theoretical_exponent(dim, k, p, curved=False):
     return ExponentOracle((d - 1.0) / 2.0 - k * inv_p, False)
 
 
-def geometric_degrees(lo, hi, ratio=SWEEP_RATIO):
+def geometric_degrees(lo, hi):
     """Geometric degree ladder lo..hi with the standard sqrt(2) spacing."""
     if lo < 4 or hi < lo:
         raise ValueError("need 4 <= lo <= hi")
@@ -200,7 +189,7 @@ def geometric_degrees(lo, hi, ratio=SWEEP_RATIO):
         n = int(round(x))
         if not out or n > out[-1]:
             out.append(n)
-        x *= ratio
+        x *= SWEEP_RATIO
     if not out or out[-1] != hi:
         out.append(hi)
     return out
@@ -215,7 +204,7 @@ def _validate_degrees(degrees):
         raise ValueError("degrees must be strictly increasing")
 
 
-def sweep(family_factory, curve, p, degrees, num_points=None):
+def sweep(family_factory, curve, p, degrees):
     """One NormSample per degree: restricted L^p over ambient L^2, sorted by n.
 
     family_factory(n) must return a callable family carrying .eigenvalue and
@@ -225,7 +214,7 @@ def sweep(family_factory, curve, p, degrees, num_points=None):
     out = []
     for n in degrees:
         fam = family_factory(n)
-        restricted = lp_norm_on_curve(fam, curve, p, num_points=num_points)
+        restricted = lp_norm_on_curve(fam, curve, p)
         out.append(NormSample(n, fam.eigenvalue, float(p), restricted, fam.l2_norm))
     return out
 
@@ -236,8 +225,8 @@ class TurningPointResult:
     orders: list  # maximizing order m per degree
 
 
-def turning_point_sweep(colatitude, degrees, m_low_fraction=0.5):
-    """Max restricted L^2 norm over orders m in [m_low n, n] on one latitude circle.
+def turning_point_sweep(colatitude, degrees):
+    """Max restricted L^2 norm over orders m in [ceil(n/2), n] on one latitude circle.
 
     For each degree the scan finds the order whose oscillation turns exactly
     at the circle's colatitude (the restricted norm peaks there, at the Airy
@@ -253,7 +242,7 @@ def turning_point_sweep(colatitude, degrees, m_low_fraction=0.5):
     samples, orders = [], []
     for n in degrees:
         row = np.abs(harmonics.assoc_legendre_norm(n, np.arange(n + 1), t0))
-        m_lo = int(math.ceil(m_low_fraction * n))
+        m_lo = (n + 1) // 2
         m_star = m_lo + int(np.argmax(row[m_lo:n + 1]))
         fam = harmonics.AssocHarmonic(n, m_star)
         samples.append(NormSample(n, fam.eigenvalue, 2.0, float(row[m_star]) * scale,
@@ -269,16 +258,16 @@ class EnvelopeReport:
     ok: bool
 
 
-def envelope_check(samples, exponent, slack=0.02):
-    """Check ratio(n) <= C lambda^(exponent + slack) with C set by the first sample.
+def envelope_check(samples, exponent):
+    """Check ratio(n) <= C lambda^(exponent + ENVELOPE_SLACK), C set by the first sample.
 
     The slack absorbs prefactor wobble: a true power law of the claimed
-    exponent makes E_n = ratio / lambda^(exponent+slack) decreasing, so
+    exponent makes E_n = ratio / lambda^(exponent + slack) decreasing, so
     calibrating C at the smallest degree is the strictest sensible anchoring.
     """
     if not samples:
         raise ValueError("empty sample list")
-    env = [s.ratio / s.lam ** (exponent + slack) for s in samples]
+    env = [s.ratio / s.lam ** (exponent + ENVELOPE_SLACK) for s in samples]
     c = env[0]
     worst = max(e / c for e in env)
     return EnvelopeReport(c, worst, worst <= 1.0 + 1e-9)

@@ -356,18 +356,18 @@ def geodesic_l2_norm(f, w):
     return float(np.sqrt(np.sum(sums.real ** 2 + sums.imag ** 2)))
 
 
-def curve_l2_norms(f, num_points=None):
+def curve_l2_norms(f):
     """Restricted L^2 norms of f along the standard curves.
 
     The closed geodesics of slope 0, 1 and 1/2 through the origin, in closed
     form (`geodesic_l2_norm`), and one round circle of radius CIRCLE_RADIUS
-    about (pi, pi), not a geodesic, by the trapezoid rule on num_points
-    nodes.  Normalized arc measure, so a constant of modulus 1 has norm 1 on
-    every curve and the values compare directly with ||f||_{L^2} = 1.
+    about (pi, pi), not a geodesic, by the trapezoid rule on
+    max(4096, 40 sqrt(N)) nodes.  Normalized arc measure, so a constant of
+    modulus 1 has norm 1 on every curve and the values compare directly
+    with ||f||_{L^2} = 1.
     """
     out = {label: geodesic_l2_norm(f, w) for label, w in GEODESICS}
-    if num_points is None:
-        num_points = max(4096, math.ceil(40 * f.eigenvalue))
+    num_points = max(4096, math.ceil(40 * f.eigenvalue))
     s = np.linspace(0.0, 2.0 * math.pi, num_points, endpoint=False)
     vals = f(np.column_stack([math.pi + CIRCLE_RADIUS * np.cos(s),
                               math.pi + CIRCLE_RADIUS * np.sin(s)]))

@@ -132,6 +132,20 @@ def test_sweep_run_writes_artifacts(tmp_path, capsys):
     assert "sweep:exponent_fit: no_contract" in stdout
 
 
+@pytest.mark.parametrize("curve, oracle", [
+    ("latitude:1.0", 1.0 / 3.0 - 1.0 / 9.0),  # curved: 1/3 - 1/(3p) at p = 3
+    ("equator", 0.25),
+    ("latitude:1.5707963267948966", 0.25),    # the equator as a latitude circle
+])
+def test_latitude_sweeps_use_the_curved_oracle(tmp_path, curve, oracle):
+    out = tmp_path / "lat"
+    cli.main(["run", "sweep", "--family", "zonal-off", "--curve", curve, "--p", "3",
+              "--degrees", "16:45", "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    assert math.isclose(summary["results"]["oracle"]["value"], oracle, rel_tol=1e-15)
+    assert summary["results"]["fit"]["theoretical"] == summary["results"]["oracle"]["value"]
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     outs = [tmp_path / "run1", tmp_path / "nested" / "run2"]
     for out in outs:
@@ -163,15 +177,15 @@ def test_failed_contract_exits_one(tmp_path, capsys):
 
 
 def test_runtime_failure_still_writes_summary(tmp_path, capsys, monkeypatch):
-    def underresolved(*args, **kwargs):
-        raise ValueError("curve grid N=8 underresolves lambda=272; need N >= 330")
+    def failing(*args, **kwargs):
+        raise ValueError("sweep failed: no samples")
 
-    monkeypatch.setattr(cli.restriction, "sweep", underresolved)
+    monkeypatch.setattr(cli.restriction, "sweep", failing)
     out = tmp_path / "e"
     code = cli.main(SWEEP_ARGS + ["--out", str(out)])
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert "underresolves" in summary["error"]
+    assert "sweep failed" in summary["error"]
     assert summary["exit_code"] == 1
     assert not (out / "sweep.csv").exists()
     assert "experiment failed" in capsys.readouterr().err

@@ -157,7 +157,7 @@ def test_zonal_pole_value_and_norm():
     assert math.isclose(l2_norm_on_manifold(z10, geo.zonal_grid(2, pole, 2 * 10 + 16)),
                         1.0, rel_tol=1e-12)
     # reduced meridian rule agrees with the full product grid
-    full = l2_norm_on_manifold(z10, geo.sphere_grid(2, 2 * 10 + 16))
+    full = l2_norm_on_manifold(z10, geo.sphere_grid(2 * 10 + 16))
     assert math.isclose(full, 1.0, rel_tol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_assoc_harmonic_frozen_value_and_conjugation():
 
 def test_assoc_harmonic_norm_full_grid():
     y = ha.AssocHarmonic(12, 5)
-    assert math.isclose(l2_norm_on_manifold(y, geo.sphere_grid(2, 40)), 1.0,
+    assert math.isclose(l2_norm_on_manifold(y, geo.sphere_grid(40)), 1.0,
                         rel_tol=1e-12)
 
 
@@ -200,7 +200,7 @@ def test_highest_weight_norms_and_values():
     e8 = ha.HighestWeight(2, 8)
     assert math.isclose(l2_norm_on_manifold(e8, geo.zonal_grid(2, Z_AXIS, 2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
-    assert math.isclose(l2_norm_on_manifold(e8, geo.sphere_grid(2, 2 * 8 + 16)),
+    assert math.isclose(l2_norm_on_manifold(e8, geo.sphere_grid(2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
     s3 = ha.HighestWeight(3, 8)
     assert math.isclose(l2_norm_on_manifold(s3, geo.polar_pair_grid(2 * 8 + 16)),
@@ -217,7 +217,7 @@ def test_highest_weight_vanishes_off_torus_axis():
 
 
 def test_orthogonality_across_families():
-    g = geo.sphere_grid(2, 56)
+    g = geo.sphere_grid(56)
     z = ha.Zonal(2, 12, np.array([0.0, 0.0, 1.0]))
     e = ha.HighestWeight(2, 12)
     y = ha.AssocHarmonic(12, 5)
@@ -252,7 +252,7 @@ def test_laplace_beltrami_eigen_equation(family, dim):
 
 def test_averaged_beam_is_harmonic_and_normalized():
     u16 = ha.Averaged(16, 0.9)
-    assert math.isclose(l2_norm_on_manifold(u16, geo.sphere_grid(2, 2 * 16 + 16)),
+    assert math.isclose(l2_norm_on_manifold(u16, geo.sphere_grid(2 * 16 + 16)),
                         1.0, rel_tol=1e-12)
     x = geo.curve_point(geo.equator(), 0.4)
     assert lb_residual(u16, x, 2) < 1e-4
@@ -265,7 +265,7 @@ def test_averaged_beam_is_harmonic_and_normalized():
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_averaged_l2_norm_matches_full_sphere_quadrature(n):
     u = ha.Averaged(n, 0.9)
-    grid = geo.sphere_grid(2, 2 * n + 16)
+    grid = geo.sphere_grid(2 * n + 16)
     assert math.isclose(l2_norm_on_manifold(u, grid), u.l2_norm, rel_tol=1e-12)
 
 
@@ -288,7 +288,7 @@ def test_averaged_raw_is_weighted_sum_of_rotated_beams():
     # the tilt average is sum_j W_j e_n(R_j x) with R_j the rotation by phi_j
     # about the x1-axis; compare against the beam formula written out directly
     n, delta = 24, 0.9
-    pts = geo.sphere_grid(2, 8).nodes
+    pts = geo.sphere_grid(8).nodes
     w = ha.averaged_window(n, delta)
     t, wt = np.polynomial.legendre.leggauss(ha.averaged_node_count(n))
     logc = ha.highest_weight_log_const(2, n)

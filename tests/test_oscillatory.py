@@ -41,9 +41,15 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError, match="1-d curves"):
         osc.KernelSpec(geo.great_subsphere(), 50.0)
     with pytest.raises(ValueError):
-        osc.KernelSpec(geo.equator(), 50.0, radius=2.0)
-    with pytest.raises(ValueError):
         osc.KernelSpec(geo.equator(), -5.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_rejected_by_name(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        osc.KernelSpec(geo.equator(), lam)
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        osc.AirySpec(lam)
 
 
 def test_kernel_matrix_hermitian_psd():
@@ -58,16 +64,20 @@ def test_kernel_matrix_hermitian_psd():
 def test_kernel_direction_count_converged():
     # doubling the direction count leaves the value unchanged at quadrature scale
     spec = osc.KernelSpec(geo.equator(), 120.0)
-    floor = osc.kernel_node_floor(spec, 0.2)
-    base = osc.kernel_K(spec, 0.1, -0.1)
-    fine = osc.kernel_K(spec, 0.1, -0.1, m=2 * floor)
+    ts = np.array([0.1, -0.1])
+    base = osc.kernel_matrix(spec, ts)[0, 1]
+    # the same factorized sum on twice the floor's direction count
+    m = 2 * osc.kernel_node_floor(spec, 0.2)
+    pts = geo.curve_points(spec.curve, ts)
+    dist = np.arccos(np.clip(pts @ spec.direction_circle(m).T, -1.0, 1.0))
+    g = spec.amplitude(ts)[:, None] * np.exp(-1j * spec.lam * dist)
+    fine = (2.0 * math.pi / m) * (g[0] @ g[1].conj())
     assert abs(base - fine) < 1e-8
-    with pytest.raises(ValueError, match="underresolves"):
-        osc.kernel_K(spec, 0.1, -0.1, m=floor // 2)
 
 
-def test_kernel_bound_short_ladder():
-    report = osc.verify_kernel_bound(lams=(40.0, 80.0), grid_points=15)
+def test_kernel_bound_short_ladder(monkeypatch):
+    monkeypatch.setattr(osc, "KERNEL_GRID_POINTS", 15)
+    report = osc.verify_kernel_bound((40.0, 80.0))
     assert report.ok
     assert len(report.ratios) == 1
     assert all(s > 0 for s in report.sups)
@@ -142,13 +152,6 @@ def test_phase_expansion_matches_curvature(theta0):
     assert fit.deviation < 1e-6
 
 
-def test_phase_expansion_step_validation():
-    with pytest.raises(ValueError):
-        osc.phase_expansion_fit(geo.equator(), steps=(1e-2, 2e-2, 3e-2))
-    with pytest.raises(ValueError):
-        osc.phase_expansion_fit(geo.equator(), steps=(1e-4, 1e-2, 2e-2, 3e-2))
-
-
 # ----------------------------------------------------------------- Airy model
 
 def test_airy_spec_validation():
@@ -160,16 +163,13 @@ def test_airy_spec_validation():
 
 
 def test_airy_zero_amplitude_kills_operator():
-    spec = osc.AirySpec(lam=100.0, amplitude=lambda tau, delta: 0.0)
-    assert osc.airy_operator_norm(spec) == 0.0
+    # a zero kernel leaves an invariant subspace at once: sigma = 0 is exact
+    assert osc._gkl_sigma1(np.zeros((64, 64), dtype=complex)) == (0.0, 1, 0.0)
 
 
 def test_airy_step_and_dim_guards():
-    spec = osc.AirySpec(lam=200.0)
-    with pytest.raises(ValueError, match="too coarse"):
-        osc.airy_operator_norm(spec, step=1.0)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(spec, max_matrix_dim=32)
+        osc.airy_operator_norm(osc.AirySpec(2574.0))
 
 
 def test_airy_norm_decays_at_caustic_rate():
@@ -183,17 +183,14 @@ def test_airy_norm_decays_at_caustic_rate():
 def _dense_airy_norm(spec):
     """Oracle: every kernel entry from the model formula, then a dense SVD."""
     step = osc.airy_step_floor(spec.lam)
-    n = osc.airy_matrix_dim(spec, step)
+    n = osc.airy_matrix_dim(spec)
     assert n <= 2000
-    tt = -spec.domain + step * np.arange(n)
+    tt = -osc.AIRY_DOMAIN + step * np.arange(n)
     delta = tt[:, None] - tt[None, :]
     tau = np.broadcast_to(tt[None, :], delta.shape)
     c = 1.0 if spec.c is None else spec.c(tau)
     d = 0.0 if spec.d is None else spec.d(tau, delta)
-    if spec.amplitude is None:
-        amp = bump(tau / spec.amplitude_support) * bump(delta / spec.amplitude_support)
-    else:
-        amp = spec.amplitude(tau, delta)
+    amp = bump(tau / spec.amplitude_support) * bump(delta / spec.amplitude_support)
     cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * delta)
     gap = np.where(cut > 0.0, np.abs(delta), 1.0)
     phase = -gap * (1.0 - c * delta**2 + d * delta**3)
@@ -205,7 +202,6 @@ _AIRY_CASES = {
     "model": {},
     "variable": {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
                  "d": lambda tau, delta: 0.1 * np.cos(tau)},
-    "amplitude": {"amplitude": lambda tau, delta: np.cos(2.0 * tau + delta) ** 2},
 }
 
 
@@ -230,7 +226,8 @@ def test_airy_norm_raises_when_lanczos_stalls(monkeypatch):
 
 
 def test_airy_norm_raises_on_non_finite_kernel():
-    spec = osc.AirySpec(100.0, amplitude=lambda tau, delta: np.where(delta == 0.0, np.nan, 1.0))
+    # d is evaluated on the whole grid, the vanishing diagonal band included
+    spec = osc.AirySpec(100.0, d=lambda tau, delta: np.where(delta == 0.0, np.nan, 0.0))
     with pytest.raises(ArithmeticError, match=r"lambda=100 stopped after 1 steps"):
         osc.airy_operator_norm(spec)
 

@@ -175,7 +175,7 @@ def test_grid_sup_divides_out_shared_factor():
 
 def test_curve_l2_of_constant_is_one():
     f = TorusSum(np.array([[0, 1]]), np.array([1.0 + 0j]))
-    norms = torus.curve_l2_norms(f, num_points=4096)
+    norms = torus.curve_l2_norms(f)
     assert set(norms) == {"slope0", "slope1", "slope1/2", "circle"}
     # slope-0 geodesic holds e^{iy} constant in modulus; all curves see |f| = 1
     for val in norms.values():
