@@ -310,8 +310,10 @@ def _run_airy(cfg):
     norms = [oscillatory.airy_operator_norm(spec) for spec in specs]
     rows = [(_fmt(l), _fmt(v)) for l, v in zip(lams, norms)]
     # one lambda gives its norm but no decay rate to hold to the contract
-    slope = restriction.loglog_fit(lams, norms)[0] if len(lams) > 1 else None
-    results = {"case": case, "opnorms": norms, "slope": slope,
+    slope = fit_residual = None
+    if len(lams) > 1:
+        slope, _, fit_residual = restriction.loglog_fit(lams, norms)
+    results = {"case": case, "opnorms": norms, "slope": slope, "fit_residual": fit_residual,
                "theoretical": -2.0 / 3.0, "tolerance": tolerance}
     if tolerance is None or slope is None:
         verdict = "no_contract"

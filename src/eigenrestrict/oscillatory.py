@@ -15,11 +15,13 @@ Four numerical experiments live here:
 * airy_operator_norm: the L^2 operator norm of the caustic-regime model
   kernel on [-AIRY_DOMAIN, AIRY_DOMAIN], which decays like lambda^{-2/3}.
   Its amplitude is always the product bump of AirySpec.amplitude_support;
-  only c and d vary between cases.  The kernel is assembled from
-  its offset factors (on the 2n-1 offsets i - j) and column factors (on the
-  n nodes); its top singular value comes from Golub-Kahan-Lanczos
-  bidiagonalization with full reorthogonalization, stopped by the Ritz
-  residual bound, with no dense SVD.
+  only c and d vary between cases.  The kernel is built from its offset
+  factors (on the 2n-1 offsets i - j) and column factors (on the n nodes).
+  With c and d at their defaults it is a Toeplitz matrix times a column
+  scale, applied by FFT on a circulant embedding and never formed; otherwise
+  it is assembled densely.  Its top singular value comes from
+  Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization,
+  stopped by the Ritz residual bound, with no dense SVD.
 
 psi_r(x, w) = -d(x, exp_center(r w)) throughout, with r the polar radius.
 """
@@ -39,9 +41,9 @@ KERNEL_GRID_POINTS = 25
 KERNEL_RATIO_BAND = (0.5, 1.5)  # successive scaled sups must stay in it
 
 
-def _check_lambda(lam):
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +63,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.curve.kind is geometry.CurveKind.GREAT_SUBSPHERE:
             raise ValueError("kernel experiments run on 1-d curves of S^2")
-        _check_lambda(self.lam)
+        _check_positive("lambda", self.lam)
 
     def center_basis(self):
         x0 = geometry.curve_point(self.curve, 0.0)
@@ -238,9 +240,12 @@ class AirySpec:
     by a positive constant; chi is 1 on [-1/2, 1/2] and 0 outside [-1, 1], so
     the kernel vanishes identically near the diagonal.  The amplitude is the
     product bump a = bump(tau/s) bump(D/s) with s = amplitude_support, on
-    tau, D in [-AIRY_DOMAIN, AIRY_DOMAIN].  c is evaluated on the grid nodes
-    tau; d on the whole (tau, D) grid, the vanishing diagonal band included,
-    so it must be finite there.
+    tau, D in [-AIRY_DOMAIN, AIRY_DOMAIN]; s must be finite and positive.
+    c is evaluated on the grid nodes tau; d on the whole (tau, D) grid, the
+    vanishing diagonal band included, so it must be finite there.  With c
+    and d both None (the model case, `toeplitz`) the phase depends on D
+    alone, so for any s the kernel is a Toeplitz matrix times a column
+    scale and is applied without being formed.
     """
 
     lam: float
@@ -252,7 +257,13 @@ class AirySpec:
     amplitude_support: float = 1.0
 
     def __post_init__(self):
-        _check_lambda(self.lam)
+        _check_positive("lambda", self.lam)
+        _check_positive("amplitude_support", self.amplitude_support)
+
+    @property
+    def toeplitz(self):
+        """c and d at their defaults: the kernel is Toeplitz times a column scale."""
+        return self.c is None and self.d is None
 
     def c_values(self, tau):
         if self.c is None:
@@ -264,7 +275,7 @@ class AirySpec:
 
 
 AIRY_DOMAIN = 0.5          # half-width of the kernel's tau and D range
-AIRY_MAX_DIM = 8192        # cap on the kernel dimension n
+AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
 GKL_MAX_STEPS = 200        # Golub-Kahan-Lanczos step limit
 GKL_RTOL = 1e-12           # Ritz residual bound, relative to sigma_1
 _GKL_SEED = 20050          # fixed start vector: byte-deterministic norms
@@ -278,12 +289,19 @@ def airy_step_floor(lam):
 def airy_matrix_dim(spec):
     """Kernel dimension n = ceil(2 AIRY_DOMAIN / step) + 1 at step airy_step_floor(lambda).
 
-    An n above AIRY_MAX_DIM raises ValueError.
+    The complex working set must fit in AIRY_MAX_BYTES: the n x n kernel
+    when c or d is set (n <= 8192, lambda <= 2573), the
+    (2 GKL_MAX_STEPS + 1) x n Lanczos basis for the Toeplitz model kernel,
+    which is never formed (n <= 167353, lambda <= 52575).  A larger one
+    raises ValueError.
     """
     n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
-    if n > AIRY_MAX_DIM:
-        raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}, "
-                         f"which exceeds the cap {AIRY_MAX_DIM}")
+    rows = 2 * GKL_MAX_STEPS + 1 if spec.toeplitz else n
+    nbytes = 16 * rows * n
+    if nbytes > AIRY_MAX_BYTES:
+        raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}: a {rows} x {n} "
+                         f"complex working set of {nbytes} bytes, which exceeds the cap "
+                         f"{AIRY_MAX_BYTES}")
     return n
 
 
@@ -293,16 +311,43 @@ def _toeplitz(offsets):
     return np.lib.stride_tricks.sliding_window_view(offsets[::-1], n)[::-1]
 
 
-def _airy_kernel(spec, step, n):
-    """step * K(t_i, t_j) on the nodes t = -AIRY_DOMAIN + step * arange(n).
+def _toeplitz_products(offsets, column):
+    """v -> T (column v) and u -> column T^H u for T[i, j] = offsets[i - j + n - 1].
 
-    Each factor is evaluated at the shape it depends on: the cutoff
-    1 - chi(lambda^{1/3} D), (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1
-    offsets D = (i - j) step, read through the Toeplitz index i - j + n - 1;
-    c(tau) and bump(tau/s) on the n column nodes; only d(tau, D) and the
-    exponential on the n^2 entries.  With c and d at their defaults the
-    phase depends on D alone, so the kernel is one Toeplitz vector times a
-    column scale.
+    T is the leading n x n block of the circulant of side
+    m = 2^ceil(log2(2n - 1)) whose first column holds the offsets
+    i - j = 0..n-1, zeros, then i - j = 1-n..-1; a circulant is diagonal in
+    the Fourier basis, so both products cost O(m log m) (Chan & Ng, SIAM
+    Rev. 38, 1996).  Its eigenvalues are one FFT, taken here.
+    """
+    n = column.size
+    m = 1 << (2 * n - 2).bit_length()
+    first = np.zeros(m, dtype=complex)
+    first[:n] = offsets[n - 1:]
+    first[m - n + 1:] = offsets[:n - 1]
+    eig = np.fft.fft(first)
+    eig_conj = eig.conj()
+
+    def apply(v):
+        return np.fft.ifft(eig * np.fft.fft(column * v, m))[:n]
+
+    def apply_adjoint(u):
+        return column * np.fft.ifft(eig_conj * np.fft.fft(u, m))[:n]
+
+    return apply, apply_adjoint
+
+
+def _airy_kernel(spec, step, n):
+    """step * K(t_i, t_j) on the nodes t = -AIRY_DOMAIN + step * arange(n), as (A v, A^H u).
+
+    Returns the two products the Lanczos loop needs.  Each factor is
+    evaluated at the shape it depends on: the cutoff 1 - chi(lambda^{1/3} D),
+    (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1 offsets D = (i - j) step,
+    read through the Toeplitz index i - j + n - 1; c(tau) and bump(tau/s) on
+    the n column nodes; only d(tau, D) and the exponential on the n^2
+    entries.  With c and d at their defaults the phase depends on D alone,
+    so the kernel is one Toeplitz vector times a column scale, applied by
+    circulant FFT (_toeplitz_products) with no n^2 array.
     """
     tau = -AIRY_DOMAIN + step * np.arange(n)
     offsets = step * np.arange(1 - n, n)
@@ -313,9 +358,9 @@ def _airy_kernel(spec, step, n):
     weight[live] = cut[live] / np.sqrt(spec.lam * dist[live])
     weight *= bump(offsets / spec.amplitude_support)
     column = step * bump(tau / spec.amplitude_support)
-    if spec.c is None and spec.d is None:
+    if spec.toeplitz:
         phase = -dist * (1.0 - offsets**2)
-        return _toeplitz(np.exp(1j * spec.lam * phase) * weight) * column
+        return _toeplitz_products(np.exp(1j * spec.lam * phase) * weight, column)
     # lambda gamma = -lambda |D| (1 - c D^2 + d D^3), in place on one n^2 array
     delta = _toeplitz(offsets)
     gamma = 0.0 if spec.d is None else np.asarray(spec.d(tau, delta), dtype=float)
@@ -331,11 +376,13 @@ def _airy_kernel(spec, step, n):
     del gamma
     kernel *= _toeplitz(weight)
     kernel *= column
-    return kernel
+    return (lambda v: kernel @ v), (lambda u: (u.conj() @ kernel).conj())
 
 
-def _gkl_sigma1(matrix):
-    """Top singular value of `matrix` by Golub-Kahan-Lanczos bidiagonalization.
+def _gkl_sigma1(apply, apply_adjoint, n):
+    """Top singular value of an n-column operator A by Golub-Kahan-Lanczos bidiagonalization.
+
+    A enters only through apply(v) = A v and apply_adjoint(u) = A^H u.
 
     Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965).  From a fixed-seed complex
     unit vector v_1 the recurrence builds orthonormal V_k, U_k (each fully
@@ -346,9 +393,8 @@ def _gkl_sigma1(matrix):
     that is <= GKL_RTOL sigma, or a zero alpha or beta leaves an invariant
     subspace on which sigma is exact.  Returns (sigma, steps, residual); the
     residual exceeds the bound only after GKL_MAX_STEPS steps, and both are
-    NaN if the matrix has a NaN or infinite entry.
+    NaN if A has a NaN or infinite entry.
     """
-    n = matrix.shape[1]
     limit = GKL_MAX_STEPS
     rng = np.random.default_rng(_GKL_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -358,7 +404,7 @@ def _gkl_sigma1(matrix):
     alphas, betas = [], []
     beta = 0.0
     for k in range(limit):
-        p = matrix @ vs[k]
+        p = apply(vs[k])
         if k:
             p -= beta * us[k - 1]
         p = _reorthogonalize(p, us[:k])
@@ -368,7 +414,7 @@ def _gkl_sigma1(matrix):
         alphas.append(alpha)
         if alpha > 0.0:
             us[k] = p / alpha
-            r = (us[k].conj() @ matrix).conj() - alpha * vs[k]
+            r = apply_adjoint(us[k]) - alpha * vs[k]
             r = _reorthogonalize(r, vs[:k + 1])
             beta = float(np.linalg.norm(r))
         bidiag = np.diag(alphas) + np.diag(betas, 1)
@@ -392,18 +438,20 @@ def airy_operator_norm(spec):
     """Largest singular value of the discretized model kernel on [-AIRY_DOMAIN, AIRY_DOMAIN].
 
     The matrix is K(t_i, t_j) * step (midpoint discretization of the integral
-    operator at step airy_step_floor(lambda)), assembled factor by factor
+    operator at step airy_step_floor(lambda)), built factor by factor
     (_airy_kernel): offset factors on the 2n-1 offsets, column factors on
-    the n nodes, and for the default c and d the whole kernel gathered from
-    one offset vector.  Its spectral norm comes from Golub-Kahan-Lanczos
-    with full reorthogonalization (_gkl_sigma1), stopped when the Ritz
-    residual bound is <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS
-    steps do not reach it or the kernel has a non-finite entry.  ValueError
-    for a dimension above AIRY_MAX_DIM (airy_matrix_dim).
+    the n nodes.  For the default c and d it is one offset vector times a
+    column scale, applied by circulant FFT in O(n log n) per product and
+    never formed; otherwise it is assembled as an n x n array.  Its spectral
+    norm comes from Golub-Kahan-Lanczos with full reorthogonalization
+    (_gkl_sigma1), stopped when the Ritz residual bound is
+    <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS steps do not
+    reach it or the kernel has a non-finite entry.  ValueError for a
+    working set above AIRY_MAX_BYTES (airy_matrix_dim).
     """
     n = airy_matrix_dim(spec)
     step = airy_step_floor(spec.lam)
-    sigma, steps, residual = _gkl_sigma1(_airy_kernel(spec, step, n))
+    sigma, steps, residual = _gkl_sigma1(*_airy_kernel(spec, step, n), n)
     if not residual <= GKL_RTOL * sigma:  # NaN too: a non-finite kernel entry
         raise ArithmeticError(
             f"Golub-Kahan-Lanczos for lambda={spec.lam:g} stopped after {steps} steps "

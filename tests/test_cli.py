@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenrestrict import cli, geometry
+from eigenrestrict import cli, geometry, restriction
 
 _KEY = st.text(alphabet="abcdefgh-", min_size=1, max_size=8).filter(
     lambda s: s.strip("-") == s)
@@ -330,7 +330,8 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),
-    ("lambda-list", ["run", "airy", "--lambda-list", "200,5000"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "200,60000"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "200,5000", "--case", "variable"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
     ("n-list", ["run", "torus", "--n-list", "3"]),
@@ -372,10 +373,11 @@ def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli.oscillatory, "airy_operator_norm", calls.append)
     out = tmp_path / "big"
-    assert cli.main(["run", "airy", "--lambda-list", "200,5000", "--out", str(out)]) == 2
+    assert cli.main(["run", "airy", "--lambda-list", "200,60000", "--out", str(out)]) == 2
     assert calls == []
-    assert "lambda-list: lambda=5000 needs matrix dimension 15917, which exceeds the " \
-        "cap 8192" in capsys.readouterr().err
+    assert "lambda-list: lambda=60000 needs matrix dimension 190987: a 401 x 190987 " \
+        "complex working set of 1225372592 bytes, which exceeds the cap 1073741824" \
+        in capsys.readouterr().err
 
 
 def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
@@ -384,5 +386,15 @@ def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"] == {"airy_decay": "no_contract"}
     assert summary["results"]["slope"] is None
+    assert summary["results"]["fit_residual"] is None
     assert len(summary["results"]["opnorms"]) == 1
     assert "airy:airy_decay: no_contract" in capsys.readouterr().out
+
+
+def test_airy_reports_its_fit_residual(tmp_path):
+    out = tmp_path / "fit"
+    assert cli.main(["run", "airy", "--lambda-list", "200,400,800", "--out", str(out)]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    slope, _, residual = restriction.loglog_fit([200.0, 400.0, 800.0], results["opnorms"])
+    assert (results["slope"], results["fit_residual"]) == (slope, residual)
+    assert 0.0 < residual < 0.05

@@ -162,14 +162,24 @@ def test_airy_spec_validation():
         osc.airy_operator_norm(bad_c)
 
 
+@pytest.mark.parametrize("support", [0.0, math.nan, math.inf, -0.5])
+def test_airy_amplitude_support_must_be_finite_and_positive(support):
+    with pytest.raises(ValueError, match="amplitude_support must be finite and positive"):
+        osc.AirySpec(200.0, amplitude_support=support)
+
+
 def test_airy_zero_amplitude_kills_operator():
     # a zero kernel leaves an invariant subspace at once: sigma = 0 is exact
-    assert osc._gkl_sigma1(np.zeros((64, 64), dtype=complex)) == (0.0, 1, 0.0)
+    zero = np.zeros((64, 64), dtype=complex)
+    assert osc._gkl_sigma1(lambda v: zero @ v, lambda u: (u.conj() @ zero).conj(),
+                           64) == (0.0, 1, 0.0)
 
 
 def test_airy_step_and_dim_guards():
     with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(2574.0))
+        osc.airy_operator_norm(osc.AirySpec(2574.0, **_AIRY_CASES["variable"]))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        osc.airy_operator_norm(osc.AirySpec(52576.0))
 
 
 def test_airy_norm_decays_at_caustic_rate():
@@ -180,8 +190,8 @@ def test_airy_norm_decays_at_caustic_rate():
     assert -0.75 < rate < -0.55
 
 
-def _dense_airy_norm(spec):
-    """Oracle: every kernel entry from the model formula, then a dense SVD."""
+def _dense_airy_kernel(spec):
+    """Oracle: step times every kernel entry from the model formula."""
     step = osc.airy_step_floor(spec.lam)
     n = osc.airy_matrix_dim(spec)
     assert n <= 2000
@@ -195,14 +205,49 @@ def _dense_airy_norm(spec):
     gap = np.where(cut > 0.0, np.abs(delta), 1.0)
     phase = -gap * (1.0 - c * delta**2 + d * delta**3)
     kernel = np.exp(1j * spec.lam * phase) * amp * cut / np.sqrt(spec.lam * gap)
-    return float(np.linalg.svd(kernel * step, compute_uv=False)[0])
+    return kernel * step
+
+
+def _dense_airy_norm(spec):
+    return float(np.linalg.svd(_dense_airy_kernel(spec), compute_uv=False)[0])
 
 
 _AIRY_CASES = {
     "model": {},
+    "narrow": {"amplitude_support": 0.25},
     "variable": {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
                  "d": lambda tau, delta: 0.1 * np.cos(tau)},
 }
+
+
+def _relative_gap(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("support", [1.0, 0.25])
+@pytest.mark.parametrize("lam", [100.0, 400.0, 628.0])  # n = 320, 1275, 2000
+def test_airy_model_products_match_dense_kernel(lam, support):
+    spec = osc.AirySpec(lam, amplitude_support=support)
+    n = osc.airy_matrix_dim(spec)
+    kernel = _dense_airy_kernel(spec)
+    apply, apply_adjoint = osc._airy_kernel(spec, osc.airy_step_floor(lam), n)
+    rng = np.random.default_rng(n)
+    v, u = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    assert _relative_gap(apply(v), kernel @ v) <= 1e-12
+    assert _relative_gap(apply_adjoint(u), kernel.conj().T @ u) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_circulant_embedding_at_small_sizes(n):
+    rng = np.random.default_rng(n)
+    offsets = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    column = rng.uniform(0.5, 1.5, n)
+    dense = np.array([[offsets[i - j + n - 1] * column[j] for j in range(n)]
+                      for i in range(n)])
+    apply, apply_adjoint = osc._toeplitz_products(offsets, column)
+    v, u = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    assert _relative_gap(apply(v), dense @ v) <= 1e-12
+    assert _relative_gap(apply_adjoint(u), dense.conj().T @ u) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [100.0, 200.0, 400.0])
@@ -214,9 +259,10 @@ def test_airy_norm_matches_dense_svd(case, lam):
 
 
 def test_airy_norm_is_deterministic():
-    spec = osc.AirySpec(300.0, **_AIRY_CASES["variable"])
-    first = osc.airy_operator_norm(spec)
-    assert osc.airy_operator_norm(spec) == first
+    for case in ("model", "variable"):
+        spec = osc.AirySpec(300.0, **_AIRY_CASES[case])
+        first = osc.airy_operator_norm(spec)
+        assert osc.airy_operator_norm(spec) == first
 
 
 def test_airy_norm_raises_when_lanczos_stalls(monkeypatch):
@@ -233,9 +279,14 @@ def test_airy_norm_raises_on_non_finite_kernel():
 
 
 def test_airy_matrix_dim_cap():
-    assert osc.airy_matrix_dim(osc.AirySpec(2573.0)) == osc.AIRY_MAX_DIM
+    # a dense kernel may hold 8192^2 complex entries, the model's Lanczos basis as many
+    variable = _AIRY_CASES["variable"]
+    assert osc.airy_matrix_dim(osc.AirySpec(2573.0, **variable)) == 8192
     with pytest.raises(ValueError, match="lambda=2574 needs matrix dimension 8195"):
-        osc.airy_matrix_dim(osc.AirySpec(2574.0))
+        osc.airy_matrix_dim(osc.AirySpec(2574.0, **variable))
+    assert osc.airy_matrix_dim(osc.AirySpec(52575.0)) == 167353
+    with pytest.raises(ValueError, match="lambda=52576 needs matrix dimension 167356"):
+        osc.airy_matrix_dim(osc.AirySpec(52576.0))
 
 
 def test_kernel_bound_needs_two_lambdas():
