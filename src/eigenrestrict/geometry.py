@@ -1,8 +1,9 @@
 """Closed-form geometry on round unit spheres.
 
 Distances, the exponential map, arc-length parametrized closed curves
-(the equator, latitude circles, and the great 2-subsphere of S^3), and
-quadrature grids whose weights sum exactly to the measure of the target.
+(the equator, latitude circles, and the great 2-subsphere of S^3), one
+Gauss-Legendre rule, and quadrature grids whose weights sum exactly to the
+measure of the target.
 Curves sit in one standard position each, written in the coordinate basis
 e1, e2, e3 (there are no frames to rotate them).  Everything here is pure
 and immutable; downstream modules rely on these functions being
@@ -20,6 +21,11 @@ TANGENT_TOL = 1e-10
 # Central-difference step for derivative checks: truncation O(h^2) ~ 1e-10,
 # rounding ~ 1e-16/h ~ 1e-11, so deviations land comfortably below 1e-6.
 FD_STEP = 1e-5
+# Gauss-Legendre Newton: Tricomi's guesses are within 2e-3 relative in 1 - x,
+# so three steps reach 1e-12; past GL_NEWTON_TOL the next iterate is exact
+# to rounding and the weight correction's error is below 1e-20
+GL_NEWTON_TOL = 1e-10
+GL_MAX_STEPS = 8
 
 
 def as_unit_vector(coords):
@@ -211,8 +217,41 @@ class QuadratureGrid:
 
 
 def gauss_legendre(n):
-    """Nodes and weights on [-1, 1], exact for polynomials of degree 2n-1."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes (ascending) and weights on [-1, 1], exact for polynomials of degree 2n-1.
+
+    Newton's method on the three-term recurrence, from Tricomi's initial
+    guesses, for the nodes x = 1 - u >= 0 (the rest by symmetry); weights
+    2 / ((1 - x^2) P_n'(x)^2).  The iteration runs in u, with the recurrence
+    carried as P_k and D_k = P_k - P_{k-1}, so the endpoint nodes keep full
+    relative accuracy in 1 - x; there a weight moves by a relative
+    2 du / u, so a node rounded in x, not u, would shift it by ~ n^2 eps.
+    numpy's own Gauss-Legendre (a dense companion eigensolve) is off there
+    by 1e-9 at n = 530 and 3e-8 at n = 2064, and needs O(n^2) memory; this
+    rule uses O(n) memory and O(n^2) elementwise work.
+    """
+    if n < 1:
+        raise ValueError("Gauss-Legendre needs at least one node")
+    theta = math.pi * (4.0 * np.arange(1, (n + 3) // 2) - 1.0) / (4.0 * n + 2.0)
+    u = 2.0 * np.sin(0.5 * theta) ** 2 + np.cos(theta) * (
+        (n - 1.0) / (8.0 * n**3) + (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4))
+    for _ in range(GL_MAX_STEPS):
+        p, d = 1.0 - u, -u  # P_1 and D_1
+        for k in range(2, n + 1):
+            d = (k - 1.0) / k * d - (2.0 * k - 1.0) / k * (u * p)
+            p += d
+        one_minus_x2 = u * (2.0 - u)
+        dp = n * (u * p - d) / one_minus_x2  # n (P_{n-1} - x P_n) / (1 - x^2)
+        du = p / dp
+        # the weight at the updated node, to second order in du / u
+        w = 2.0 / (one_minus_x2 * dp**2) * (1.0 + 2.0 * (1.0 - u) * du / one_minus_x2)
+        u = u + du
+        if np.max(np.abs(du) / u) < GL_NEWTON_TOL:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre Newton iteration did not converge at n = {n}")
+    x = 1.0 - u
+    half = n // 2  # an odd n's middle node is listed once
+    return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
 
 
 def gauss_chebyshev2(n):
@@ -230,7 +269,8 @@ def sphere_grid(resolution):
     """Product quadrature grid on S^2 with weights summing to 4 pi.
 
     Gauss-Legendre in cos(theta) x uniform phi (resolution x 2*resolution
-    nodes), exact for harmonic polynomials of degree < 2*resolution.
+    nodes), exact for harmonic polynomials of degree < 2*resolution.  No
+    sweep uses it: it is the oracle the reduced grids are checked against.
     """
     if resolution < 4:
         raise ValueError("grid resolution must be at least 4")
@@ -248,17 +288,9 @@ def sphere_grid(resolution):
 
 
 def curve_grid(curve, n):
-    """Uniform arc-length grid on a closed curve (or product grid on the subsphere).
-
-    The subsphere grid is the S^2 grid of resolution n with a zero 4th
-    coordinate.
-    """
+    """Uniform arc-length grid on a closed 1-d curve (the subsphere raises)."""
     if n < 4:
         raise ValueError("curve grid needs at least 4 nodes")
-    if curve.kind is CurveKind.GREAT_SUBSPHERE:
-        base = sphere_grid(n)
-        nodes = np.column_stack([base.nodes, np.zeros(base.nodes.shape[0])])
-        return QuadratureGrid(nodes, base.weights)
     length = curve.length
     s = length * np.arange(n) / n
     weights = np.full(n, length / n)
@@ -293,6 +325,8 @@ def zonal_grid(dim, pole, n):
     measure; weight sums are still the full 4*pi (S^2) or 2*pi^2 (S^3).
     """
     pole = as_unit_vector(pole)
+    if pole.size != dim + 1:
+        raise ValueError(f"a pole of S^{dim} has {dim + 1} coordinates, got {pole.size}")
     if n < 4:
         raise ValueError("zonal grid needs at least 4 nodes")
     if dim == 2:
@@ -303,10 +337,25 @@ def zonal_grid(dim, pole, n):
         w = 4.0 * math.pi * w
     else:
         raise ValueError("only S^2 and S^3 are supported")
+    nodes = np.outer(t, pole) + np.outer(np.sqrt(1.0 - t**2), _normal(pole))
+    return QuadratureGrid(nodes, np.asarray(w))
+
+
+def _normal(pole):
+    """Unit normal to `pole`: its least aligned coordinate axis, orthogonalised."""
     k = int(np.argmin(np.abs(pole)))
     e = np.zeros(pole.size)
     e[k] = 1.0
-    u1 = e - pole[k] * pole
-    u1 /= np.linalg.norm(u1)
-    nodes = np.outer(t, pole) + np.outer(np.sqrt(1.0 - t**2), u1)
-    return QuadratureGrid(nodes, np.asarray(w))
+    u = e - pole[k] * pole
+    return u / np.linalg.norm(u)
+
+
+def meridian_grid(pole, n):
+    """n uniform arc-length nodes cos(s) pole + sin(s) u of the great circle
+    through `pole` and the normal u of zonal_grid's meridian; s = 0 is the pole."""
+    pole = as_unit_vector(pole)
+    if n < 4:
+        raise ValueError("meridian grid needs at least 4 nodes")
+    s = 2.0 * math.pi * np.arange(n) / n
+    nodes = np.outer(np.cos(s), pole) + np.outer(np.sin(s), _normal(pole))
+    return QuadratureGrid(nodes, np.full(n, 2.0 * math.pi / n))

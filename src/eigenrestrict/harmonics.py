@@ -263,6 +263,19 @@ class Zonal(_SphereFamily):
     def __call__(self, points):
         return eval_zonal(self.dim, self.degree, self.pole, points)
 
+    @property
+    def subsphere_axis(self):
+        """Axis in R^3 of f on the great subsphere {x4 = 0} of S^3.
+
+        There <x, pole> = <y, q> with q the pole's first three coordinates,
+        so f is zonal about q/|q|; for q = 0 it is constant and e3 serves.
+        """
+        if self.dim != 3:
+            raise ValueError(f"the great subsphere lies in S^3, not S^{self.dim}")
+        q = self.pole[:3]
+        norm = float(np.linalg.norm(q))
+        return q / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
+
 
 @dataclass(frozen=True, eq=False)
 class AssocHarmonic(_SphereFamily):
@@ -285,6 +298,13 @@ class HighestWeight(_SphereFamily):
 
     def __call__(self, points):
         return eval_highest_weight(self.dim, self.degree, points)
+
+    @property
+    def subsphere_axis(self):
+        """e3: on the great subsphere {x4 = 0}, |x1 + i x2|^2 = 1 - x3^2."""
+        if self.dim != 3:
+            raise ValueError(f"the great subsphere lies in S^3, not S^{self.dim}")
+        return np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """Smooth compactly supported profiles shared by the harmonic and kernel code."""
 
-import math
-from functools import lru_cache
-
 import numpy as np
+
+# int_{-1}^{1} bump(t) dt, correctly rounded (40-digit quadrature)
+BUMP_MASS = 1.2069003224378763
 
 
 def bump(t):
@@ -19,16 +19,9 @@ def bump(t):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=1)
-def bump_mass():
-    """int_{-1}^{1} bump(t) dt, by high-order Gauss-Legendre (frozen by caching)."""
-    t, w = np.polynomial.legendre.leggauss(200)
-    return float(np.sum(w * bump(t)))
-
-
 def unit_bump(t):
     """Bump profile rescaled to unit mass on (-1, 1)."""
-    return bump(t) / bump_mass()
+    return bump(t) / BUMP_MASS
 
 
 def _glue(u):

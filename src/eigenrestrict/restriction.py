@@ -4,10 +4,13 @@ The measurement pipeline is: evaluate a family member on a curve grid dense
 enough to resolve its oscillation (>= 20 points per wavelength), form the
 restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
-geometric ladder of degrees.  The grid size is always derived from the
-family's eigenvalue (`required_curve_points`; the subsphere resolution
-likewise); no caller picks it.  The theoretical_exponent oracle carries the
-sharp growth rates the fits are compared to.
+geometric ladder of degrees.  On the great 2-subsphere of S^3 the families'
+moduli are zonal about an axis they name (`subsphere_axis`), so the surface
+integral is one 1-d Gauss-Legendre rule along a meridian.  The grid size is
+always derived from the family's eigenvalue (`required_curve_points`; the
+subsphere resolution likewise); no caller picks it.  The
+theoretical_exponent oracle carries the sharp growth rates the fits are
+compared to.
 """
 
 import math
@@ -47,20 +50,32 @@ def lp_norm_on_curve(f, curve, p):
     lambda is read from f.eigenvalue (a ValueError when f has none).  1-d
     curves take N = max(4096, 20 lambda) nodes; p = inf takes the grid max
     over 2N nodes: the N-node grid is bit for bit its even-index subset, so
-    the one doubling already covers it.  The great subsphere uses the
-    product surface rule instead, at resolution max(64, ceil(2 lambda) + 16).
+    the one doubling already covers it.  On the great subsphere {x4 = 0} of
+    S^3, |f| is zonal about f.subsphere_axis (a ValueError when f has none):
+    the norm integrates over `zonal_grid(2, axis, n)` at n = max(64,
+    ceil(2 lambda) + 16), exact when |f|^p is a polynomial of degree
+    <= 2n - 1 in <x, axis>, and p = inf takes the max over 2N uniform
+    points of the meridian through the axis, both poles included.
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
                          "sized to resolve its oscillation")
     lam = float(f.eigenvalue)
-    if curve.kind is CurveKind.GREAT_SUBSPHERE:
-        n = max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16)
+    n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
+    if curve.kind is not CurveKind.GREAT_SUBSPHERE:
+        grid = geometry.curve_grid(curve, n)
+        return lp_norm_weighted(f(grid.nodes), grid.weights, p)
+    axis = getattr(f, "subsphere_axis", None)
+    if axis is None:
+        raise ValueError("f has no subsphere_axis attribute, so its restriction "
+                         "to the great subsphere cannot be reduced to a meridian")
+    if math.isinf(p):
+        grid = geometry.meridian_grid(axis, n)
     else:
-        n = required_curve_points(lam)
-        n = 2 * n if math.isinf(p) else n
-    grid = geometry.curve_grid(curve, n)
-    return lp_norm_weighted(f(grid.nodes), grid.weights, p)
+        grid = geometry.zonal_grid(2, axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
+    # the S^2 of span(e1, e2, e3) as the subsphere {x4 = 0} of S^3
+    nodes = np.column_stack([grid.nodes, np.zeros(grid.nodes.shape[0])])
+    return lp_norm_weighted(f(nodes), grid.weights, p)
 
 
 def l2_norm_on_manifold(f, grid):

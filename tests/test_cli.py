@@ -146,6 +146,16 @@ def test_latitude_sweeps_use_the_curved_oracle(tmp_path, curve, oracle):
     assert summary["results"]["fit"]["theoretical"] == summary["results"]["oracle"]["value"]
 
 
+def test_subsphere_sup_sweep_fits_slope_one(tmp_path):
+    # sup |f| on the subsphere grows like lambda^1 for zonal-s3
+    out = tmp_path / "sup"
+    code = cli.main(["run", "sweep", "--family", "zonal-s3", "--curve", "subsphere",
+                     "--p", "inf", "--degrees", "16:256", "--out", str(out)])
+    assert code == 0
+    fit = json.loads((out / "summary.json").read_text())["results"]["fit"]
+    assert abs(fit["slope"] - 1.0) <= 0.01
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     outs = [tmp_path / "run1", tmp_path / "nested" / "run2"]
     for out in outs:

@@ -208,12 +208,65 @@ def test_curve_grid_measures():
     eq = geo.equator()
     g = geo.curve_grid(eq, 128)
     assert math.isclose(g.total, eq.length, rel_tol=1e-13)
-    sub = geo.great_subsphere()
-    gs = geo.curve_grid(sub, 32)
-    assert math.isclose(gs.total, 4 * math.pi, rel_tol=1e-13)
-    # the S^2 grid inside R^4, padded with a zero 4th coordinate
-    assert gs.nodes.shape[1] == 4 and np.all(gs.nodes[:, 3] == 0.0)
-    assert np.array_equal(gs.nodes[:, :3], geo.sphere_grid(32).nodes)
+    # the subsphere is a surface: its norms use zonal_grid, not a curve grid
+    with pytest.raises(ValueError):
+        geo.curve_grid(geo.great_subsphere(), 32)
+
+
+def test_zonal_grid_pole_must_match_dimension():
+    with pytest.raises(ValueError, match="S\\^3 has 4 coordinates"):
+        geo.zonal_grid(3, [0.0, 0.0, 1.0], 40)
+    with pytest.raises(ValueError, match="S\\^2 has 3 coordinates"):
+        geo.zonal_grid(2, [1.0, 0.0, 0.0, 0.0], 40)
+
+
+def test_meridian_grid_runs_through_the_pole():
+    pole = np.array([0.0, 0.6, 0.8])
+    g = geo.meridian_grid(pole, 8)
+    assert math.isclose(g.total, 2 * math.pi, rel_tol=1e-15)
+    assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-15)
+    assert np.array_equal(g.nodes[0], pole)
+    assert np.allclose(g.nodes[4], -pole, atol=1e-15)
+    # <x, pole> = cos(s) along the circle
+    assert np.allclose(g.nodes @ pole, np.cos(2 * math.pi * np.arange(8) / 8), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 17, 64])
+def test_gauss_legendre_integrates_even_powers_exactly(n):
+    x, w = geo.gauss_legendre(n)
+    for k in range(n):  # degree 2k <= 2n - 1
+        got = float(np.sum(w * x ** (2 * k)))
+        assert math.isclose(got, 2.0 / (2 * k + 1), rel_tol=1e-13), (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 63, 64])
+def test_gauss_legendre_nodes_match_leggauss(n):
+    x, w = geo.gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(x - xr)) <= 4e-16
+    # leggauss's own endpoint weights are off by ~1e-12 at n = 64
+    assert np.allclose(w, wr, rtol=1e-11, atol=0.0)
+
+
+def test_gauss_legendre_endpoint_weights_at_large_n():
+    # ((1 + x)/2)^(2n-1) has degree 2n - 1 and integrates to 1/n; nearly all
+    # of it sits on the nodes closest to x = 1, so this checks those weights
+    # (leggauss is off by 4e-11 here)
+    n = 2064
+    x, w = geo.gauss_legendre(n)
+    got = float(np.sum(w * ((1.0 + x) / 2.0) ** (2 * n - 1)))
+    assert math.isclose(got, 1.0 / n, rel_tol=1e-12)
+    assert math.isclose(float(np.sum(w)), 2.0, rel_tol=1e-14)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n, want", [(530, 2.636793222802492756555892e-5),
+                                     (2064, 1.741079432234948965125192e-6)])
+def test_gauss_legendre_outermost_weight(n, want):
+    # 45-digit reference (Newton on the recurrence in mpmath); leggauss is
+    # off by 1e-9 and 3e-8 here
+    assert math.isclose(float(geo.gauss_legendre(n)[1][-1]), want, rel_tol=2e-14)
 
 
 def test_sphere_grid_rejects_tiny_resolution():

@@ -7,7 +7,7 @@ import pytest
 
 from eigenrestrict import geometry as geo
 from eigenrestrict import oscillatory as osc
-from eigenrestrict.profiles import bump, cutoff_chi, unit_bump, bump_mass
+from eigenrestrict.profiles import BUMP_MASS, bump, cutoff_chi, unit_bump
 
 
 # ----------------------------------------------------------------- profiles
@@ -22,9 +22,11 @@ def test_bump_profile():
 
 
 def test_unit_bump_mass():
-    t, w = np.polynomial.legendre.leggauss(120)
-    assert math.isclose(float(np.sum(w * unit_bump(t))), 1.0, rel_tol=1e-12)
-    assert bump_mass() < 2.0
+    # the constant against a fresh 200-node Gauss-Legendre quadrature, to a
+    # few ulp (a leggauss(200) sum is 4.6e-15 high)
+    t, w = geo.gauss_legendre(200)
+    assert math.isclose(float(np.sum(w * bump(t))), BUMP_MASS, rel_tol=2e-15)
+    assert math.isclose(float(np.sum(w * unit_bump(t))), 1.0, rel_tol=1e-14)
 
 
 def test_cutoff_chi_plateaus():

@@ -95,14 +95,68 @@ def test_curve_norm_grid_refinement_converged():
 def test_subsphere_norm_and_floor():
     sub = geo.great_subsphere()
     c = _Const()
+    c.subsphere_axis = np.array([0.0, 0.0, 1.0])  # constant: any axis serves
     # normalized measure is the full area 4 pi
     assert math.isclose(re_.lp_norm_on_curve(c, sub, 2), math.sqrt(4 * math.pi),
                         rel_tol=1e-13)
-    # at the resolution floor the product rule is already exact for |z|^2
+    # at its resolution the 1-d rule is already exact for |z|^2: doubling it
+    # changes nothing
     z = ha.Zonal(3, 50, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = geo.curve_grid(sub, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
-    fine = re_.lp_norm_weighted(z(grid.nodes), grid.weights, 2)
+    grid = geo.zonal_grid(2, z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
+    fine = re_.lp_norm_weighted(z(_pad(grid.nodes)), grid.weights, 2)
     assert math.isclose(re_.lp_norm_on_curve(z, sub, 2), fine, rel_tol=1e-12)
+    # below the floor the resolution is SUBSPHERE_FLOOR
+    small = ha.Zonal(3, 4, np.array([1.0, 0.0, 0.0, 0.0]))
+    grid = geo.zonal_grid(2, small.subsphere_axis, re_.SUBSPHERE_FLOOR)
+    want = re_.lp_norm_weighted(small(_pad(grid.nodes)), grid.weights, 4)
+    assert re_.lp_norm_on_curve(small, sub, 4) == want
+
+
+def _pad(nodes):
+    """S^2 nodes as points of the great subsphere {x4 = 0} of S^3."""
+    return np.column_stack([nodes, np.zeros(nodes.shape[0])])
+
+
+_HALF = np.array([0.5, 0.5, 0.5, 0.5])
+_E1, _E4 = np.eye(4)[0], np.eye(4)[3]
+
+
+@pytest.mark.parametrize("degree", [16, 64, 256])
+@pytest.mark.parametrize("label, family, p", [
+    ("zonal-s3-e1", lambda n: ha.Zonal(3, n, _E1), 4.0),
+    ("zonal-s3-half", lambda n: ha.Zonal(3, n, _HALF), 4.0),
+    ("zonal-s3-e4", lambda n: ha.Zonal(3, n, _E4), 4.0),  # constant: U_n(0)
+    ("hw-s3-p2", lambda n: ha.HighestWeight(3, n), 2.0),
+    ("hw-s3-p2.5", lambda n: ha.HighestWeight(3, n), 2.5),
+])
+def test_subsphere_norm_matches_the_product_grid(label, family, p, degree):
+    # the S^2 product rule at the same resolution is exact for these |f|^p
+    # (p = 2.5: the same rule in <x, e3>), whatever the axis
+    f = family(degree)
+    grid = geo.sphere_grid(max(re_.SUBSPHERE_FLOOR, int(math.ceil(2 * f.eigenvalue)) + 16))
+    want = re_.lp_norm_weighted(f(_pad(grid.nodes)), grid.weights, p)
+    got = re_.lp_norm_on_curve(f, geo.great_subsphere(), p)
+    assert math.isclose(got, want, rel_tol=1e-11)
+    assert got > 0.0
+
+
+def test_subsphere_norm_needs_an_axis():
+    with pytest.raises(ValueError, match="subsphere_axis"):
+        re_.lp_norm_on_curve(_Const(), geo.great_subsphere(), 2)
+    with pytest.raises(ValueError, match="S\\^3"):
+        re_.lp_norm_on_curve(ha.HighestWeight(2, 8), geo.great_subsphere(), 2)
+
+
+@pytest.mark.parametrize("degree", [16, 45, 256])
+def test_subsphere_sup_is_the_closed_form(degree):
+    # zonal-s3 peaks at its pole, (n+1)/sqrt(2 pi^2); highest-weight-s3 on the
+    # circle x3 = 0 of the subsphere, where |x1 + i x2| = 1.  The 2N meridian
+    # points hold both poles and, with N even, that circle too.
+    sub = geo.great_subsphere()
+    zonal = re_.lp_norm_on_curve(ha.Zonal(3, degree, _E1), sub, math.inf)
+    assert math.isclose(zonal, (degree + 1) / math.sqrt(2 * math.pi**2), rel_tol=1e-12)
+    hw = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), sub, math.inf)
+    assert math.isclose(hw, math.exp(ha.highest_weight_log_const(3, degree)), rel_tol=1e-12)
 
 
 def test_norm_monotone_in_p_after_normalizing():
