@@ -93,6 +93,9 @@ def assoc_legendre_norm(n, m, t):
     p = _diag_rescaled(int(m_arr.max()))[m] * np.ones(shape)
     p_prev = np.zeros(shape)
     offset = np.zeros(shape)
+    # |P-hat_k^0(t)| <= sqrt((2k+1)/2) on |t| <= 1, far below _BIG, so a
+    # scalar m = 0 there never rescales and skips the test
+    rescale = row or m > 0 or np.any(np.abs(t) > 1.0)
     # orders m >= k have not started at step k: their coefficients are not
     # finite, and the live mask keeps their seed in place
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,8 +109,7 @@ def assoc_legendre_norm(n, m, t):
                 p, p_prev = np.where(live, new, p), np.where(live, p, p_prev)
             else:
                 p, p_prev = new, p
-            hot = np.abs(p) > _BIG
-            if np.any(hot):
+            if rescale and np.any(hot := np.abs(p) > _BIG):
                 p = np.where(hot, p / _BIG, p)
                 p_prev = np.where(hot, p_prev / _BIG, p_prev)
                 offset = np.where(hot, offset + _LOG_BIG, offset)

@@ -213,10 +213,13 @@ _SPLIT = np.stack(np.meshgrid(np.arange(4) - 1.5, np.arange(4) - 1.5,
 
 def _roundoff(f):
     # bound on |computed f(g) - f(g)| at every node g the enclosure visits:
-    # each phase, at most 2 pi sqrt(N) in size, carries the rounding of its
-    # node's coordinates (a few eps per refinement) and of its products, the
-    # cosines and sines a few eps each, and the sums r_2 eps; all scaled by
-    # sum |c_j|.  The constants are generous on purpose.
+    # each phase, at most 2 pi sqrt(2 N) in size, carries the rounding of its
+    # node's coordinates (a few eps per refinement) and of its products.  A
+    # refined node g + h s splits its phase into the parent's <k_j, g> and
+    # the offset's h <k_j, s> (a phase under 3 h sqrt(N), rounded once), and
+    # multiplies the two exponentials and c_j: a few eps more per term.  The
+    # cosines and sines cost a few eps each and the sums r_2 eps; all scale
+    # with sum |c_j|.  The constants are generous on purpose.
     return (_EPS * float(np.sum(np.abs(f.coeffs)))
             * (64.0 * math.pi * f.eigenvalue + 4.0 * len(f.coeffs) + 32.0))
 
@@ -249,8 +252,10 @@ def _grid_stage(f, m, rho):
     sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  Grouping by
     distinct k1 about halves the inner dimension (about r_2/2) of this GEMM,
     which runs in real arithmetic on row blocks of BLOCK_BYTES.  Each block
-    keeps only the nodes above the floor set by the running max; the floor
-    only rises with it, so no node that the final floor keeps is lost.
+    is squared in place and its Im half added into its Re half; its row
+    maxima give the running max and the floor, and only rows whose maximum
+    reaches the floor are searched for nodes to keep.  The floor only rises
+    with the running max, so no node that the final floor keeps is lost.
     """
     N = f.circle_number
     h = 2.0 * math.pi / m
@@ -267,11 +272,15 @@ def _grid_stage(f, m, rho):
         cos, sin = np.cos(phase), np.sin(phase)
         reim = np.block([[cos, -sin], [sin, cos]]) @ g  # [Re f; Im f] on the block
         n = len(phase)
-        sq = reim[:n] ** 2
-        sq += reim[n:] ** 2
-        best = max(best, math.sqrt(float(sq.max())))
+        np.square(reim, out=reim)
+        sq = reim[:n]
+        sq += reim[n:]  # |f|^2 on the block
+        row_max = sq.max(axis=1)
+        best = max(best, math.sqrt(float(row_max.max())))
         floor = _bounds(best, best, h, N, rho, math.inf)[2]
-        a, b = np.nonzero(sq >= floor)
+        hit = np.flatnonzero(row_max >= floor)
+        a, b = np.nonzero(sq[hit] >= floor)
+        a = hit[a]
         kept = np.concatenate([kept[kept[:, 2] >= floor],
                                np.column_stack([x[a0 + a], x[b], sq[a, b]])])
         if len(kept) > MAX_CELLS:
@@ -279,14 +288,24 @@ def _grid_stage(f, m, rho):
     return best, kept[:, :2]
 
 
-def _abs2(f, pts):
-    # |f|^2 at the points, in chunks of BLOCK_BYTES of phase factors
-    chunk = max(1, BLOCK_BYTES // (16 * len(f.coeffs)))
-    out = np.empty(len(pts))
+def _abs2(f, pts, h):
+    """Computed |f|^2 at the 16 sub-cell centres of each cell centred at pts.
+
+    The children of a centre g are g + h s, s in _SPLIT, and
+    f(g + h s) = sum_j (c_j e^{i <k_j, g>}) e^{i h <k_j, s>}: one
+    exponential per parent and term, then one product with the 16 x r_2
+    offset matrix, taken once per level.  Parents go in chunks whose
+    phase factors and children fit in BLOCK_BYTES; the result is
+    parent-major, children in _SPLIT order.
+    """
+    freqs = f.freqs.T.astype(float)
+    offsets = (np.exp(1j * h * (_SPLIT @ freqs)) * f.coeffs).T  # r_2 x 16
+    chunk = max(1, BLOCK_BYTES // (16 * (len(f.coeffs) + len(_SPLIT))))
+    out = np.empty((len(pts), len(_SPLIT)))
     for i in range(0, len(pts), chunk):
-        vals = f(pts[i:i + chunk])
+        vals = np.exp(1j * (pts[i:i + chunk] @ freqs)) @ offsets
         out[i:i + chunk] = vals.real ** 2 + vals.imag ** 2
-    return out
+    return out.ravel()
 
 
 def grid_sup_norm(f):
@@ -306,8 +325,11 @@ def grid_sup_norm(f):
 
     The grid comes from a blocked separable GEMM (`_grid_stage`), after the
     frequencies are divided by their gcd g (which leaves the sup unchanged
-    and makes m = ceil(20 sqrt(N) / g)).  Cells that can still hold the max
-    are split 4 x 4 until hi / lo - 1 <= SUP_RTOL, which takes 7 splits.  lo is the best node value; both ends carry an
+    and makes m = ceil(20 sqrt(N) / g)), squared in place block by block.
+    Cells that can still hold the max are split 4 x 4 until
+    hi / lo - 1 <= SUP_RTOL, which takes 7 splits; the 16 children of each
+    cell cost one exponential per term and one product with the level's
+    offset phases (`_abs2`).  lo is the best node value; both ends carry an
     explicit bound on the roundoff of the computed values.  ArithmeticError
     if more than MAX_CELLS cells survive (|f| nearly flat) or MAX_DEPTH splits
     do not reach the tolerance.
@@ -332,12 +354,11 @@ def grid_sup_norm(f):
             raise _too_flat(N, 16 * len(pts))
         depth += 1
         h /= 4.0
-        pts = (pts[:, None, :] + h * _SPLIT).reshape(-1, 2)
-        sq = _abs2(f, pts)
+        sq = _abs2(f, pts, h)
         level_max = math.sqrt(float(sq.max()))
         best = max(best, level_max)
         lo, hi, floor = _bounds(best, level_max, h, N, rho, hi)
-        pts = pts[sq >= floor]
+        pts = (pts[:, None, :] + h * _SPLIT).reshape(-1, 2)[sq >= floor]
     return SupEnclosure(lo, hi, m, depth, len(pts))
 
 

@@ -147,6 +147,24 @@ def test_recurrence_stable_at_large_degree():
     assert np.max(np.abs(row)) < 1e3  # normalized values stay moderate
 
 
+def test_order_zero_is_bounded_by_its_endpoint_value():
+    # |P-hat_n^0| <= sqrt((2n+1)/2) on [-1, 1], attained at t = 1: why order
+    # 0 there never needs the large-value rescaling (the recurrence's own
+    # roundoff reaches 2e-10 relative at n = 4096)
+    t = np.cos(np.linspace(0.0, math.pi, 2001))
+    for n in (1, 64, 4096):
+        vals = ha.assoc_legendre_norm(n, 0, t)
+        bound = math.sqrt((2 * n + 1) / 2)
+        assert np.max(np.abs(vals)) <= bound * (1.0 + 1e-9)
+        assert math.isclose(vals[0], bound, rel_tol=1e-9)
+    # off [-1, 1] it grows like (3 + sqrt(8))^n at t = 3, past the rescale
+    # threshold, and still matches the Legendre series
+    want = math.sqrt(401 / 2) * np.polynomial.legendre.legval(3.0, [0.0] * 200 + [1.0])
+    assert want > 1e150
+    assert math.isclose(ha.assoc_legendre_norm(200, 0, np.array([3.0]))[0], want,
+                        rel_tol=1e-12)
+
+
 # ------------------------------------------------------------ sphere families
 
 def test_zonal_pole_value_and_norm():

@@ -153,6 +153,56 @@ def test_grid_sup_base_is_the_coarse_grid():
     assert centres == {(a, b) for a in (-1.5, -0.5, 0.5, 1.5) for b in (-1.5, -0.5, 0.5, 1.5)}
 
 
+@pytest.mark.parametrize("f", [
+    torus.random_eigenfunction(325, 3),
+    torus.random_eigenfunction(4225, 0),
+    TorusSum(np.array([[3, 4]]), np.array([1.0 + 0j])),  # |f| = 1: every node is kept
+], ids=["325", "4225", "one-frequency"])
+def test_grid_stage_is_independent_of_block_size(f, monkeypatch):
+    # the running max and floor only rise block by block, so blocks of one
+    # row or a few rows give the default blocks' max and kept set, bit for bit
+    m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    rho = torus._roundoff(f)
+    best, kept = torus._grid_stage(f, m, rho)
+    assert torus.BLOCK_BYTES // (16 * m) > 3
+    for rows in (1, 3):
+        monkeypatch.setattr(torus, "BLOCK_BYTES", 16 * m * rows)
+        b, k = torus._grid_stage(f, m, rho)
+        assert b == best
+        np.testing.assert_array_equal(k, kept)
+    if len(f.coeffs) == 1:
+        assert len(kept) == m * m
+
+
+@pytest.mark.parametrize("N", [25, 4225])
+def test_refined_children_match_direct_evaluation(N, monkeypatch):
+    # _abs2 splits each child's phase into its parent's and its offset's;
+    # direct evaluation at the children agrees within the roundoff bound,
+    # at every depth, and with parents spread over many chunks
+    f = torus.random_eigenfunction(N, 2)
+    rho = torus._roundoff(f)
+    pts = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=(300, 2))
+    h0 = 2.0 * math.pi / math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    for depth in (1, 4, 7):
+        h = h0 / 4.0 ** depth
+        children = (pts[:, None, :] + h * torus._SPLIT).reshape(-1, 2)
+        direct = np.abs(f(children))
+        for block_bytes in (torus.BLOCK_BYTES, 16 * 50 * (len(f.coeffs) + 16)):
+            monkeypatch.setattr(torus, "BLOCK_BYTES", block_bytes)
+            split = np.sqrt(torus._abs2(f, pts, h))
+            assert split.shape == direct.shape
+            assert np.max(np.abs(split - direct)) <= rho, (N, depth, block_bytes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_prime_circle_certifies(seed):
+    # the prime 30013 has r_2 = 8: |f| is flat over wide regions, so many
+    # cells reach the refinement, and the enclosure still closes
+    sup = torus.grid_sup_norm(torus.random_eigenfunction(30013, seed))
+    assert sup.depth == 7 and sup.width <= torus.SUP_RTOL
+    assert 0.0 < sup.lo <= sup.hi <= math.sqrt(8)
+
+
 def test_grid_sup_underresolved_error():
     # one frequency: |f| is constant, every cell could hold the max, and
     # the enclosure refuses instead of refining the whole torus
