@@ -313,7 +313,11 @@ def _run_airy(cfg):
     slope = fit_residual = None
     if len(lams) > 1:
         slope, _, fit_residual = restriction.loglog_fit(lams, norms)
-    results = {"case": case, "opnorms": norms, "slope": slope, "fit_residual": fit_residual,
+    # the Lanczos step count and final Ritz residual back each norm
+    results = {"case": case, "opnorms": [float(v) for v in norms],
+               "lanczos_steps": [v.steps for v in norms],
+               "ritz_residuals": [v.residual for v in norms],
+               "slope": slope, "fit_residual": fit_residual,
                "theoretical": -2.0 / 3.0, "tolerance": tolerance}
     if tolerance is None or slope is None:
         verdict = "no_contract"

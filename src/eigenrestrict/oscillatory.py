@@ -19,14 +19,16 @@ Four numerical experiments live here:
   factors (on the 2n-1 offsets i - j) and column factors (on the n nodes).
   With c and d at their defaults it is a Toeplitz matrix times a column
   scale, applied by FFT on a circulant embedding and never formed; otherwise
-  it is assembled densely.  Its top singular value comes from
-  Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization,
-  stopped by the Ritz residual bound, with no dense SVD.
+  it is assembled densely, in row panels on a thread pool.  Its top
+  singular value comes from Hermitian Lanczos on A^H A with full
+  reorthogonalization against one basis, stopped by the Ritz residual
+  bound, with no dense SVD.
 
 psi_r(x, w) = -d(x, exp_center(r w)) throughout, with r the polar radius.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,11 +243,14 @@ class AirySpec:
     the kernel vanishes identically near the diagonal.  The amplitude is the
     product bump a = bump(tau/s) bump(D/s) with s = amplitude_support, on
     tau, D in [-AIRY_DOMAIN, AIRY_DOMAIN]; s must be finite and positive.
-    c is evaluated on the grid nodes tau; d on the whole (tau, D) grid, the
-    vanishing diagonal band included, so it must be finite there.  With c
-    and d both None (the model case, `toeplitz`) the phase depends on D
-    alone, so for any s the kernel is a Toeplitz matrix times a column
-    scale and is applied without being formed.
+    c is evaluated once on the grid nodes tau.  d is evaluated one row panel
+    at a time, as d(tau, D) with tau the n grid nodes and D a block of rows
+    of the offset grid, possibly on several threads at once: it must act
+    elementwise, broadcasting in (tau, D), and be finite on the whole grid,
+    the vanishing diagonal band included.  With c and d both None (the model
+    case, `toeplitz`) the phase depends on D alone, so for any s the kernel
+    is a Toeplitz matrix times a column scale and is applied without being
+    formed.
     """
 
     lam: float
@@ -276,9 +281,11 @@ class AirySpec:
 
 AIRY_DOMAIN = 0.5          # half-width of the kernel's tau and D range
 AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
-GKL_MAX_STEPS = 200        # Golub-Kahan-Lanczos step limit
-GKL_RTOL = 1e-12           # Ritz residual bound, relative to sigma_1
-_GKL_SEED = 20050          # fixed start vector: byte-deterministic norms
+LANCZOS_MAX_STEPS = 200    # Lanczos step limit
+LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
+_LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms
+_FFT_BUFFERS = 6           # length-m complex arrays: eig, its conjugate, one A^H A product
+_PANEL_ROWS = 64           # dense-kernel rows built per thread-pool task
 
 
 def airy_step_floor(lam):
@@ -290,17 +297,23 @@ def airy_matrix_dim(spec):
     """Kernel dimension n = ceil(2 AIRY_DOMAIN / step) + 1 at step airy_step_floor(lambda).
 
     The complex working set must fit in AIRY_MAX_BYTES: the n x n kernel
-    when c or d is set (n <= 8192, lambda <= 2573), the
-    (2 GKL_MAX_STEPS + 1) x n Lanczos basis for the Toeplitz model kernel,
-    which is never formed (n <= 167353, lambda <= 52575).  A larger one
-    raises ValueError.
+    when c or d is set (n <= 8192, lambda <= 2573); for the Toeplitz model
+    kernel, which is never formed, the (LANCZOS_MAX_STEPS + 1) x n Lanczos
+    basis plus _FFT_BUFFERS circulant arrays of length m = 2^ceil(log2(2n - 1))
+    (n <= 302574, lambda <= 95056).  A larger one raises ValueError.
     """
     n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
-    rows = 2 * GKL_MAX_STEPS + 1 if spec.toeplitz else n
-    nbytes = 16 * rows * n
+    if spec.toeplitz:
+        m = 1 << (2 * n - 2).bit_length()
+        held = (f"a {LANCZOS_MAX_STEPS + 1} x {n} Lanczos basis and "
+                f"{_FFT_BUFFERS} x {m} FFT buffers")
+        nbytes = 16 * ((LANCZOS_MAX_STEPS + 1) * n + _FFT_BUFFERS * m)
+    else:
+        held = f"a {n} x {n} kernel"
+        nbytes = 16 * n * n
     if nbytes > AIRY_MAX_BYTES:
-        raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}: a {rows} x {n} "
-                         f"complex working set of {nbytes} bytes, which exceeds the cap "
+        raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}: {held}, a complex "
+                         f"working set of {nbytes} bytes, which exceeds the cap "
                          f"{AIRY_MAX_BYTES}")
     return n
 
@@ -340,14 +353,15 @@ def _toeplitz_products(offsets, column):
 def _airy_kernel(spec, step, n):
     """step * K(t_i, t_j) on the nodes t = -AIRY_DOMAIN + step * arange(n), as (A v, A^H u).
 
-    Returns the two products the Lanczos loop needs.  Each factor is
+    Returns the two products the Lanczos loop composes.  Each factor is
     evaluated at the shape it depends on: the cutoff 1 - chi(lambda^{1/3} D),
     (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1 offsets D = (i - j) step,
     read through the Toeplitz index i - j + n - 1; c(tau) and bump(tau/s) on
     the n column nodes; only d(tau, D) and the exponential on the n^2
-    entries.  With c and d at their defaults the phase depends on D alone,
-    so the kernel is one Toeplitz vector times a column scale, applied by
-    circulant FFT (_toeplitz_products) with no n^2 array.
+    entries, one row panel at a time (_dense_kernel).  With c and d at their
+    defaults the phase depends on D alone, so the kernel is one Toeplitz
+    vector times a column scale, applied by circulant FFT
+    (_toeplitz_products) with no n^2 array.
     """
     tau = -AIRY_DOMAIN + step * np.arange(n)
     offsets = step * np.arange(1 - n, n)
@@ -361,77 +375,125 @@ def _airy_kernel(spec, step, n):
     if spec.toeplitz:
         phase = -dist * (1.0 - offsets**2)
         return _toeplitz_products(np.exp(1j * spec.lam * phase) * weight, column)
-    # lambda gamma = -lambda |D| (1 - c D^2 + d D^3), in place on one n^2 array
-    delta = _toeplitz(offsets)
-    gamma = 0.0 if spec.d is None else np.asarray(spec.d(tau, delta), dtype=float)
-    gamma = gamma * delta
-    gamma -= spec.c_values(tau)
-    gamma *= delta
-    gamma *= delta
-    gamma += 1.0
-    gamma *= _toeplitz(-spec.lam * dist)
-    kernel = np.empty(gamma.shape, dtype=complex)
-    np.cos(gamma, out=kernel.real)
-    np.sin(gamma, out=kernel.imag)
-    del gamma
-    kernel *= _toeplitz(weight)
-    kernel *= column
+    kernel = _dense_kernel(spec, tau, offsets, weight, column)
     return (lambda v: kernel @ v), (lambda u: (u.conj() @ kernel).conj())
 
 
-def _gkl_sigma1(apply, apply_adjoint, n):
-    """Top singular value of an n-column operator A by Golub-Kahan-Lanczos bidiagonalization.
+def _usable_cores():
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    A enters only through apply(v) = A v and apply_adjoint(u) = A^H u.
 
-    Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965).  From a fixed-seed complex
-    unit vector v_1 the recurrence builds orthonormal V_k, U_k (each fully
-    reorthogonalized, twice) with A V_k = U_k B_k and
-    A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T, B_k upper bidiagonal.  If
-    (sigma, x, y) is the top singular triplet of B_k, the Ritz pair
-    (U_k x, V_k y) has residual beta_k |e_k^T x|; the iteration stops once
-    that is <= GKL_RTOL sigma, or a zero alpha or beta leaves an invariant
-    subspace on which sigma is exact.  Returns (sigma, steps, residual); the
-    residual exceeds the bound only after GKL_MAX_STEPS steps, and both are
-    NaN if A has a NaN or infinite entry.
+def _dense_kernel(spec, tau, offsets, weight, column):
+    """The n x n kernel for c or d set, filled in row panels of _PANEL_ROWS rows.
+
+    Each panel evaluates lambda gamma = -lambda |D| (1 - c D^2 + d D^3) in
+    place on one panel-sized array, writes its cosine and sine straight into
+    the kernel's real and imaginary parts, then scales by the offset weight
+    and the column factor; no n^2 float array is ever live.  Panels write
+    disjoint rows with elementwise operations, so the kernel has the same
+    bits for any panel height and thread count.  They run on a thread pool
+    of _usable_cores() workers (numpy's ufuncs release the GIL); c(tau) is
+    evaluated once, here, and the workers call only numpy and spec.d.
     """
-    limit = GKL_MAX_STEPS
-    rng = np.random.default_rng(_GKL_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vs = np.empty((limit + 1, n), dtype=complex)
-    us = np.empty((limit, n), dtype=complex)
-    vs[0] = v / np.linalg.norm(v)
-    alphas, betas = [], []
-    beta = 0.0
+    from concurrent.futures import ThreadPoolExecutor  # on first use, like numpy.fft
+
+    n = tau.size
+    delta = _toeplitz(offsets)
+    scale = _toeplitz(-spec.lam * np.abs(offsets))
+    spread = _toeplitz(weight)
+    c = spec.c_values(tau)
+    kernel = np.empty((n, n), dtype=complex)
+
+    def fill(start):
+        rows = slice(start, start + _PANEL_ROWS)
+        gamma = 0.0 if spec.d is None else np.asarray(spec.d(tau, delta[rows]), dtype=float)
+        gamma = gamma * delta[rows]
+        gamma -= c
+        gamma *= delta[rows]
+        gamma *= delta[rows]
+        gamma += 1.0
+        gamma *= scale[rows]
+        panel = kernel[rows]
+        np.cos(gamma, out=panel.real)
+        np.sin(gamma, out=panel.imag)
+        panel *= spread[rows]
+        panel *= column
+
+    starts = range(0, n, _PANEL_ROWS)
+    with ThreadPoolExecutor(min(_usable_cores(), len(starts))) as pool:
+        list(pool.map(fill, starts))  # re-raises a panel's exception here
+    return kernel
+
+
+def _lanczos_sigma1(normal, n):
+    """Top singular value of an n-column operator A by Hermitian Lanczos on A^H A.
+
+    A enters only through normal(v) = A^H (A v).  From a fixed-seed complex
+    unit vector q_1 the recurrence builds one orthonormal basis Q_k (each new
+    vector fully reorthogonalized against it, twice) with
+    A^H A Q_k = Q_k T_k + beta_k q_{k+1} e_k^T, T_k real symmetric
+    tridiagonal (Lanczos, J. Res. Nat. Bur. Standards 45, 1950).  If
+    (theta, s) is the top eigenpair of T_k, sigma = sqrt(theta) and the Ritz
+    vector Q_k s has residual beta_k |e_k^T s| in A^H A.  Divided by sigma
+    this is the Ritz residual of Golub-Kahan bidiagonalization from the same
+    start (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965), which spans the
+    same Krylov space with two bases: its beta_k alpha_k is this beta_k, and
+    alpha_k y_k = sigma x_k for the top singular triplet of its bidiagonal.
+    The iteration stops once that residual is <= LANCZOS_RTOL sigma, or a
+    zero beta leaves an invariant subspace on which sigma is exact.  Returns
+    (sigma, steps, residual); the residual exceeds the bound only after
+    LANCZOS_MAX_STEPS steps, and both are NaN if A has a NaN or infinite
+    entry.
+    """
+    limit = LANCZOS_MAX_STEPS
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = np.empty((limit + 1, n), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
+    tridiag = np.zeros((limit + 1, limit + 1))
     for k in range(limit):
-        p = apply(vs[k])
-        if k:
-            p -= beta * us[k - 1]
-        p = _reorthogonalize(p, us[:k])
-        alpha = float(np.linalg.norm(p))
-        if not math.isfinite(alpha):  # a NaN or inf entry reaches p at once
+        w = normal(basis[k])
+        alpha = float(np.vdot(basis[k], w).real)
+        if not math.isfinite(alpha):  # a NaN or inf entry reaches w at once
             return math.nan, k + 1, math.nan
-        alphas.append(alpha)
-        if alpha > 0.0:
-            us[k] = p / alpha
-            r = apply_adjoint(us[k]) - alpha * vs[k]
-            r = _reorthogonalize(r, vs[:k + 1])
-            beta = float(np.linalg.norm(r))
-        bidiag = np.diag(alphas) + np.diag(betas, 1)
-        left, sv, _ = np.linalg.svd(bidiag)
-        residual = beta * float(abs(left[-1, 0])) if alpha > 0.0 else 0.0
-        if residual <= GKL_RTOL * sv[0]:
-            return float(sv[0]), k + 1, residual
-        betas.append(beta)
-        vs[k + 1] = r / beta
-    return float(sv[0]), limit, residual
+        tridiag[k, k] = alpha
+        w = _reorthogonalize(w, basis[:k + 1])
+        beta = float(np.linalg.norm(w))
+        thetas, vecs = np.linalg.eigh(tridiag[:k + 1, :k + 1])
+        sigma = math.sqrt(max(float(thetas[-1]), 0.0))
+        if beta == 0.0:
+            return sigma, k + 1, 0.0
+        residual = beta * float(abs(vecs[-1, -1])) / sigma if sigma > 0.0 else math.inf
+        if residual <= LANCZOS_RTOL * sigma:
+            return sigma, k + 1, residual
+        tridiag[k, k + 1] = tridiag[k + 1, k] = beta
+        basis[k + 1] = w / beta
+    return sigma, limit, residual
 
 
 def _reorthogonalize(w, basis):
     """w minus its projection on the orthonormal rows of basis, applied twice."""
     for _ in range(2):
-        w = w - (basis.conj() @ w) @ basis
+        w = w - (basis @ w.conj()).conj() @ basis
     return w
+
+
+class AiryNorm(float):
+    """sigma_1 of the Airy kernel: a float that also carries its Lanczos diagnostics.
+
+    `steps` is the number of Lanczos steps taken and `residual` the final
+    Ritz residual bound, <= LANCZOS_RTOL * sigma_1.
+    """
+
+    def __new__(cls, sigma, steps, residual):
+        norm = super().__new__(cls, sigma)
+        norm.steps = steps
+        norm.residual = residual
+        return norm
 
 
 def airy_operator_norm(spec):
@@ -442,18 +504,19 @@ def airy_operator_norm(spec):
     (_airy_kernel): offset factors on the 2n-1 offsets, column factors on
     the n nodes.  For the default c and d it is one offset vector times a
     column scale, applied by circulant FFT in O(n log n) per product and
-    never formed; otherwise it is assembled as an n x n array.  Its spectral
-    norm comes from Golub-Kahan-Lanczos with full reorthogonalization
-    (_gkl_sigma1), stopped when the Ritz residual bound is
-    <= GKL_RTOL sigma_1; ArithmeticError if GKL_MAX_STEPS steps do not
-    reach it or the kernel has a non-finite entry.  ValueError for a
-    working set above AIRY_MAX_BYTES (airy_matrix_dim).
+    never formed; otherwise it is assembled as an n x n array in row panels.
+    Its spectral norm comes from Lanczos on A^H A with full
+    reorthogonalization (_lanczos_sigma1), stopped when the Ritz residual
+    bound is <= LANCZOS_RTOL sigma_1; ArithmeticError if LANCZOS_MAX_STEPS
+    steps do not reach it or the kernel has a non-finite entry.  ValueError
+    for a working set above AIRY_MAX_BYTES (airy_matrix_dim).  Returns an
+    AiryNorm: sigma_1 with the step count and residual that back it.
     """
     n = airy_matrix_dim(spec)
-    step = airy_step_floor(spec.lam)
-    sigma, steps, residual = _gkl_sigma1(*_airy_kernel(spec, step, n), n)
-    if not residual <= GKL_RTOL * sigma:  # NaN too: a non-finite kernel entry
+    apply, apply_adjoint = _airy_kernel(spec, airy_step_floor(spec.lam), n)
+    sigma, steps, residual = _lanczos_sigma1(lambda v: apply_adjoint(apply(v)), n)
+    if not residual <= LANCZOS_RTOL * sigma:  # NaN too: a non-finite kernel entry
         raise ArithmeticError(
-            f"Golub-Kahan-Lanczos for lambda={spec.lam:g} stopped after {steps} steps "
-            f"with Ritz residual {residual:.3g} > {GKL_RTOL:g} sigma_1 = {sigma:.6g}")
-    return sigma
+            f"Lanczos for lambda={spec.lam:g} stopped after {steps} steps "
+            f"with Ritz residual {residual:.3g} > {LANCZOS_RTOL:g} sigma_1 = {sigma:.6g}")
+    return AiryNorm(sigma, steps, residual)

@@ -61,26 +61,30 @@ class CircleRepresentations:
 def representations(N):
     """Exhaustive scan for integer solutions of m^2 + n^2 = N.
 
-    Walks m over [-isqrt(N), isqrt(N)] and tests N - m^2 for squareness with
-    exact integer arithmetic, so the list is complete by construction.
+    Takes every m in [-isqrt(N), isqrt(N)] at once and tests N - m^2 for
+    squareness with exact integer arithmetic on its truncated float root; a
+    perfect square below 2^53 has an exactly computed float root, so the
+    list is complete by construction (N >= 2^53 raises ValueError).  Rows
+    run m ascending, (m, n) before (m, -n).
     """
     N = int(N)
     if N < 0:
         raise ValueError("N must be a nonnegative integer")
+    if N >= 1 << 53:
+        raise ValueError("N must be below 2^53 for the exact square test")
     if N == 0:
         return CircleRepresentations(0, np.zeros((1, 2), dtype=np.int64),
                                      degenerate=True)
-    pts = []
-    for m in range(-math.isqrt(N), math.isqrt(N) + 1):
-        rem = N - m * m
-        n = math.isqrt(rem)
-        if n * n == rem:
-            pts.append((m, n))
-            if n > 0:
-                pts.append((m, -n))
-    if not pts:
-        return CircleRepresentations(N, np.zeros((0, 2), dtype=np.int64))
-    return CircleRepresentations(N, np.array(pts, dtype=np.int64))
+    s = math.isqrt(N)
+    m = np.arange(-s, s + 1, dtype=np.int64)
+    rem = N - m * m
+    n = np.sqrt(rem).astype(np.int64)
+    hit = n * n == rem
+    m, n = m[hit], n[hit]
+    pts = np.column_stack([m, n, m, -n]).reshape(-1, 2)
+    keep = np.repeat(n > 0, 2)  # one row (m, 0) where n = 0
+    keep[::2] = True
+    return CircleRepresentations(N, pts[keep])
 
 
 def r2_table(n_max):

@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenrestrict import cli, geometry, restriction
+from eigenrestrict import cli, geometry, oscillatory, restriction
 
 _KEY = st.text(alphabet="abcdefgh-", min_size=1, max_size=8).filter(
     lambda s: s.strip("-") == s)
@@ -340,7 +343,7 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),
-    ("lambda-list", ["run", "airy", "--lambda-list", "200,60000"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "200,100000"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,5000", "--case", "variable"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
@@ -383,11 +386,11 @@ def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli.oscillatory, "airy_operator_norm", calls.append)
     out = tmp_path / "big"
-    assert cli.main(["run", "airy", "--lambda-list", "200,60000", "--out", str(out)]) == 2
+    assert cli.main(["run", "airy", "--lambda-list", "200,100000", "--out", str(out)]) == 2
     assert calls == []
-    assert "lambda-list: lambda=60000 needs matrix dimension 190987: a 401 x 190987 " \
-        "complex working set of 1225372592 bytes, which exceeds the cap 1073741824" \
-        in capsys.readouterr().err
+    assert "lambda-list: lambda=100000 needs matrix dimension 318311: a 201 x 318311 " \
+        "Lanczos basis and 6 x 1048576 FFT buffers, a complex working set of 1124351472 " \
+        "bytes, which exceeds the cap 1073741824" in capsys.readouterr().err
 
 
 def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
@@ -408,3 +411,30 @@ def test_airy_reports_its_fit_residual(tmp_path):
     slope, _, residual = restriction.loglog_fit([200.0, 400.0, 800.0], results["opnorms"])
     assert (results["slope"], results["fit_residual"]) == (slope, residual)
     assert 0.0 < residual < 0.05
+
+
+# the Golub-Kahan bidiagonalization from the same start stops at these steps:
+# its Ritz residual is the stop quantity of Lanczos on A^H A
+@pytest.mark.parametrize("case,steps", [("model", [28, 34]), ("variable", [25, 29])])
+def test_airy_reports_lanczos_diagnostics(tmp_path, case, steps):
+    out = tmp_path / case
+    assert cli.main(["run", "airy", "--lambda-list", "200,400", "--case", case,
+                     "--out", str(out)]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    norms = results["opnorms"]
+    assert results["lanczos_steps"] == steps
+    assert len(results["ritz_residuals"]) == len(norms) == 2
+    for norm, residual in zip(norms, results["ritz_residuals"]):
+        assert 0.0 <= residual <= oscillatory.LANCZOS_RTOL * norm
+
+
+def test_cli_import_leaves_thread_pool_and_fft_unloaded():
+    # both load on first use, so a run that never needs them pays nothing
+    code = ("import sys, eigenrestrict.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'concurrent' or m.startswith('numpy.fft')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"

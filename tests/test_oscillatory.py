@@ -1,6 +1,7 @@
 """Kernel decay, stationary directions, phase expansion, Airy model operator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -173,15 +174,14 @@ def test_airy_amplitude_support_must_be_finite_and_positive(support):
 def test_airy_zero_amplitude_kills_operator():
     # a zero kernel leaves an invariant subspace at once: sigma = 0 is exact
     zero = np.zeros((64, 64), dtype=complex)
-    assert osc._gkl_sigma1(lambda v: zero @ v, lambda u: (u.conj() @ zero).conj(),
-                           64) == (0.0, 1, 0.0)
+    assert osc._lanczos_sigma1(lambda v: zero.conj().T @ (zero @ v), 64) == (0.0, 1, 0.0)
 
 
 def test_airy_step_and_dim_guards():
     with pytest.raises(ValueError, match="exceeds the cap"):
         osc.airy_operator_norm(osc.AirySpec(2574.0, **_AIRY_CASES["variable"]))
     with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(52576.0))
+        osc.airy_operator_norm(osc.AirySpec(95057.0))
 
 
 def test_airy_norm_decays_at_caustic_rate():
@@ -239,6 +239,61 @@ def test_airy_model_products_match_dense_kernel(lam, support):
     assert _relative_gap(apply_adjoint(u), kernel.conj().T @ u) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [100.0, 400.0, 628.0])  # n = 320, 1275, 2000
+def test_airy_variable_products_match_dense_kernel(lam):
+    spec = osc.AirySpec(lam, **_AIRY_CASES["variable"])
+    n = osc.airy_matrix_dim(spec)
+    kernel = _dense_airy_kernel(spec)
+    apply, apply_adjoint = osc._airy_kernel(spec, osc.airy_step_floor(lam), n)
+    rng = np.random.default_rng(n)
+    v, u = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    assert _relative_gap(apply(v), kernel @ v) <= 1e-12
+    assert _relative_gap(apply_adjoint(u), kernel.conj().T @ u) <= 1e-12
+
+
+def _variable_kernel(lam):
+    """The dense variable kernel, read back exactly: K e_j = K[:, j] with no roundoff."""
+    spec = osc.AirySpec(lam, **_AIRY_CASES["variable"])
+    n = osc.airy_matrix_dim(spec)
+    apply, _ = osc._airy_kernel(spec, osc.airy_step_floor(lam), n)
+    return apply(np.eye(n, dtype=complex))
+
+
+def test_airy_panel_build_is_independent_of_panels_and_threads(monkeypatch):
+    reference = _variable_kernel(200.0)  # n = 638: ten panels of 64 rows
+    n = reference.shape[0]
+    # the last pair runs more workers than cores, switching threads often
+    switch = sys.getswitchinterval()
+    try:
+        for rows, cores in ((1, 2), (7, 2), (n, 2), (osc._PANEL_ROWS, 1), (7, 8)):
+            monkeypatch.setattr(osc, "_PANEL_ROWS", rows)
+            monkeypatch.setattr(osc, "_usable_cores", lambda: cores)
+            sys.setswitchinterval(1e-6 if cores > 2 else switch)
+            kernel = _variable_kernel(200.0)
+            assert kernel.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_airy_panel_build_reraises_a_failing_d():
+    def d(tau, delta):
+        if np.any(delta > 0.4):
+            raise RuntimeError("d failed on a late panel")
+        return 0.0 * delta
+    with pytest.raises(RuntimeError, match="late panel"):
+        osc.airy_operator_norm(osc.AirySpec(200.0, d=d))
+
+
+def test_lanczos_sigma1_matches_dense_svd():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((200, 150)) + 1j * rng.standard_normal((200, 150))
+    sigma, steps, residual = osc._lanczos_sigma1(lambda v: a.conj().T @ (a @ v), 150)
+    reference = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert abs(sigma - reference) <= 1e-13 * reference
+    assert 1 <= steps <= osc.LANCZOS_MAX_STEPS
+    assert residual <= osc.LANCZOS_RTOL * sigma
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
 def test_circulant_embedding_at_small_sizes(n):
     rng = np.random.default_rng(n)
@@ -268,7 +323,7 @@ def test_airy_norm_is_deterministic():
 
 
 def test_airy_norm_raises_when_lanczos_stalls(monkeypatch):
-    monkeypatch.setattr(osc, "GKL_MAX_STEPS", 2)
+    monkeypatch.setattr(osc, "LANCZOS_MAX_STEPS", 2)
     with pytest.raises(ArithmeticError, match=r"lambda=200 stopped after 2 steps"):
         osc.airy_operator_norm(osc.AirySpec(lam=200.0))
 
@@ -281,14 +336,15 @@ def test_airy_norm_raises_on_non_finite_kernel():
 
 
 def test_airy_matrix_dim_cap():
-    # a dense kernel may hold 8192^2 complex entries, the model's Lanczos basis as many
+    # a dense kernel may hold 8192^2 complex entries, the model's Lanczos basis
+    # and FFT buffers as many
     variable = _AIRY_CASES["variable"]
     assert osc.airy_matrix_dim(osc.AirySpec(2573.0, **variable)) == 8192
     with pytest.raises(ValueError, match="lambda=2574 needs matrix dimension 8195"):
         osc.airy_matrix_dim(osc.AirySpec(2574.0, **variable))
-    assert osc.airy_matrix_dim(osc.AirySpec(52575.0)) == 167353
-    with pytest.raises(ValueError, match="lambda=52576 needs matrix dimension 167356"):
-        osc.airy_matrix_dim(osc.AirySpec(52576.0))
+    assert osc.airy_matrix_dim(osc.AirySpec(95056.0)) == 302574
+    with pytest.raises(ValueError, match="lambda=95057 needs matrix dimension 302577"):
+        osc.airy_matrix_dim(osc.AirySpec(95057.0))
 
 
 def test_kernel_bound_needs_two_lambdas():

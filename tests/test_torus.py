@@ -35,6 +35,27 @@ def test_representations_edge_cases():
         torus.representations(-4)
 
 
+def _loop_representations(N):
+    pts = []
+    for m in range(-math.isqrt(N), math.isqrt(N) + 1):
+        n = math.isqrt(N - m * m)
+        if n * n == N - m * m:
+            pts += [(m, n), (m, -n)] if n else [(m, 0)]
+    return pts
+
+
+@pytest.mark.parametrize("N", [1, 3, 25, 65, 4225, 99999, 10**7, 10**7 - 3, 5**16])
+def test_vectorized_scan_rows_follow_the_integer_loop(N):
+    # m ascending, (m, n) before (m, -n), one row (m, 0) on the axes
+    assert torus.representations(N).points.tolist() == [list(p) for p in
+                                                        _loop_representations(N)]
+
+
+def test_representations_reject_n_past_exact_square_test():
+    with pytest.raises(ValueError, match="below 2"):
+        torus.representations(2**53)
+
+
 def test_scan_matches_sieve():
     table = torus.r2_table(2000)
     for N in range(2000 + 1):
