@@ -7,14 +7,13 @@ oscillatory-integral machinery (kernel decay, phase expansions, the caustic
 model operator) behind them.
 """
 
-from .geometry import (CurveKind, CurveSpec, QuadratureGrid, curve_grid,
-                       equator, exp_map, great_subsphere, latitude_circle,
-                       sphere_distance, sphere_grid)
+from .geometry import (GreatSubsphere, LatitudeCircle, QuadratureGrid,
+                       curve_grid, equator, exp_map, great_subsphere,
+                       latitude_circle, sphere_distance, sphere_grid)
 from .harmonics import (AssocHarmonic, Averaged, HighestWeight, TorusSum,
                         Zonal, eigenvalue)
-from .oscillatory import (AirySpec, KernelSpec, airy_operator_norm,
-                          critical_points, phase_expansion_fit,
-                          verify_kernel_bound)
+from .oscillatory import (AirySpec, airy_operator_norm, critical_points,
+                          phase_expansion_fit, verify_kernel_bound)
 from .restriction import (ExponentFit, NormSample, envelope_check,
                           fit_exponent, geometric_degrees, lp_norm_on_curve,
                           sweep, theoretical_exponent, turning_point_sweep)
@@ -22,8 +21,8 @@ from .torus import (divisor_growth, r2_table, random_eigenfunction,
                     representations, verify_linfty_bound)
 
 __all__ = [
-    "AirySpec", "AssocHarmonic", "Averaged", "CurveKind", "CurveSpec",
-    "ExponentFit", "HighestWeight", "KernelSpec", "NormSample",
+    "AirySpec", "AssocHarmonic", "Averaged", "ExponentFit",
+    "GreatSubsphere", "HighestWeight", "LatitudeCircle", "NormSample",
     "QuadratureGrid", "TorusSum", "Zonal", "airy_operator_norm",
     "critical_points", "curve_grid", "divisor_growth", "eigenvalue",
     "envelope_check", "equator", "exp_map", "fit_exponent",

@@ -227,11 +227,8 @@ def _run_sweep(cfg):
         raise ConfigError(f"family: {exc}") from None
 
     samples = restriction.sweep(factory, curve, cfg["p"], degrees)
-    k = 2 if curve.kind is geometry.CurveKind.GREAT_SUBSPHERE else 1
-    # latitude circles off the equator have non-vanishing geodesic curvature
-    curved = (curve.kind is geometry.CurveKind.LATITUDE_CIRCLE
-              and not math.isclose(curve.colatitude, math.pi / 2))
-    oracle = restriction.theoretical_exponent(dim, k, cfg["p"], curved=curved)
+    oracle = restriction.theoretical_exponent(curve.ambient_dim, curve.dim, cfg["p"],
+                                              curved=curve.curved)
     contract = None if oracle.log_endpoint else oracle.value
     fit = restriction.fit_exponent(samples, contract, cfg["tolerance"])
     rows = [(str(s.degree), _fmt(s.lam), _fmt(s.p), _fmt(s.restricted_norm),
@@ -279,8 +276,6 @@ def _run_phase(cfg):
     rows, deviations, table = [], [], []
     for curve in cfg["theta0-list"]:
         theta0 = curve.colatitude
-        if math.isclose(theta0, math.pi / 2):
-            curve = geometry.equator()
         fit = oscillatory.phase_expansion_fit(curve)
         rows.append((_fmt(theta0), _fmt(fit.c_hat), _fmt(fit.c_theory)))
         deviations.append(fit.deviation)
@@ -359,12 +354,8 @@ def _run_torus(cfg):
         if report.slope is not None:
             results["sup_slope"] = report.slope
             verdicts["sup_slope"] = "pass" if report.slope <= 0.15 else "fail"
-            per_n = {}
-            for r in report.rows:
-                per_n[r.N] = max(per_n.get(r.N, 0.0), r.sup.lo)
-            xs = sorted(per_n)
-            series = [("max sup", [math.sqrt(n) for n in xs],
-                       [per_n[n] for n in xs])]
+            series = [("max sup", [math.sqrt(n) for n in report.max_lo],
+                       list(report.max_lo.values()))]
     if cfg["n-max"] is not None:
         cutoffs = tuple(c for c in (10**3, 10**4, 10**5) if c < cfg["n-max"])
         maxima, decreasing = torus.exponent_trend(cfg["n-max"], cutoffs)

@@ -1,10 +1,13 @@
 """Closed-form geometry on round unit spheres.
 
-Distances, the exponential map, arc-length parametrized closed curves
-(the equator, latitude circles, and the great 2-subsphere of S^3), one
+Distances, the exponential map, the two restriction targets, one
 Gauss-Legendre rule, and quadrature grids whose weights sum exactly to the
 measure of the target.
-Curves sit in one standard position each, written in the coordinate basis
+The targets are latitude circles of S^2 in arc length (LatitudeCircle; the
+equator is the one at colatitude pi/2) and the great 2-subsphere of S^3
+(GreatSubsphere).  Each states the ambient dimension d, its own dimension k
+and whether it is curved: the key of restriction.theoretical_exponent.
+They sit in one standard position each, written in the coordinate basis
 e1, e2, e3 (there are no frames to rotate them).  Everything here is pure
 and immutable; downstream modules rely on these functions being
 deterministic.
@@ -12,7 +15,6 @@ deterministic.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -76,93 +78,70 @@ def tangent_basis(x):
     return u1, u2
 
 
-class CurveKind(Enum):
-    GREAT_CIRCLE = "great-circle"
-    LATITUDE_CIRCLE = "latitude-circle"
-    GREAT_SUBSPHERE = "great-subsphere"
-
-
 @dataclass(frozen=True, eq=False)
-class CurveSpec:
-    """A closed curve on S^2, or the great 2-subsphere of S^3.
+class LatitudeCircle:
+    """The circle at colatitude theta0 from the axis e3 on S^2, in arc length.
 
-    The great circle runs through e1, e2; latitude circles sit at
-    colatitude theta0 from the axis e3; the great subsphere is the unit
-    sphere of span(e1, e2, e3) inside R^4.  Arc-length parametrization
-    throughout, so |gamma'| = 1.
+    theta0 lies in (0, pi/2] and is stored as given.  A theta0 math.isclose
+    to pi/2 is the equator through e1, e2, a geodesic: its height and
+    geodesic curvature are exactly 0.0.  Off it the geodesic curvature
+    cot(theta0) never vanishes (`curved`), which selects the improved
+    restriction exponent.
     """
 
-    kind: CurveKind
-    colatitude: float | None = None
+    ambient_dim = 2  # d of the ambient S^d
+    dim = 1          # k, the target's own dimension
+    colatitude: float
 
     def __post_init__(self):
-        if self.kind is CurveKind.LATITUDE_CIRCLE:
-            if self.colatitude is None or not (0.0 < self.colatitude <= math.pi / 2):
-                raise ValueError("latitude circle needs colatitude in (0, pi/2]")
-        elif self.colatitude is not None:
-            raise ValueError("colatitude only applies to latitude circles")
+        if not (0.0 < self.colatitude <= math.pi / 2):  # NaN fails too
+            raise ValueError("latitude circle needs colatitude in (0, pi/2]")
 
     @property
-    def ambient_dim(self):
-        """Dimension d of the ambient sphere S^d."""
-        return 3 if self.kind is CurveKind.GREAT_SUBSPHERE else 2
+    def curved(self):
+        return not math.isclose(self.colatitude, math.pi / 2)
+
+    @property
+    def curvature(self):
+        """Geodesic curvature cot(theta0)."""
+        return 1.0 / math.tan(self.colatitude) if self.curved else 0.0
 
     @property
     def length(self):
-        if self.kind is CurveKind.GREAT_CIRCLE:
-            return 2.0 * math.pi
-        if self.kind is CurveKind.LATITUDE_CIRCLE:
-            return 2.0 * math.pi * math.sin(self.colatitude)
-        raise ValueError("a great subsphere has no arc length; use its area 4*pi")
+        return 2.0 * math.pi * math.sin(self.colatitude)
+
+    def points(self, s):
+        """Points gamma(s) for an array of arc-length parameters (wraps mod length)."""
+        s = np.asarray(s, dtype=float).ravel()
+        st = math.sin(self.colatitude)
+        height = math.cos(self.colatitude) if self.curved else 0.0
+        a = s / st
+        return np.column_stack([st * np.cos(a), st * np.sin(a), np.full(s.size, height)])
+
+
+class GreatSubsphere:
+    """The great 2-sphere {x4 = 0} of S^3, the unit sphere of span(e1, e2, e3).
+
+    A surface, not a curve: restriction integrates over it along one
+    meridian (zonal_grid), so it carries no parametrization.
+    """
+
+    ambient_dim = 3
+    dim = 2
+    curved = False
 
 
 def equator():
-    """Great circle through e1, e2 of R^3."""
-    return CurveSpec(CurveKind.GREAT_CIRCLE)
+    """Great circle through e1, e2 of R^3: the latitude circle at pi/2."""
+    return LatitudeCircle(math.pi / 2)
 
 
 def latitude_circle(colatitude):
-    return CurveSpec(CurveKind.LATITUDE_CIRCLE, colatitude)
+    return LatitudeCircle(colatitude)
 
 
 def great_subsphere():
-    return CurveSpec(CurveKind.GREAT_SUBSPHERE)
-
-
-def curve_points(curve, s):
-    """Points gamma(s) for an array of arc-length parameters (wraps mod L)."""
-    s = np.asarray(s, dtype=float).ravel()
-    if curve.kind is CurveKind.GREAT_CIRCLE:
-        return np.column_stack([np.cos(s), np.sin(s), np.zeros(s.size)])
-    if curve.kind is CurveKind.LATITUDE_CIRCLE:
-        st, ct = math.sin(curve.colatitude), math.cos(curve.colatitude)
-        a = s / st
-        return np.column_stack([st * np.cos(a), st * np.sin(a), np.full(s.size, ct)])
-    raise ValueError("curve_points applies to 1-d curves, not the great subsphere")
-
-
-def curve_point(curve, s):
-    return curve_points(curve, np.array([float(s)]))[0]
-
-
-def curve_tangent(curve, s):
-    """Unit tangent gamma'(s) (1-d curves only)."""
-    s = float(s)
-    if curve.kind is CurveKind.GREAT_CIRCLE:
-        return np.array([-math.sin(s), math.cos(s), 0.0])
-    if curve.kind is CurveKind.LATITUDE_CIRCLE:
-        a = s / math.sin(curve.colatitude)
-        return np.array([-math.sin(a), math.cos(a), 0.0])
-    raise ValueError("curve_tangent applies to 1-d curves")
-
-
-def geodesic_curvature(curve):
-    """Geodesic curvature: 0 for great circles, cot(theta0) for latitude circles."""
-    if curve.kind is CurveKind.GREAT_CIRCLE:
-        return 0.0
-    if curve.kind is CurveKind.LATITUDE_CIRCLE:
-        return 1.0 / math.tan(curve.colatitude)
-    raise ValueError("geodesic curvature applies to 1-d curves")
+    return GreatSubsphere()
 
 
 def distance_gradient_check(x, r, omega):
@@ -288,13 +267,12 @@ def sphere_grid(resolution):
 
 
 def curve_grid(curve, n):
-    """Uniform arc-length grid on a closed 1-d curve (the subsphere raises)."""
+    """Uniform arc-length grid on a latitude circle (a GreatSubsphere has no length)."""
     if n < 4:
         raise ValueError("curve grid needs at least 4 nodes")
     length = curve.length
     s = length * np.arange(n) / n
-    weights = np.full(n, length / n)
-    return QuadratureGrid(curve_points(curve, s), weights)
+    return QuadratureGrid(curve.points(s), np.full(n, length / n))
 
 
 def polar_pair_grid(n):

@@ -2,12 +2,13 @@
 
 Four numerical experiments live here:
 
-* kernel_matrix: the curve-pair kernel K(t, tau) obtained by integrating
-  e^{i lambda [psi_r(x(t), w) - psi_r(x(tau), w)]} over the circle of
-  directions w at the patch center, with a smooth amplitude.  Its modulus
-  should decay like (1 + lambda |t - tau|)^{-1/2}.  The radius, amplitude
-  support, sample window and ratio band are the calibrated constants
-  KERNEL_*.
+* kernel_matrix: the curve-pair kernel K(t, tau) on the equator, obtained
+  by integrating e^{i lambda [psi_r(x(t), w) - psi_r(x(tau), w)]} over the
+  circle of directions w at the patch center e1, with a smooth amplitude.
+  Its modulus should decay like (1 + lambda |t - tau|)^{-1/2}.  The frame
+  is the coordinate basis e1, e2, e3 (center, tangent, normal); the radius,
+  amplitude support, sample window and ratio band are the calibrated
+  constants KERNEL_*.
 * critical_points: the two stationary directions of w -> psi_r(x, w) for a
   pair x, x' and the exact phase values -d(x, x') and +d(x, x') they carry.
 * phase_expansion_fit: the cubic coefficient of the arc-length expansion of
@@ -48,66 +49,47 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """Curve and frequency of the pair kernel (kernel_matrix).
+# the kernel's frame on the equator: center gamma(0), tangent gamma'(0), normal
+E1, E2, E3 = np.eye(3)
 
-    The polar coordinates of radius KERNEL_RADIUS are centered at gamma(0);
-    directions are w -> cos(w) gamma'(0) + sin(w) (gamma(0) x gamma'(0)).
-    The amplitude is a smooth bump in arc length,
-    a(s) = bump(s / KERNEL_SUPPORT), constant in w (values in [0, 1],
-    compactly supported).
+
+def direction_circle(m):
+    """m equispaced direction points y(w) = exp_{e1}(r w) on the polar circle.
+
+    Directions are w -> cos(w) e2 + sin(w) e3, about the patch center e1 of
+    the equator.
     """
-
-    curve: geometry.CurveSpec
-    lam: float
-
-    def __post_init__(self):
-        if self.curve.kind is geometry.CurveKind.GREAT_SUBSPHERE:
-            raise ValueError("kernel experiments run on 1-d curves of S^2")
-        _check_positive("lambda", self.lam)
-
-    def center_basis(self):
-        x0 = geometry.curve_point(self.curve, 0.0)
-        u1 = geometry.curve_tangent(self.curve, 0.0)
-        u2 = np.cross(x0, u1)
-        return x0, u1, u2
-
-    def direction_circle(self, m):
-        """m equispaced direction points y(w) = exp_center(r w) on the polar circle."""
-        x0, u1, u2 = self.center_basis()
-        w = 2.0 * math.pi * np.arange(m) / m
-        omega = np.outer(np.cos(w), u1) + np.outer(np.sin(w), u2)
-        return math.cos(KERNEL_RADIUS) * x0 + math.sin(KERNEL_RADIUS) * omega
-
-    def amplitude(self, s):
-        return bump(np.asarray(s, dtype=float) / KERNEL_SUPPORT)
+    w = 2.0 * math.pi * np.arange(m) / m
+    omega = np.outer(np.cos(w), E2) + np.outer(np.sin(w), E3)
+    return math.cos(KERNEL_RADIUS) * E1 + math.sin(KERNEL_RADIUS) * omega
 
 
-def kernel_node_floor(spec, separation):
+def kernel_node_floor(lam, separation):
     """Trapezoid node floor 64 + 20 oscillations^-1 coverage of the phase range.
 
     The integrand phase spans 2 lambda d(x, x'), i.e. lambda d / pi full
     turns; 20 nodes per turn keeps the periodic trapezoid rule in its
     spectral-convergence regime.
     """
-    turns = spec.lam * separation / math.pi
+    turns = lam * separation / math.pi
     return 64 + int(math.ceil(20.0 * turns))
 
 
-def kernel_matrix(spec, ts):
-    """Hermitian matrix K(t_i, t_j) over arc positions ts, by exact factorization.
+def kernel_matrix(lam, ts):
+    """Hermitian matrix K(t_i, t_j) over equator arc positions ts, by exact factorization.
 
     K = dw * G G^H where G[i, w] = a(t_i) e^{i lambda psi_r(x(t_i), w)}, so
     Hermitian symmetry and positive semidefiniteness hold by construction.
-    The direction count is the floor for the widest pair (kernel_node_floor).
+    The amplitude is a smooth bump in arc length, a(s) = bump(s /
+    KERNEL_SUPPORT), constant in w.  The direction count is the floor for
+    the widest pair (kernel_node_floor).  lambda must be finite and positive.
     """
+    _check_positive("lambda", lam)
     ts = np.asarray(ts, dtype=float)
-    pts = geometry.curve_points(spec.curve, ts)
-    m = kernel_node_floor(spec, float(np.max(np.abs(ts[:, None] - ts[None, :]))))
-    circle = spec.direction_circle(m)
-    dist = np.arccos(np.clip(pts @ circle.T, -1.0, 1.0))
-    g = spec.amplitude(ts)[:, None] * np.exp(-1j * spec.lam * dist)
+    pts = geometry.equator().points(ts)
+    m = kernel_node_floor(lam, float(np.max(np.abs(ts[:, None] - ts[None, :]))))
+    dist = np.arccos(np.clip(pts @ direction_circle(m).T, -1.0, 1.0))
+    g = bump(ts / KERNEL_SUPPORT)[:, None] * np.exp(-1j * lam * dist)
     return (2.0 * math.pi / m) * (g @ g.conj().T)
 
 
@@ -145,15 +127,17 @@ def verify_kernel_bound(lams):
     Every lambda is checked for an admissible pair before any kernel is
     computed (`kernel_pair_masks`); one without raises ValueError naming it.
     Fewer than two lambdas raise ValueError too: there is no ratio to hold
-    in the band.
+    in the band, as does a lambda that is not finite and positive, also
+    before any kernel.
     """
     if len(lams) < 2:
         raise ValueError("kernel decay compares successive lambdas; need at least two")
-    specs = [KernelSpec(geometry.equator(), lam) for lam in lams]
-    ts, gaps, masks = kernel_pair_masks([s.lam for s in specs])
+    for lam in lams:
+        _check_positive("lambda", lam)
+    ts, gaps, masks = kernel_pair_masks(lams)
     sups = []
-    for spec, admissible in zip(specs, masks):
-        scaled = np.abs(kernel_matrix(spec, ts)) * np.sqrt(1.0 + spec.lam * gaps)
+    for lam, admissible in zip(lams, masks):
+        scaled = np.abs(kernel_matrix(lam, ts)) * np.sqrt(1.0 + lam * gaps)
         sups.append(float(np.max(scaled[admissible])))
     ratios = tuple(b / a for a, b in zip(sups, sups[1:]))
     ok = all(KERNEL_RATIO_BAND[0] <= q <= KERNEL_RATIO_BAND[1] for q in ratios)
@@ -221,8 +205,8 @@ def phase_expansion_fit(curve):
     h^3-scale cancellation fully accurate at step sizes down to 1e-3.
     """
     h = np.array(PHASE_STEPS)
-    base = geometry.curve_point(curve, 0.0)
-    pts = geometry.curve_points(curve, h)
+    base = curve.points(0.0)[0]
+    pts = curve.points(h)
     chord = np.linalg.norm(pts - base[None, :], axis=1)
     dist = 2.0 * np.arcsin(np.clip(chord / 2.0, -1.0, 1.0))
     y = (h - dist) / h**3
@@ -230,8 +214,7 @@ def phase_expansion_fit(curve):
     design = np.column_stack([np.ones_like(hs), hs, hs**2])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    kappa = geometry.geodesic_curvature(curve)
-    return PhaseExpansionFit(float(coef[0]), kappa**2 / 24.0, resid)
+    return PhaseExpansionFit(float(coef[0]), curve.curvature**2 / 24.0, resid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,21 +279,21 @@ def airy_step_floor(lam):
 def airy_matrix_dim(spec):
     """Kernel dimension n = ceil(2 AIRY_DOMAIN / step) + 1 at step airy_step_floor(lambda).
 
-    The complex working set must fit in AIRY_MAX_BYTES: the n x n kernel
-    when c or d is set (n <= 8192, lambda <= 2573); for the Toeplitz model
-    kernel, which is never formed, the (LANCZOS_MAX_STEPS + 1) x n Lanczos
-    basis plus _FFT_BUFFERS circulant arrays of length m = 2^ceil(log2(2n - 1))
-    (n <= 302574, lambda <= 95056).  A larger one raises ValueError.
+    The complex working set must fit in AIRY_MAX_BYTES: the
+    (LANCZOS_MAX_STEPS + 1) x n Lanczos basis plus the operator, which is
+    the n x n kernel when c or d is set (n <= 8090, lambda <= 2541) and, for
+    the Toeplitz model kernel, which is never formed, _FFT_BUFFERS circulant
+    arrays of length m = 2^ceil(log2(2n - 1)) (n <= 302574, lambda <= 95056).
+    A larger one raises ValueError.
     """
     n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
     if spec.toeplitz:
         m = 1 << (2 * n - 2).bit_length()
-        held = (f"a {LANCZOS_MAX_STEPS + 1} x {n} Lanczos basis and "
-                f"{_FFT_BUFFERS} x {m} FFT buffers")
-        nbytes = 16 * ((LANCZOS_MAX_STEPS + 1) * n + _FFT_BUFFERS * m)
+        held, operator = f"{_FFT_BUFFERS} x {m} FFT buffers", _FFT_BUFFERS * m
     else:
-        held = f"a {n} x {n} kernel"
-        nbytes = 16 * n * n
+        held, operator = f"a {n} x {n} kernel", n * n
+    held = f"a {LANCZOS_MAX_STEPS + 1} x {n} Lanczos basis and {held}"
+    nbytes = 16 * ((LANCZOS_MAX_STEPS + 1) * n + operator)
     if nbytes > AIRY_MAX_BYTES:
         raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}: {held}, a complex "
                          f"working set of {nbytes} bytes, which exceeds the cap "

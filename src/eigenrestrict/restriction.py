@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, harmonics
-from .geometry import CurveKind
 
 CURVE_FLOOR = 4096
 POINTS_PER_WAVELENGTH = 20
@@ -62,7 +61,7 @@ def lp_norm_on_curve(f, curve, p):
                          "sized to resolve its oscillation")
     lam = float(f.eigenvalue)
     n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
-    if curve.kind is not CurveKind.GREAT_SUBSPHERE:
+    if curve.dim == 1:
         grid = geometry.curve_grid(curve, n)
         return lp_norm_weighted(f(grid.nodes), grid.weights, p)
     axis = getattr(f, "subsphere_axis", None)

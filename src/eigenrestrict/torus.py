@@ -38,14 +38,13 @@ _EPS = float(np.finfo(float).eps)
 class CircleRepresentations:
     """All integer points on the circle m^2 + n^2 = N.
 
-    For N = 0 the list is the single point (0, 0) and `degenerate` is set;
-    every positive N with a representation has a count divisible by 4 (the
-    four sign/swap symmetries act freely off the axes and in pairs on them).
+    For N = 0 the list is the single point (0, 0); every positive N with a
+    representation has a count divisible by 4 (the four sign/swap
+    symmetries act freely off the axes and in pairs on them).
     """
 
     N: int
     points: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.int64)
@@ -72,9 +71,6 @@ def representations(N):
         raise ValueError("N must be a nonnegative integer")
     if N >= 1 << 53:
         raise ValueError("N must be below 2^53 for the exact square test")
-    if N == 0:
-        return CircleRepresentations(0, np.zeros((1, 2), dtype=np.int64),
-                                     degenerate=True)
     s = math.isqrt(N)
     m = np.arange(-s, s + 1, dtype=np.int64)
     rem = N - m * m
@@ -158,7 +154,7 @@ def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
 
 def _lattice_circle(N):
     reps = representations(N)
-    if reps.degenerate or reps.r2 == 0:
+    if N == 0 or reps.r2 == 0:
         raise ValueError(f"N={N} has no lattice circle to draw from")
     return reps
 
@@ -473,9 +469,10 @@ class LinftyReport:
     hi - sqrt(r_2) and `max_width` the largest hi / lo - 1 over the rows.
     `geodesic_ok`: every geodesic norm is at most sqrt(2) ||f||_2 (their
     largest ratio is `geodesic_ratio`) up to GEODESIC_RTOL, and every witness
-    norm is within GEODESIC_RTOL of sqrt(2 - s/r_2).  `slope` fits
-    log(max_seed lo) against log sqrt(N) and is None when fewer than two
-    distinct N are present.
+    norm is within GEODESIC_RTOL of sqrt(2 - s/r_2).  `max_lo` maps each N,
+    ascending, to its largest lo over the seeds; `slope` fits log(max_lo)
+    against log sqrt(N) and is None when fewer than two distinct N are
+    present.
     """
 
     rows: tuple
@@ -485,6 +482,7 @@ class LinftyReport:
     max_width: float
     geodesic_ok: bool
     geodesic_ratio: float
+    max_lo: dict
     slope: object
 
 
@@ -513,17 +511,17 @@ def verify_linfty_bound(Ns, seeds):
             cap = math.sqrt(2.0) * f.l2_norm
             ratio = max(ratio, *(row.curves[label] / cap for label, _ in GEODESICS))
             rows.append(row)
-    per_n = {}
-    for r in rows:
-        per_n[r.N] = max(per_n.get(r.N, 0.0), r.sup.lo)
+    max_lo = {}
+    for r in sorted(rows, key=lambda r: r.N):
+        max_lo[r.N] = max(max_lo.get(r.N, 0.0), r.sup.lo)
     slope = None
-    if len(per_n) >= 2:
-        ns = sorted(per_n)
-        slope = loglog_fit(np.sqrt(np.array(ns, dtype=float)), [per_n[n] for n in ns])[0]
+    if len(max_lo) >= 2:
+        slope = loglog_fit(np.sqrt(np.array(list(max_lo), dtype=float)),
+                           list(max_lo.values()))[0]
     worst = max(r.sup.hi - math.sqrt(r.r2) for r in rows)
     bound_ok = worst <= 0.0 and all(w.sup_ok for w in witnesses)
     geodesic_ok = (ratio <= 1.0 + GEODESIC_RTOL
                    and all(w.geodesic_gap <= GEODESIC_RTOL for w in witnesses))
     return LinftyReport(tuple(rows), tuple(witnesses), bool(bound_ok), float(worst),
                         float(max(r.sup.width for r in rows)), bool(geodesic_ok),
-                        float(ratio), slope)
+                        float(ratio), max_lo, slope)

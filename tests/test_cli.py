@@ -69,7 +69,8 @@ def test_unused_tuning_keys_are_rejected():
 
 
 # every key's parser: a typed value, or a ConfigError that names the key
-_TYPES = {"family": tuple, "curve": geometry.CurveSpec, "p": float,
+_TYPES = {"family": tuple, "curve": (geometry.LatitudeCircle, geometry.GreatSubsphere),
+          "p": float,
           "degrees": list, "tolerance": (float, type(None)), "lambda-list": list,
           "theta0-list": list, "case": str, "n-list": list, "n-max": int,
           "seeds": int, "seed": int, "d": int, "k": int, "p-list": list,
@@ -147,6 +148,33 @@ def test_latitude_sweeps_use_the_curved_oracle(tmp_path, curve, oracle):
     summary = json.loads((out / "summary.json").read_text())
     assert math.isclose(summary["results"]["oracle"]["value"], oracle, rel_tol=1e-15)
     assert summary["results"]["fit"]["theoretical"] == summary["results"]["oracle"]["value"]
+
+
+def test_equator_as_a_latitude_circle_writes_the_same_bytes(tmp_path):
+    csv = {}
+    for curve in ("equator", "latitude:1.5707963267948966"):
+        out = tmp_path / curve.replace(":", "-")
+        assert cli.main(["run", "sweep", "--family", "highest-weight", "--curve", curve,
+                         "--p", "2", "--degrees", "16:45", "--out", str(out)]) == 0
+        csv[curve] = (out / "sweep.csv").read_bytes()
+    assert csv["equator"] == csv["latitude:1.5707963267948966"]
+
+
+@pytest.mark.parametrize("family, curve, key", [
+    ("zonal", "equator", (2, 1, False)),
+    ("zonal", "latitude:0.785", (2, 1, True)),  # non-vanishing geodesic curvature
+    ("zonal-s3", "subsphere", (3, 2, False)),
+])
+def test_each_target_selects_its_oracle_row(tmp_path, monkeypatch, family, curve, key):
+    # the target's own (d, k, curved) is the key of the exponent oracle
+    calls = []
+    oracle = restriction.theoretical_exponent
+    monkeypatch.setattr(cli.restriction, "theoretical_exponent",
+                        lambda d, k, p, curved: calls.append((d, k, curved)) or
+                        oracle(d, k, p, curved=curved))
+    cli.main(["run", "sweep", "--family", family, "--curve", curve, "--p", "3",
+              "--degrees", "16:45", "--out", str(tmp_path)])
+    assert calls == [key]
 
 
 def test_subsphere_sup_sweep_fits_slope_one(tmp_path):

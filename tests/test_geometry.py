@@ -81,15 +81,27 @@ def test_tangent_basis_orthonormal():
 
 def test_curve_constructors_and_measures():
     eq = geo.equator()
-    assert eq.ambient_dim == 2
-    assert math.isclose(eq.length, 2 * math.pi)
+    assert (eq.ambient_dim, eq.dim, eq.curved) == (2, 1, False)
+    assert eq.length == 2 * math.pi
     lat = geo.latitude_circle(math.pi / 4)
     assert math.isclose(lat.length, 2 * math.pi * math.sin(math.pi / 4))
-    assert lat.ambient_dim == 2
+    assert (lat.ambient_dim, lat.dim, lat.curved) == (2, 1, True)
     sub = geo.great_subsphere()
-    assert sub.ambient_dim == 3
-    with pytest.raises(ValueError):
-        sub.length  # noqa: B018  -- area, not length
+    assert (sub.ambient_dim, sub.dim, sub.curved) == (3, 2, False)
+    assert not hasattr(sub, "length")  # a surface: area, not length
+
+
+def test_equator_is_the_latitude_circle_at_half_pi():
+    # height and curvature exactly 0.0: the same bits as cos(s), sin(s), 0
+    eq = geo.latitude_circle(math.pi / 2)
+    s = np.linspace(0.0, 7.0, 29)
+    pts = eq.points(s)
+    assert np.array_equal(pts, np.column_stack([np.cos(s), np.sin(s), np.zeros(s.size)]))
+    assert np.all(pts[:, 2] == 0.0)
+    assert eq.curvature == 0.0 and not eq.curved
+    assert np.array_equal(geo.equator().points(s), pts)
+    # the colatitude is kept exactly as given
+    assert geo.latitude_circle(1.5707963267948966).colatitude == 1.5707963267948966
 
 
 def test_curve_validation_errors():
@@ -97,29 +109,17 @@ def test_curve_validation_errors():
         geo.latitude_circle(0.0)
     with pytest.raises(ValueError):
         geo.latitude_circle(2.0)  # past the equator
-    with pytest.raises(ValueError):
-        geo.latitude_circle(math.nan)
     with pytest.raises(ValueError, match="colatitude in"):
-        geo.CurveSpec(geo.CurveKind.LATITUDE_CIRCLE)
-    with pytest.raises(ValueError, match="only applies to latitude"):
-        geo.CurveSpec(geo.CurveKind.GREAT_CIRCLE, 0.5)
+        geo.latitude_circle(math.nan)
 
 
 def test_curve_points_on_sphere_and_periodic():
     for curve in (geo.equator(), geo.latitude_circle(0.9)):
         s = np.linspace(0.0, 2 * curve.length, 37)
-        pts = geo.curve_points(curve, s)
+        pts = curve.points(s)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-13)
-        wrapped = geo.curve_points(curve, s + curve.length)
+        wrapped = curve.points(s + curve.length)
         assert np.allclose(pts, wrapped, atol=1e-12)
-
-
-def test_curve_tangent_is_unit_velocity():
-    for curve in (geo.equator(), geo.latitude_circle(0.6)):
-        h = 1e-6
-        for s in (0.0, 0.7, 2.1):
-            fd = (geo.curve_point(curve, s + h) - geo.curve_point(curve, s - h)) / (2 * h)
-            assert np.allclose(fd, geo.curve_tangent(curve, s), atol=1e-8)
 
 
 @settings(deadline=None, max_examples=40)
@@ -127,17 +127,16 @@ def test_curve_tangent_is_unit_velocity():
 def test_latitude_chord_closed_form(theta0, s1, s2):
     # cos d(gamma(s1), gamma(s2)) = sin^2 t0 cos((s1-s2)/sin t0) + cos^2 t0
     curve = geo.latitude_circle(theta0)
-    x, y = geo.curve_point(curve, s1), geo.curve_point(curve, s2)
+    x, y = curve.points([s1, s2])
     st_, ct = math.sin(theta0), math.cos(theta0)
     want = st_**2 * math.cos((s1 - s2) / st_) + ct**2
     assert math.isclose(math.cos(geo.sphere_distance(x, y)), want, abs_tol=1e-12)
 
 
-def test_geodesic_curvature_values():
-    assert geo.geodesic_curvature(geo.equator()) == 0.0
-    assert math.isclose(geo.geodesic_curvature(geo.latitude_circle(math.pi / 4)), 1.0)
-    with pytest.raises(ValueError):
-        geo.geodesic_curvature(geo.great_subsphere())
+def test_latitude_curvature_values():
+    assert geo.equator().curvature == 0.0
+    assert math.isclose(geo.latitude_circle(math.pi / 4).curvature, 1.0)
+    assert geo.latitude_circle(0.6).curvature == 1.0 / math.tan(0.6)
 
 
 # ---------------------------------------------------------- gradient identity
@@ -209,7 +208,7 @@ def test_curve_grid_measures():
     g = geo.curve_grid(eq, 128)
     assert math.isclose(g.total, eq.length, rel_tol=1e-13)
     # the subsphere is a surface: its norms use zonal_grid, not a curve grid
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         geo.curve_grid(geo.great_subsphere(), 32)
 
 

@@ -198,7 +198,7 @@ def test_pole_value_growth_rate():
 
 
 def test_assoc_harmonic_frozen_value_and_conjugation():
-    pts = geo.curve_points(geo.equator(), np.array([0.3, 1.1]))
+    pts = geo.equator().points(np.array([0.3, 1.1]))
     y11 = ha.AssocHarmonic(1, 1)
     assert np.allclose(np.abs(y11(pts)), math.sqrt(3 / (8 * math.pi)), atol=1e-14)
     ym = ha.AssocHarmonic(7, -3)
@@ -272,7 +272,7 @@ def test_averaged_beam_is_harmonic_and_normalized():
     u16 = ha.Averaged(16, 0.9)
     assert math.isclose(l2_norm_on_manifold(u16, geo.sphere_grid(2 * 16 + 16)),
                         1.0, rel_tol=1e-12)
-    x = geo.curve_point(geo.equator(), 0.4)
+    x = geo.equator().points(0.4)[0]
     assert lb_residual(u16, x, 2) < 1e-4
 
 

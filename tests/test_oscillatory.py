@@ -41,24 +41,25 @@ def test_cutoff_chi_plateaus():
 # ----------------------------------------------------------------- kernel
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError, match="1-d curves"):
-        osc.KernelSpec(geo.great_subsphere(), 50.0)
-    with pytest.raises(ValueError):
-        osc.KernelSpec(geo.equator(), -5.0)
+    ts = np.linspace(-0.1, 0.1, 5)
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        osc.kernel_matrix(-5.0, ts)
+    # every lambda is checked before the first kernel
+    with pytest.raises(ValueError, match="lambda must be finite and positive, got -5"):
+        osc.verify_kernel_bound((100.0, -5.0))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_non_finite_lambda_is_rejected_by_name(lam):
     with pytest.raises(ValueError, match="lambda must be finite and positive"):
-        osc.KernelSpec(geo.equator(), lam)
+        osc.kernel_matrix(lam, np.linspace(-0.1, 0.1, 5))
     with pytest.raises(ValueError, match="lambda must be finite and positive"):
         osc.AirySpec(lam)
 
 
 def test_kernel_matrix_hermitian_psd():
-    spec = osc.KernelSpec(geo.equator(), 80.0)
     ts = np.linspace(-0.12, 0.12, 9)
-    kmat = osc.kernel_matrix(spec, ts)
+    kmat = osc.kernel_matrix(80.0, ts)
     assert np.max(np.abs(kmat - kmat.conj().T)) < 1e-12
     evals = np.linalg.eigvalsh(kmat)
     assert evals.min() > -1e-12 * evals.max()
@@ -66,14 +67,14 @@ def test_kernel_matrix_hermitian_psd():
 
 def test_kernel_direction_count_converged():
     # doubling the direction count leaves the value unchanged at quadrature scale
-    spec = osc.KernelSpec(geo.equator(), 120.0)
+    lam = 120.0
     ts = np.array([0.1, -0.1])
-    base = osc.kernel_matrix(spec, ts)[0, 1]
+    base = osc.kernel_matrix(lam, ts)[0, 1]
     # the same factorized sum on twice the floor's direction count
-    m = 2 * osc.kernel_node_floor(spec, 0.2)
-    pts = geo.curve_points(spec.curve, ts)
-    dist = np.arccos(np.clip(pts @ spec.direction_circle(m).T, -1.0, 1.0))
-    g = spec.amplitude(ts)[:, None] * np.exp(-1j * spec.lam * dist)
+    m = 2 * osc.kernel_node_floor(lam, 0.2)
+    pts = geo.equator().points(ts)
+    dist = np.arccos(np.clip(pts @ osc.direction_circle(m).T, -1.0, 1.0))
+    g = bump(ts / osc.KERNEL_SUPPORT)[:, None] * np.exp(-1j * lam * dist)
     fine = (2.0 * math.pi / m) * (g[0] @ g[1].conj())
     assert abs(base - fine) < 1e-8
 
@@ -179,7 +180,7 @@ def test_airy_zero_amplitude_kills_operator():
 
 def test_airy_step_and_dim_guards():
     with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(2574.0, **_AIRY_CASES["variable"]))
+        osc.airy_operator_norm(osc.AirySpec(2542.0, **_AIRY_CASES["variable"]))
     with pytest.raises(ValueError, match="exceeds the cap"):
         osc.airy_operator_norm(osc.AirySpec(95057.0))
 
@@ -336,12 +337,13 @@ def test_airy_norm_raises_on_non_finite_kernel():
 
 
 def test_airy_matrix_dim_cap():
-    # a dense kernel may hold 8192^2 complex entries, the model's Lanczos basis
-    # and FFT buffers as many
+    # the Lanczos basis counts in both cases: beside it a dense kernel may
+    # hold n^2 + 201 n <= 8192^2 complex entries, the model's FFT buffers as many
     variable = _AIRY_CASES["variable"]
-    assert osc.airy_matrix_dim(osc.AirySpec(2573.0, **variable)) == 8192
-    with pytest.raises(ValueError, match="lambda=2574 needs matrix dimension 8195"):
-        osc.airy_matrix_dim(osc.AirySpec(2574.0, **variable))
+    assert osc.airy_matrix_dim(osc.AirySpec(2541.0, **variable)) == 8090
+    with pytest.raises(ValueError, match="lambda=2542 needs matrix dimension 8093: "
+                       "a 201 x 8093 Lanczos basis and a 8093 x 8093 kernel"):
+        osc.airy_matrix_dim(osc.AirySpec(2542.0, **variable))
     assert osc.airy_matrix_dim(osc.AirySpec(95056.0)) == 302574
     with pytest.raises(ValueError, match="lambda=95057 needs matrix dimension 302577"):
         osc.airy_matrix_dim(osc.AirySpec(95057.0))

@@ -25,12 +25,14 @@ def test_representations_structure():
     assert reps.points.shape == (16, 2)
     assert np.all(np.sum(reps.points**2, axis=1) == 65)
     assert len({tuple(p) for p in reps.points}) == 16
-    assert not reps.degenerate
 
 
 def test_representations_edge_cases():
+    # the scan keeps the single row (0, 0); drawing on it is refused by value
     zero = torus.representations(0)
-    assert zero.degenerate and zero.r2 == 1
+    assert zero.r2 == 1 and np.array_equal(zero.points, [[0, 0]])
+    with pytest.raises(ValueError, match="N=0 has no lattice circle"):
+        torus.random_eigenfunction(0, seed=0)
     with pytest.raises(ValueError):
         torus.representations(-4)
 
@@ -295,6 +297,11 @@ def test_verify_linfty_bound_report():
     assert report.geodesic_ok and report.geodesic_ratio <= 1.0 + torus.GEODESIC_RTOL
     assert report.max_width <= torus.SUP_RTOL
     assert report.slope is not None
+    assert list(report.max_lo) == [25, 169]
+    for n, lo in report.max_lo.items():
+        assert lo == max(r.sup.lo for r in report.rows if r.N == n)
+    # the plot series runs in ascending N whatever the order of the list
+    assert list(torus.verify_linfty_bound([169, 25], seeds=[0]).max_lo) == [25, 169]
     for row in report.rows:
         assert row.sup.hi <= math.sqrt(row.r2)
         assert row.sup.width <= torus.SUP_RTOL
