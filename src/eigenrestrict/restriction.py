@@ -1,16 +1,18 @@
 """Restricted L^p norms of eigenfunctions and growth-exponent fits.
 
-The measurement pipeline is: evaluate a family member on a curve grid dense
-enough to resolve its oscillation (>= 20 points per wavelength), form the
-restricted L^p norm, divide by the family's closed-form ambient L^2 norm
+The measurement pipeline is: take a family member's values on a curve grid
+dense enough to resolve its oscillation (>= 20 points per wavelength), form
+the restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
-geometric ladder of degrees.  On the great 2-subsphere of S^3 the families'
-moduli are zonal about an axis they name (`subsphere_axis`), so the surface
-integral is one 1-d Gauss-Legendre rule along a meridian.  The grid size is
-always derived from the family's eigenvalue (`required_curve_points`; the
-subsphere resolution likewise); no caller picks it.  The
-theoretical_exponent oracle carries the sharp growth rates the fits are
-compared to.
+geometric ladder of degrees.  On a latitude circle a degree-n member is a
+trigonometric polynomial of degree n, so its grid values come from 2n + 1
+samples and one zero-padded FFT, not from evaluating it at every node.  On
+the great 2-subsphere of S^3 the families' moduli are zonal about an axis
+they name (`subsphere_axis`), so the surface integral is one 1-d
+Gauss-Legendre rule along a meridian.  The grid size is always derived from
+the family's eigenvalue (`required_curve_points`; the subsphere resolution
+likewise); no caller picks it.  The theoretical_exponent oracle carries the
+sharp growth rates the fits are compared to.
 """
 
 import math
@@ -28,9 +30,27 @@ SWEEP_RATIO = math.sqrt(2.0)  # degree ladder spacing
 ENVELOPE_SLACK = 0.02  # exponent slack of the envelope check
 
 
+def _smooth_size(n):
+    """Smallest 5-smooth integer >= n: a size pocketfft transforms
+    without its Bluestein path."""
+    best = 1 << max(0, n - 1).bit_length()  # the power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def required_curve_points(lam):
-    """Oscillation-resolving floor max(4096, 20 lambda) for 1-d curve grids."""
-    return max(CURVE_FLOOR, int(math.ceil(POINTS_PER_WAVELENGTH * lam)))
+    """Oscillation-resolving floor max(4096, 20 lambda) for 1-d curve grids,
+    rounded up to a 5-smooth size (at most 5.5% more nodes)."""
+    return _smooth_size(max(CURVE_FLOOR, int(math.ceil(POINTS_PER_WAVELENGTH * lam))))
 
 
 def lp_norm_weighted(values, weights, p):
@@ -47,14 +67,20 @@ def lp_norm_on_curve(f, curve, p):
     """Restricted L^p norm of f over a curve (trapezoid in arc length).
 
     lambda is read from f.eigenvalue (a ValueError when f has none).  1-d
-    curves take N = max(4096, 20 lambda) nodes; p = inf takes the grid max
-    over 2N nodes: the N-node grid is bit for bit its even-index subset, so
-    the one doubling already covers it.  On the great subsphere {x4 = 0} of
-    S^3, |f| is zonal about f.subsphere_axis (a ValueError when f has none):
-    the norm integrates over `zonal_grid(2, axis, n)` at n = max(64,
-    ceil(2 lambda) + 16), exact when |f|^p is a polynomial of degree
-    <= 2n - 1 in <x, axis>, and p = inf takes the max over 2N uniform
-    points of the meridian through the axis, both poles included.
+    curves take N = max(4096, 20 lambda) nodes, rounded up to a 5-smooth
+    size; p = inf takes the grid max over 2N nodes: the N-node grid is bit
+    for bit its even-index subset, so the one doubling already covers it.
+    The values at those nodes are not evaluated there: f of degree n
+    (f.degree, a ValueError when f has none) is a polynomial of degree <= n
+    in (x, y, z), so on a latitude circle it is a trigonometric polynomial
+    of degree <= n in the angle, and its values at M >= 2n + 1 uniform
+    points (`_circle_values`) fix it with no aliasing.  On the great
+    subsphere {x4 = 0} of S^3, |f| is zonal about f.subsphere_axis (a
+    ValueError when f has none): the norm integrates over `zonal_grid(2,
+    axis, n)` at n = max(64, ceil(2 lambda) + 16), exact when |f|^p is a
+    polynomial of degree <= 2n - 1 in <x, axis>, and p = inf takes the max
+    over 2N uniform points of the meridian through the axis, both poles
+    included.
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
@@ -62,8 +88,11 @@ def lp_norm_on_curve(f, curve, p):
     lam = float(f.eigenvalue)
     n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
     if curve.dim == 1:
-        grid = geometry.curve_grid(curve, n)
-        return lp_norm_weighted(f(grid.nodes), grid.weights, p)
+        if getattr(f, "degree", None) is None:
+            raise ValueError("f has no degree attribute, so its restriction "
+                             "cannot be sampled as a trigonometric polynomial")
+        values = _circle_values(f, curve, n)
+        return lp_norm_weighted(values, np.full(n, curve.length / n), p)
     axis = getattr(f, "subsphere_axis", None)
     if axis is None:
         raise ValueError("f has no subsphere_axis attribute, so its restriction "
@@ -75,6 +104,23 @@ def lp_norm_on_curve(f, curve, p):
     # the S^2 of span(e1, e2, e3) as the subsphere {x4 = 0} of S^3
     nodes = np.column_stack([grid.nodes, np.zeros(grid.nodes.shape[0])])
     return lp_norm_weighted(f(nodes), grid.weights, p)
+
+
+def _circle_values(f, curve, n):
+    """f at the n nodes of curve_grid(curve, n), from M = _smooth_size(2 deg + 1)
+    samples: one FFT, the 2 deg + 1 coefficients zero-padded to n, one
+    inverse FFT scaled by n / M.  Needs n >= 2 deg + 1, which the
+    20-lambda grid gives any family with lambda > deg."""
+    deg = int(f.degree)
+    if n < 2 * deg + 1:
+        raise ValueError(f"{n} curve nodes cannot resolve degree {deg}")
+    m = _smooth_size(max(4, 2 * deg + 1))
+    coeffs = np.fft.fft(f(geometry.curve_grid(curve, m).nodes))
+    buf = np.zeros(n, dtype=complex)
+    buf[:deg + 1] = coeffs[:deg + 1]
+    buf[n - deg:] = coeffs[m - deg:]  # empty at deg = 0
+    buf *= n / m
+    return np.fft.ifft(buf, out=buf)
 
 
 def l2_norm_on_manifold(f, grid):
@@ -255,11 +301,11 @@ def turning_point_sweep(colatitude, degrees):
     scale = math.sqrt(curve.length / (2.0 * math.pi))
     samples, orders = [], []
     for n in degrees:
-        row = np.abs(harmonics.assoc_legendre_norm(n, np.arange(n + 1), t0))
         m_lo = (n + 1) // 2
-        m_star = m_lo + int(np.argmax(row[m_lo:n + 1]))
+        row = np.abs(harmonics.assoc_legendre_norm(n, np.arange(m_lo, n + 1), t0))
+        m_star = m_lo + int(np.argmax(row))
         fam = harmonics.AssocHarmonic(n, m_star)
-        samples.append(NormSample(n, fam.eigenvalue, 2.0, float(row[m_star]) * scale,
+        samples.append(NormSample(n, fam.eigenvalue, 2.0, float(row[m_star - m_lo]) * scale,
                                   fam.l2_norm))
         orders.append(m_star)
     return TurningPointResult(samples, orders)

@@ -27,6 +27,7 @@ SUP_RTOL = 1e-9                  # sup enclosures are refined to hi / lo - 1 <= 
 MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are needed)
 MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
 BLOCK_BYTES = 1 << 24            # working set of one grid row block or point chunk
+R2_BLOCK = 256                   # rows of m that r2_table bins at once
 CIRCLE_RADIUS = 1.0
 GEODESIC_RTOL = 1e-12
 # closed geodesics t -> t w, t in [0, 2 pi), by label and integer direction w
@@ -88,7 +89,9 @@ def r2_table(n_max):
 
     Bins m^2 + n^2 over the full square [-s, s]^2, which shares no logic with
     the per-N scan in `representations` and so serves as an independent
-    cross-check of it.
+    cross-check of it.  The square is binned R2_BLOCK rows of m at a time
+    into one int64 table, so a temporary holds R2_BLOCK (2s + 1) values,
+    not (2s + 1)^2.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -96,10 +99,12 @@ def r2_table(n_max):
     if n_max > DESK_N_MAX:
         raise ValueError(f"n_max={n_max} beyond desk scale {DESK_N_MAX}")
     s = math.isqrt(n_max)
-    m = np.arange(-s, s + 1, dtype=np.int64)
-    sq = (m[:, None] ** 2 + m[None, :] ** 2).ravel()
-    sq = sq[sq <= n_max]
-    return np.bincount(sq, minlength=n_max + 1)
+    sq_m = np.arange(-s, s + 1, dtype=np.int64) ** 2
+    table = np.zeros(n_max + 1, dtype=np.int64)
+    for lo in range(0, sq_m.size, R2_BLOCK):
+        sq = (sq_m[lo:lo + R2_BLOCK, None] + sq_m[None, :]).ravel()
+        table += np.bincount(sq[sq <= n_max], minlength=n_max + 1)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

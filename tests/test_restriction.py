@@ -15,9 +15,10 @@ from eigenrestrict import restriction as re_
 class _Const:
     """Constant test function with a pluggable nominal frequency."""
 
-    def __init__(self, value=1.0, lam=1.0):
+    def __init__(self, value=1.0, lam=1.0, degree=0):
         self.value = value
         self.eigenvalue = lam
+        self.degree = degree
 
     def __call__(self, pts):
         return np.full(np.atleast_2d(pts).shape[0], self.value)
@@ -46,6 +47,22 @@ def test_required_curve_points_floor():
     assert re_.required_curve_points(300.0) == 6000
 
 
+def _is_5_smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+@pytest.mark.parametrize("lam", [1.0, 204.8, 300.0, 2049.0, 2049.5, 8192.5, 123456.7])
+def test_required_curve_points_is_a_smooth_size_just_above_the_floor(lam):
+    floor = max(4096, math.ceil(20 * lam))
+    n = re_.required_curve_points(lam)
+    assert _is_5_smooth(n) and floor <= n <= 1.055 * floor
+    # the smallest such size: nothing between the floor and n is 5-smooth
+    assert not any(_is_5_smooth(k) for k in range(floor, n))
+
+
 def test_curve_norm_frozen_values():
     eq = geo.equator()
     c = _Const()
@@ -69,8 +86,48 @@ def test_pinf_curve_norm_is_the_doubled_grid_max(curve):
     n = re_.required_curve_points(f.eigenvalue)
     coarse, fine = geo.curve_grid(curve, n), geo.curve_grid(curve, 2 * n)
     assert np.array_equal(coarse.nodes, fine.nodes[::2])
+    # the values are interpolated, not evaluated, at the 2N nodes
     want = re_.lp_norm_weighted(f(fine.nodes), fine.weights, math.inf)
-    assert re_.lp_norm_on_curve(f, curve, math.inf) == want
+    assert math.isclose(re_.lp_norm_on_curve(f, curve, math.inf), want, rel_tol=1e-11)
+
+
+_CIRCLES = [geo.equator(), geo.latitude_circle(0.785), geo.latitude_circle(1.0)]
+_FAMILIES = {
+    "zonal-e1": lambda n: ha.Zonal(2, n, np.array([1.0, 0.0, 0.0])),
+    "zonal-off": lambda n: ha.Zonal(2, n, np.array([math.sin(1.0), 0.0, math.cos(1.0)])),
+    "zonal-tilted": lambda n: ha.Zonal(2, n, np.array([0.6, 0.0, 0.8])),
+    "highest-weight": lambda n: ha.HighestWeight(2, n),
+    "assoc-half": lambda n: ha.AssocHarmonic(n, n // 2),
+    "averaged": lambda n: ha.Averaged(n, 0.9),
+}
+
+
+@pytest.mark.parametrize("curve", _CIRCLES, ids=["equator", "lat0.785", "lat1.0"])
+@pytest.mark.parametrize("degree", [4, 37, 300])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_interpolated_circle_values_match_direct_evaluation(family, degree, curve):
+    f = _FAMILIES[family](degree)
+    n = re_.required_curve_points(f.eigenvalue)
+    direct = f(geo.curve_grid(curve, n).nodes)
+    scale = float(np.max(np.abs(direct)))
+    if scale == 0.0:  # e.g. P-hat_37^18 is odd in cos(theta): 0 on the equator
+        pytest.skip("the family vanishes on this circle")
+    got = re_._circle_values(f, curve, n)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - direct)) <= 1e-10 * scale
+
+
+def test_curve_norm_needs_a_degree():
+    def undegreed(pts):
+        return np.ones(np.atleast_2d(pts).shape[0])
+
+    undegreed.eigenvalue = 1.0
+    for curve in (geo.equator(), geo.latitude_circle(1.0)):
+        with pytest.raises(ValueError, match="degree"):
+            re_.lp_norm_on_curve(undegreed, curve, 2)
+    # a degree the eigenvalue's grid cannot hold would alias, not interpolate
+    with pytest.raises(ValueError, match="cannot resolve degree 3000"):
+        re_.lp_norm_on_curve(_Const(lam=1.0, degree=3000), geo.equator(), 2)
 
 
 def test_curve_norm_needs_an_eigenvalue():

@@ -64,6 +64,19 @@ def test_scan_matches_sieve():
         assert table[N] == torus.representations(N).r2
 
 
+def test_blocked_sieve_matches_scan_past_one_block():
+    # s = 264: 2s + 1 = 529 rows of m are two full blocks and a 17-row tail
+    n_max = 70000
+    s = math.isqrt(n_max)
+    assert (2 * s + 1) % torus.R2_BLOCK != 0 and 2 * s + 1 > 2 * torus.R2_BLOCK
+    table = torus.r2_table(n_max)
+    assert table.dtype == np.int64 and table.shape == (n_max + 1,)
+    for N in [*range(2000), *range(n_max - 2000, n_max + 1)]:
+        assert table[N] == torus.representations(N).r2
+    # every lattice point of the disk is binned once
+    assert table.sum() == sum(2 * math.isqrt(n_max - m * m) + 1 for m in range(-s, s + 1))
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 10**6))
 def test_r2_multiple_of_four(N):
