@@ -13,6 +13,7 @@ and immutable; downstream modules rely on these functions being
 deterministic.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,6 +196,7 @@ class QuadratureGrid:
         return float(np.sum(self.weights))
 
 
+@functools.lru_cache(maxsize=64)  # 64 rules hold at most 17 MB at n = 16404 (degree 8192)
 def gauss_legendre(n):
     """Nodes (ascending) and weights on [-1, 1], exact for polynomials of degree 2n-1.
 
@@ -206,7 +208,9 @@ def gauss_legendre(n):
     2 du / u, so a node rounded in x, not u, would shift it by ~ n^2 eps.
     numpy's own Gauss-Legendre (a dense companion eigensolve) is off there
     by 1e-9 at n = 530 and 3e-8 at n = 2064, and needs O(n^2) memory; this
-    rule uses O(n) memory and O(n^2) elementwise work.
+    rule uses O(n) memory and O(n^2) elementwise work.  Sweeps ask for the
+    same n again and again, so rules are memoised; the arrays are read-only,
+    because every caller shares them.
     """
     if n < 1:
         raise ValueError("Gauss-Legendre needs at least one node")
@@ -230,7 +234,9 @@ def gauss_legendre(n):
         raise RuntimeError(f"Gauss-Legendre Newton iteration did not converge at n = {n}")
     x = 1.0 - u
     half = n // 2  # an odd n's middle node is listed once
-    return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
+    nodes, weights = np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_chebyshev2(n):

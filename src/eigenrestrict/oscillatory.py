@@ -284,7 +284,10 @@ def airy_matrix_dim(spec):
     the n x n kernel when c or d is set (n <= 8090, lambda <= 2541) and, for
     the Toeplitz model kernel, which is never formed, _FFT_BUFFERS circulant
     arrays of length m = 2^ceil(log2(2n - 1)) (n <= 302574, lambda <= 95056).
-    A larger one raises ValueError.
+    A larger one raises ValueError.  The cap bounds this working set, not
+    the process RSS: the interpreter with numpy and the package (about
+    30 MiB) and the kernel's row-panel temporaries come on top, so the
+    variable case at lambda = 2541 peaks near 1053 MiB.
     """
     n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
     if spec.toeplitz:

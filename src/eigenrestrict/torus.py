@@ -8,9 +8,10 @@ gives sup |f| <= sqrt(r_2(N)) ||f||_2, and r_2 grows slower than any power of
 N, which is what the sup-norm and curve-restriction experiments probe.
 
 Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
-provably contains sup |f| (a Bernstein bound on the Hessian of |f|^2 turns
-grid values into an upper bound), so the ceiling check hi <= sqrt(r_2) can
-fail.  Norms along closed geodesics are exact finite sums.
+provably contains sup |f| (a one-sided Bernstein bound on the second
+derivative of |f|^2 along lines turns grid values into an upper bound), so
+the ceiling check hi <= sqrt(r_2) can fail.  Norms along closed geodesics
+are exact finite sums.
 """
 
 import math
@@ -22,11 +23,12 @@ from .harmonics import TorusSum
 from .restriction import loglog_fit, lp_norm_weighted
 
 DESK_N_MAX = 10**7
-POINTS_PER_AXIS_WAVELENGTH = 20  # side of the starting sup grid, per sqrt(N)
+# side of the starting sup grid, per sqrt(N): 20 / sqrt(2), so N h^2 / 2 = (2 pi / 20)^2
+POINTS_PER_AXIS_WAVELENGTH = 20 / math.sqrt(2)
 SUP_RTOL = 1e-9                  # sup enclosures are refined to hi / lo - 1 <= this
 MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are needed)
 MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
-BLOCK_BYTES = 1 << 24            # working set of one grid row block or point chunk
+BLOCK_BYTES = 1 << 22            # working set of one grid row block or point chunk
 R2_BLOCK = 256                   # rows of m that r2_table bins at once
 CIRCLE_RADIUS = 1.0
 GEODESIC_RTOL = 1e-12
@@ -234,11 +236,14 @@ def _bounds(best, level_max, h, N, rho, hi):
 
     best is the largest computed |f| so far and level_max the largest over
     the cells of side h that may hold the maximiser; a cell whose computed
-    |f(g)|^2 is below floor cannot hold it.
+    |f(g)|^2 is below floor cannot hold it.  A cell centre g lies within
+    delta = h / sqrt(2) of any point of its cell, and N delta^2 = N h^2 / 2
+    is the loss of the one-sided bound in `grid_sup_norm`.
     """
+    loss = 0.5 * N * h * h
     lo = best - rho
-    hi = min(hi, (level_max + rho) / math.sqrt(1.0 - N * h * h) * (1.0 + 8.0 * _EPS))
-    reach = lo * lo * (1.0 - 8.0 * _EPS) - N * h * h * hi * hi * (1.0 + 8.0 * _EPS)
+    hi = min(hi, (level_max + rho) / math.sqrt(1.0 - loss) * (1.0 + 8.0 * _EPS))
+    reach = lo * lo * (1.0 - 8.0 * _EPS) - loss * hi * hi * (1.0 + 8.0 * _EPS)
     if reach <= rho * rho:
         return lo, hi, 0.0
     return lo, hi, (math.sqrt(reach) - rho) ** 2 * (1.0 - 4.0 * _EPS)
@@ -256,7 +261,8 @@ def _grid_stage(f, m, rho):
     f is separable: f(x_a, y_b) = sum_u e^{i u x_a} G[u, b], where G[u, :]
     sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  Grouping by
     distinct k1 about halves the inner dimension (about r_2/2) of this GEMM,
-    which runs in real arithmetic on row blocks of BLOCK_BYTES.  Each block
+    which runs in real arithmetic on row blocks of BLOCK_BYTES (4 MiB: small
+    enough to stay near the cache and off the peak RSS).  Each block
     is squared in place and its Im half added into its Re half; its row
     maxima give the running max and the floor, and only rows whose maximum
     reaches the floor are searched for nodes to keep.  The floor only rises
@@ -318,19 +324,21 @@ def grid_sup_norm(f):
 
     Let R = sqrt(N) and M = sup |f|.  Along any line f is a sum of
     exponentials of frequency at most R, so Bernstein's inequality gives
-    |d_u f| <= R M and |d_u^2 f| <= R^2 M, hence Hess |f|^2 <= 4 R^2 M^2.  At
-    the maximiser the gradient of |f|^2 vanishes, so the centre g of a cell
-    of half-diagonal delta holding it has |f(g)|^2 >= M^2 (1 - 2 R^2 delta^2).
-    Two consequences:
+    |d_u^2 f| <= R^2 M.  On a line x* + t v through the maximiser, unit v,
+    phi = |f|^2 has phi'' = 2 |f'|^2 + 2 Re(conj(f) f'') >= -2 R^2 M^2,
+    phi(0) = M^2 and phi'(0) = 0, so the centre g of a cell of
+    half-diagonal delta holding x* has |f(g)|^2 >= M^2 (1 - R^2 delta^2).
+    The bound is sharp: cos^2 <k, x> = 1 - <k, x>^2 + O(|x|^4).  Two
+    consequences, with R^2 delta^2 = N h^2 / 2 for cells of side h:
 
-    - M <= max |f(g)| / sqrt(1 - 2 R^2 delta^2) over the cells that may hold
-      the maximiser; on the starting grid, m = ceil(20 R) points a side, the
-      factor is 1 / sqrt(1 - (2 pi / 20)^2) = 1.053;
-    - a cell with |f(g)|^2 + 2 R^2 hi^2 delta^2 < lo^2 cannot hold it.
+    - M <= max |f(g)| / sqrt(1 - N h^2 / 2) over the cells that may hold
+      the maximiser; on the starting grid, m = ceil(20 R / sqrt(2)) points
+      a side, the factor is 1 / sqrt(1 - (2 pi / 20)^2) = 1.053;
+    - a cell with |f(g)|^2 + hi^2 N h^2 / 2 < lo^2 cannot hold it.
 
     The grid comes from a blocked separable GEMM (`_grid_stage`), after the
     frequencies are divided by their gcd g (which leaves the sup unchanged
-    and makes m = ceil(20 sqrt(N) / g)), squared in place block by block.
+    and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block.
     Cells that can still hold the max are split 4 x 4 until
     hi / lo - 1 <= SUP_RTOL, which takes 7 splits; the 16 children of each
     cell cost one exponential per term and one product with the level's

@@ -319,7 +319,7 @@ def test_torus_run(tmp_path):
         assert (int(n), int(seed)) == (row["N"], row["seed"])
         assert float(sup) == row["lo"] and float(curve_l2) == max(row["curves"].values())
         assert row["hi"] / row["lo"] - 1.0 <= 1e-9
-        assert row["m"] == math.ceil(20 * math.sqrt(row["N"])) and row["depth"] >= 1
+        assert row["m"] == math.ceil(20 * math.sqrt(row["N"] / 2)) and row["depth"] >= 1
         assert row["cells"] >= 1
     assert results["sup_bound"]["max_width"] <= 1e-9
     assert [w["N"] for w in results["sup_bound"]["witnesses"]] == [25, 169]

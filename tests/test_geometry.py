@@ -268,6 +268,20 @@ def test_gauss_legendre_outermost_weight(n, want):
     assert math.isclose(float(geo.gauss_legendre(n)[1][-1]), want, rel_tol=2e-14)
 
 
+def test_gauss_legendre_repeat_is_shared_and_read_only():
+    # a repeat call hands back the memoised rule, bit for bit what a fresh
+    # computation gives; since every caller shares it, writing raises
+    x, w = geo.gauss_legendre(37)
+    again = geo.gauss_legendre(37)
+    fresh = geo.gauss_legendre.__wrapped__(37)
+    for got, want in zip((x, w), fresh):
+        assert got.tobytes() == want.tobytes()
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_sphere_grid_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         geo.sphere_grid(3)

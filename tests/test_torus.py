@@ -131,11 +131,11 @@ def test_grid_sup_respects_cauchy_schwarz():
 
 @pytest.mark.parametrize("N", [25, 65, 169])
 def test_enclosure_contains_fine_grid_max(N):
-    # an m = 3000 grid is 15 to 30 times finer than the starting grid.  Its
-    # max is a lower bound of the sup, and the same Bernstein factor turns it
-    # into the independent enclosure [fine, fine / sqrt(1 - N h^2)], which
-    # must hold [lo, hi] up to its width; lo may exceed the grid max, which
-    # misses the peak by up to 1e-4 here
+    # an m = 3000 grid is 16 to 42 times finer than the starting grid.  Its
+    # max is a lower bound of the sup, and the looser two-sided Bernstein
+    # factor turns it into the independent enclosure
+    # [fine, fine / sqrt(1 - N h^2)], which must hold [lo, hi] up to its
+    # width; lo may exceed the grid max, which misses the peak by up to 1e-4
     ceiling = 1.0 / math.sqrt(1.0 - N * (2.0 * math.pi / 3000) ** 2)
     for seed in range(3):
         f = torus.random_eigenfunction(N, seed)
@@ -168,7 +168,7 @@ def test_grid_sup_exact_for_aligned_phases():
 
 
 def test_grid_sup_base_is_the_coarse_grid():
-    # the starting grid is ceil(20 sqrt(N)) a side; the blocked GEMM over it
+    # the starting grid is ceil(20 sqrt(N / 2)) a side; the blocked GEMM over it
     # matches a direct evaluation, and lo is at least its max
     f = torus.random_eigenfunction(325, 3)
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
@@ -182,7 +182,7 @@ def test_grid_sup_base_is_the_coarse_grid():
     assert sup.lo >= base - 1e-12
     # the kept nodes include the grid argmax, and the starting factor bounds hi
     assert np.any(np.all(np.isclose(kept, xy[np.argmax(np.abs(f(xy)))]), axis=1))
-    assert sup.hi <= base / math.sqrt(1.0 - (2.0 * math.pi * f.eigenvalue / m) ** 2)
+    assert sup.hi <= base / math.sqrt(1.0 - 0.5 * (2.0 * math.pi * f.eigenvalue / m) ** 2)
     # each split tiles its cell: 16 sub-cells of a quarter side, centred
     # at -3/8, -1/8, 1/8, 3/8 of the parent side on both axes
     centres = {tuple(c) for c in torus._SPLIT}
@@ -239,6 +239,34 @@ def test_flat_prime_circle_certifies(seed):
     assert 0.0 < sup.lo <= sup.hi <= math.sqrt(8)
 
 
+@pytest.mark.parametrize("N, seed", [(60013, 0), (60013, 1), (100049, 0)])
+def test_flatter_prime_circles_certify(N, seed):
+    # two more primes with r_2 = 8, flatter still than 30013: only the
+    # one-sided bound's floor keeps their cells under MAX_CELLS
+    sup = torus.grid_sup_norm(torus.random_eigenfunction(N, seed))
+    assert sup.width <= torus.SUP_RTOL
+    assert 0.0 < sup.lo <= sup.hi <= math.sqrt(8)
+
+
+def test_one_sided_bound_is_sharp():
+    # f = cos <k, x> peaks at 0 with M = 1, and |f(v)|^2 = cos^2 <k, v> meets
+    # the bound 1 - N |v|^2 to second order along k, so it cannot be halved
+    k = np.array([5, 5])  # along the cell diagonal, N = 50
+    f = TorusSum(np.array([k, -k]), np.array([0.5, 0.5], dtype=complex))
+    N = f.circle_number
+    for t in (0.1, 0.01, 0.001):
+        sq = abs(f(t * k / np.linalg.norm(k))) ** 2
+        assert 1.0 - N * t * t <= sq < 1.0 - 0.5 * N * t * t
+    # a cell of side h with the peak at its corner: from its centre's value
+    # alone, hi still reaches M = 1 and the cell is kept
+    for m in (64, 640, 6400):
+        h = 2.0 * math.pi / m
+        val = abs(f(np.array([h / 2.0, h / 2.0])))
+        lo, hi, floor = torus._bounds(val, val, h, N, 0.0, math.inf)
+        assert lo == val and hi >= 1.0, m
+        assert val * val >= floor
+
+
 def test_grid_sup_underresolved_error():
     # one frequency: |f| is constant, every cell could hold the max, and
     # the enclosure refuses instead of refining the whole torus
@@ -255,7 +283,7 @@ def test_grid_sup_divides_out_shared_factor():
     # every point of |k|^2 = 8192 = 2 * 64^2 is a multiple of 64; without the
     # reduction 4096 copies of each peak exceed the cell cap
     sup = torus.grid_sup_norm(torus.random_eigenfunction(8192, 0))
-    assert sup.m == math.ceil(20 * math.sqrt(2)) and sup.width <= torus.SUP_RTOL
+    assert sup.m == 20 and sup.width <= torus.SUP_RTOL  # ceil(20 sqrt(2 / 2))
     assert sup.hi <= 2.0
 
 
