@@ -338,7 +338,9 @@ def _run_torus(cfg):
         report = torus.verify_linfty_bound(cfg["n-list"], seeds)
         rows = [(str(r.N), str(r.r2), _fmt(r.sup.lo), _fmt(r.curve_l2), str(r.seed))
                 for r in report.rows]
-        results["rows"] = [{"N": r.N, "seed": r.seed, **_enclosure(r.sup), "curves": r.curves}
+        results["rows"] = [{"N": r.N, "seed": r.seed, **_enclosure(r.sup), "curves": r.curves,
+                            **dict(zip(("circle_nodes", "circle_tail_bound"),
+                                       torus.circle_nodes(r.N, r.r2)))}
                            for r in report.rows]
         results["sup_bound"] = {
             "ok": report.bound_ok, "worst_margin": report.worst_margin,

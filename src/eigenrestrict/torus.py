@@ -11,7 +11,7 @@ Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
 provably contains sup |f| (a one-sided Bernstein bound on the second
 derivative of |f|^2 along lines turns grid values into an upper bound), so
 the ceiling check hi <= sqrt(r_2) can fail.  Norms along closed geodesics
-are exact finite sums.
+are exact finite sums; round circles take a certified trapezoid rule.
 """
 
 import math
@@ -29,7 +29,7 @@ SUP_RTOL = 1e-9                  # sup enclosures are refined to hi / lo - 1 <= 
 MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are needed)
 MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
 BLOCK_BYTES = 1 << 22            # working set of one grid row block or point chunk
-R2_BLOCK = 256                   # rows of m that r2_table bins at once
+R2_BLOCK = 256                   # rows of m that r2_table takes at once
 CIRCLE_RADIUS = 1.0
 GEODESIC_RTOL = 1e-12
 # closed geodesics t -> t w, t in [0, 2 pi), by label and integer direction w
@@ -89,23 +89,28 @@ def representations(N):
 def r2_table(n_max):
     """r_2(N) for all 0 <= N <= n_max via one vectorized lattice sieve.
 
-    Bins m^2 + n^2 over the full square [-s, s]^2, which shares no logic with
-    the per-N scan in `representations` and so serves as an independent
-    cross-check of it.  The square is binned R2_BLOCK rows of m at a time
-    into one int64 table, so a temporary holds R2_BLOCK (2s + 1) values,
-    not (2s + 1)^2.
+    Bins m^2 + n^2 over the octant 0 <= m < n <= s = isqrt(n_max) with weight 8
+    (sign changes and swap), then corrects the rest: (0, n) has 4 images (-4 at
+    n^2), (m, m) has 4 (+4 at 2 m^2) and the origin 1.  It shares no logic with
+    the per-N scan in `representations`, so it cross-checks it.  A temporary
+    holds R2_BLOCK rows of m (R2_BLOCK s values); all pairs go to one bincount.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > DESK_N_MAX:
         raise ValueError(f"n_max={n_max} beyond desk scale {DESK_N_MAX}")
-    s = math.isqrt(n_max)
-    sq_m = np.arange(-s, s + 1, dtype=np.int64) ** 2
-    table = np.zeros(n_max + 1, dtype=np.int64)
-    for lo in range(0, sq_m.size, R2_BLOCK):
-        sq = (sq_m[lo:lo + R2_BLOCK, None] + sq_m[None, :]).ravel()
-        table += np.bincount(sq[sq <= n_max], minlength=n_max + 1)
+    diag = math.isqrt(n_max // 2)  # m < n with m^2 + n^2 <= n_max needs m <= diag
+    sq_n = np.arange(math.isqrt(n_max) + 1, dtype=np.int64) ** 2
+    pairs = []
+    for lo in range(0, diag + 1, R2_BLOCK):
+        sq = sq_n[lo:lo + R2_BLOCK, None] + sq_n[None, lo + 1:]
+        pairs.append(sq[np.triu(sq <= n_max)])  # n = lo + 1 + j > m = lo + i iff j >= i
+    table = np.bincount(np.concatenate(pairs), minlength=n_max + 1)
+    table *= 8
+    table[sq_n[1:]] -= 4
+    table[2 * sq_n[1:diag + 1]] += 4
+    table[0] += 1
     return table
 
 
@@ -390,18 +395,36 @@ def geodesic_l2_norm(f, w):
     return float(np.sqrt(np.sum(sums.real ** 2 + sums.imag ** 2)))
 
 
+def circle_nodes(N, terms):
+    """Least trapezoid node count M >= e z on the CIRCLE_RADIUS circle, and its bound.
+
+    For f of `terms` terms on |k|^2 = N and z = CIRCLE_RADIUS sqrt(N), Jacobi-Anger
+    bounds the coefficient of |f|^2 at frequency q on the circle by (sum |c_j|)^2
+    max_{w <= 2z} |J_q(w)| <= terms ||f||^2 z^q / q!.  The M-node rule aliases only
+    q = pM, p != 0, and (pM)! >= (M!)^p, so it moves mean |f|^2 by at most
+    bound ||f||^2, bound = 2 terms a / (1 - a) <= _EPS, a = z^M / M! < 1.
+    """
+    z = max(1.0, CIRCLE_RADIUS * math.sqrt(N))  # a larger z only loosens the bound
+    M = math.ceil(math.e * z)  # M! > (M / e)^M >= z^M from here on, so a < 1
+    while True:
+        a = math.exp(M * math.log(z) - math.lgamma(M + 1.0))
+        if (bound := 2.0 * terms * a / (1.0 - a)) <= _EPS:
+            return M, bound
+        M += 1
+
+
 def curve_l2_norms(f):
     """Restricted L^2 norms of f along the standard curves.
 
     The closed geodesics of slope 0, 1 and 1/2 through the origin, in closed
     form (`geodesic_l2_norm`), and one round circle of radius CIRCLE_RADIUS
-    about (pi, pi), not a geodesic, by the trapezoid rule on
-    max(4096, 40 sqrt(N)) nodes.  Normalized arc measure, so a constant of
-    modulus 1 has norm 1 on every curve and the values compare directly
+    about (pi, pi), not a geodesic, by the trapezoid rule on the M nodes of
+    `circle_nodes`, certified to _EPS.  Normalized arc measure, so a constant
+    of modulus 1 has norm 1 on every curve and the values compare directly
     with ||f||_{L^2} = 1.
     """
     out = {label: geodesic_l2_norm(f, w) for label, w in GEODESICS}
-    num_points = max(4096, math.ceil(40 * f.eigenvalue))
+    num_points = circle_nodes(f.circle_number, len(f.coeffs))[0]
     s = np.linspace(0.0, 2.0 * math.pi, num_points, endpoint=False)
     vals = f(np.column_stack([math.pi + CIRCLE_RADIUS * np.cos(s),
                               math.pi + CIRCLE_RADIUS * np.sin(s)]))

@@ -321,6 +321,9 @@ def test_torus_run(tmp_path):
         assert row["hi"] / row["lo"] - 1.0 <= 1e-9
         assert row["m"] == math.ceil(20 * math.sqrt(row["N"] / 2)) and row["depth"] >= 1
         assert row["cells"] >= 1
+        # the circle's certified trapezoid count and its aliasing bound
+        assert row["circle_nodes"] == {25: 37, 169: 63}[row["N"]]
+        assert 0.0 < row["circle_tail_bound"] <= 2.0 ** -52
     assert results["sup_bound"]["max_width"] <= 1e-9
     assert [w["N"] for w in results["sup_bound"]["witnesses"]] == [25, 169]
     for w in results["sup_bound"]["witnesses"]:

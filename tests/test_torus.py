@@ -64,17 +64,38 @@ def test_scan_matches_sieve():
         assert table[N] == torus.representations(N).r2
 
 
-def test_blocked_sieve_matches_scan_past_one_block():
-    # s = 264: 2s + 1 = 529 rows of m are two full blocks and a 17-row tail
-    n_max = 70000
+def test_blocked_sieve_matches_scan_past_one_block(monkeypatch):
+    # isqrt(n_max / 2) = 547: the octant's 548 rows of m are two full blocks
+    # and a 36-row tail
+    n_max = 600000
     s = math.isqrt(n_max)
-    assert (2 * s + 1) % torus.R2_BLOCK != 0 and 2 * s + 1 > 2 * torus.R2_BLOCK
+    rows = math.isqrt(n_max // 2) + 1
+    assert rows % torus.R2_BLOCK != 0 and rows > 2 * torus.R2_BLOCK
     table = torus.r2_table(n_max)
     assert table.dtype == np.int64 and table.shape == (n_max + 1,)
     for N in [*range(2000), *range(n_max - 2000, n_max + 1)]:
         assert table[N] == torus.representations(N).r2
     # every lattice point of the disk is binned once
     assert table.sum() == sum(2 * math.isqrt(n_max - m * m) + 1 for m in range(-s, s + 1))
+    # blocks of one row or a few rows bin the same pairs
+    for block in (1, 7):
+        monkeypatch.setattr(torus, "R2_BLOCK", block)
+        np.testing.assert_array_equal(torus.r2_table(n_max), table)
+
+
+def _full_square_r2(n_max):
+    # m^2 + n^2 binned over the whole square [-s, s]^2: the reference the
+    # octant and its corrections on the axes, the diagonals and 0 must match
+    sq_m = np.arange(-math.isqrt(n_max), math.isqrt(n_max) + 1, dtype=np.int64) ** 2
+    sq = (sq_m[:, None] + sq_m[None, :]).ravel()
+    return np.bincount(sq[sq <= n_max], minlength=n_max + 1)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 8, 10, 99, 10**4])
+def test_octant_sieve_matches_full_square(n_max):
+    table = torus.r2_table(n_max)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, _full_square_r2(n_max))
 
 
 @settings(deadline=None, max_examples=80)
@@ -294,6 +315,63 @@ def test_curve_l2_of_constant_is_one():
     # slope-0 geodesic holds e^{iy} constant in modulus; all curves see |f| = 1
     for val in norms.values():
         assert math.isclose(val, 1.0, rel_tol=1e-12)
+
+
+def _trapezoid_circle_l2(f, num_points):
+    # the circle of radius 1 about (pi, pi) on num_points uniform nodes
+    s = np.linspace(0.0, 2.0 * math.pi, num_points, endpoint=False)
+    vals = f(np.column_stack([math.pi + np.cos(s), math.pi + np.sin(s)]))
+    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def _tail_bound(N, terms, M):
+    # 2 terms a / (1 - a), a = z^M / M!, z = sqrt(N): the aliasing bound
+    a = math.exp(min(0.0, M * math.log(math.sqrt(N)) - math.lgamma(M + 1)))
+    return 2.0 * terms * a / (1.0 - a) if a < 1.0 else math.inf
+
+
+CIRCLE_NS = (25, 169, 625, 4225, 34225, 1000001)
+
+
+def test_circle_node_count_is_the_least_certified():
+    counts = {}
+    for N in CIRCLE_NS:
+        r2 = torus.representations(N).r2
+        M, bound = torus.circle_nodes(N, r2)
+        counts[N] = M
+        assert bound <= torus._EPS
+        assert math.isclose(bound, _tail_bound(N, r2, M), rel_tol=1e-12)
+        # one node fewer, still past e sqrt(N), does not certify
+        assert M - 1 >= math.e * math.sqrt(N)
+        assert _tail_bound(N, r2, M - 1) > torus._EPS, N
+    assert counts == {25: 37, 169: 63, 625: 99, 4225: 211, 34225: 538, 1000001: 2753}
+    # a constant (N = 0) takes z = 1, which only loosens the bound
+    M, bound = torus.circle_nodes(0, 1)
+    assert bound <= torus._EPS and _tail_bound(1, 1, M - 1) > torus._EPS
+
+
+@pytest.mark.parametrize("N", CIRCLE_NS)
+def test_circle_norm_at_certified_count_matches_finer_rules(N):
+    # the rule at M agrees with 8M nodes and with the old max(4096, 40 sqrt N)
+    # count within its bound plus roundoff
+    fs = (torus.random_eigenfunction(N, 0), torus.random_eigenfunction(N, 1),
+          torus.equal_coefficient_witness(N))
+    for f in fs:
+        M, bound = torus.circle_nodes(N, len(f.coeffs))
+        norm = torus.curve_l2_norms(f)["circle"]
+        for ref_points in (8 * M, max(4096, math.ceil(40 * f.eigenvalue))):
+            ref = _trapezoid_circle_l2(f, ref_points)
+            assert abs(norm - ref) <= (bound + 1e-13) * ref, (N, ref_points)
+
+
+def test_circle_bound_is_not_vacuous():
+    # sqrt(N) nodes, too few by the bound, miss the norm by far more than it
+    errors = []
+    for N in CIRCLE_NS[:5]:
+        f = torus.random_eigenfunction(N, 0)
+        ref = _trapezoid_circle_l2(f, 8 * torus.circle_nodes(N, len(f.coeffs))[0])
+        errors.append(abs(_trapezoid_circle_l2(f, math.ceil(math.sqrt(N))) - ref) / ref)
+    assert min(errors) > 1e-3, errors
 
 
 def _trapezoid_geodesic_l2(f, p, q, num_points):
