@@ -8,12 +8,11 @@ model operator) behind them.
 """
 
 from .geometry import (GreatSubsphere, LatitudeCircle, QuadratureGrid,
-                       curve_grid, equator, exp_map, great_subsphere,
-                       latitude_circle, sphere_distance, sphere_grid)
+                       curve_grid, equator)
 from .harmonics import (AssocHarmonic, Averaged, HighestWeight, TorusSum,
                         Zonal, eigenvalue)
-from .oscillatory import (AirySpec, airy_operator_norm, critical_points,
-                          phase_expansion_fit, verify_kernel_bound)
+from .oscillatory import (AirySpec, airy_operator_norm, phase_expansion_fit,
+                          verify_kernel_bound)
 from .restriction import (ExponentFit, NormSample, envelope_check,
                           fit_exponent, geometric_degrees, lp_norm_on_curve,
                           sweep, theoretical_exponent, turning_point_sweep)
@@ -24,13 +23,11 @@ __all__ = [
     "AirySpec", "AssocHarmonic", "Averaged", "ExponentFit",
     "GreatSubsphere", "HighestWeight", "LatitudeCircle", "NormSample",
     "QuadratureGrid", "TorusSum", "Zonal", "airy_operator_norm",
-    "critical_points", "curve_grid", "divisor_growth", "eigenvalue",
-    "envelope_check", "equator", "exp_map", "fit_exponent",
-    "geometric_degrees", "great_subsphere", "latitude_circle",
-    "lp_norm_on_curve", "phase_expansion_fit", "r2_table",
-    "random_eigenfunction", "representations", "sphere_distance",
-    "sphere_grid", "sweep", "theoretical_exponent", "turning_point_sweep",
-    "verify_kernel_bound", "verify_linfty_bound",
+    "curve_grid", "divisor_growth", "eigenvalue", "envelope_check",
+    "equator", "fit_exponent", "geometric_degrees", "lp_norm_on_curve",
+    "phase_expansion_fit", "r2_table", "random_eigenfunction",
+    "representations", "sweep", "theoretical_exponent",
+    "turning_point_sweep", "verify_kernel_bound", "verify_linfty_bound",
 ]
 
 __version__ = "0.1.0"

@@ -52,11 +52,6 @@ def parse_config(text):
     return out
 
 
-def render_config(cfg):
-    """Inverse of parse_config up to key order (keys come out sorted)."""
-    return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
-
-
 # ----------------------------------------------------------------- key parsers
 # Each turns the raw text into a typed value or raises ValueError (float and
 # int name the bad text themselves); parse_value prefixes the key.
@@ -100,7 +95,7 @@ def _tolerance(text):
 def _latitude(text):
     colatitude = float(text)
     try:
-        return geometry.latitude_circle(colatitude)
+        return geometry.LatitudeCircle(colatitude)
     except ValueError as exc:
         raise ValueError(f"{exc}, got {text!r}") from None
 
@@ -136,7 +131,7 @@ def _curve(text):
             raise ValueError("latitude needs a colatitude, e.g. latitude:0.785")
         return _latitude(arg)
     if name == "subsphere" and not arg:
-        return geometry.great_subsphere()
+        return geometry.GreatSubsphere()
     raise ValueError(f"unknown curve {text!r} "
                      "(equator | latitude:<colatitude> | subsphere)")
 

@@ -1,16 +1,17 @@
 """Closed-form geometry on round unit spheres.
 
-Distances, the exponential map, the two restriction targets, one
-Gauss-Legendre rule, and quadrature grids whose weights sum exactly to the
-measure of the target.
-The targets are latitude circles of S^2 in arc length (LatitudeCircle; the
-equator is the one at colatitude pi/2) and the great 2-subsphere of S^3
-(GreatSubsphere).  Each states the ambient dimension d, its own dimension k
-and whether it is curved: the key of restriction.theoretical_exponent.
-They sit in one standard position each, written in the coordinate basis
-e1, e2, e3 (there are no frames to rotate them).  Everything here is pure
-and immutable; downstream modules rely on these functions being
-deterministic.
+The two restriction targets, one Gauss-Legendre rule, and the grids the
+restricted norms are taken on.  The targets are latitude circles of S^2 in
+arc length (LatitudeCircle; the equator is the one at colatitude pi/2) and
+the great 2-subsphere of S^3 (GreatSubsphere).  Each states the ambient
+dimension d, its own dimension k and whether it is curved: the key of
+restriction.theoretical_exponent.  They sit in one standard position each,
+written in the coordinate basis e1, e2, e3 (there are no frames to rotate
+them).  The grids are uniform in arc length on a latitude circle
+(curve_grid) or lie on one meridian of S^2: Gauss-Legendre in <x, pole>,
+with weights summing exactly to 4 pi (zonal_grid), or uniform in arc length
+(meridian_grid).  Everything here is pure and immutable; downstream modules
+rely on these functions being deterministic.
 """
 
 import functools
@@ -20,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-12
-TANGENT_TOL = 1e-10
-# Central-difference step for derivative checks: truncation O(h^2) ~ 1e-10,
-# rounding ~ 1e-16/h ~ 1e-11, so deviations land comfortably below 1e-6.
-FD_STEP = 1e-5
 # Gauss-Legendre Newton: Tricomi's guesses are within 2e-3 relative in 1 - x,
 # so three steps reach 1e-12; past GL_NEWTON_TOL the next iterate is exact
 # to rounding and the weight correction's error is below 1e-20
@@ -40,43 +37,6 @@ def as_unit_vector(coords):
     if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"not a unit vector (|x| = {norm!r}, tolerance {UNIT_TOL})")
     return x
-
-
-def sphere_distance(x, y):
-    """Geodesic distance on the unit sphere, arccos of the clamped inner product."""
-    x = as_unit_vector(x)
-    y = as_unit_vector(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
-
-
-def exp_map(x, v):
-    """Exponential map exp_x(v) = cos|v| x + sin|v| v/|v| for tangent v at x."""
-    x = as_unit_vector(x)
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
-    r = float(np.linalg.norm(v))
-    if abs(float(np.dot(v, x))) > TANGENT_TOL * max(1.0, r):
-        raise ValueError("v is not tangent to the sphere at x")
-    if r == 0.0:
-        return x.copy()
-    return math.cos(r) * x + math.sin(r) * (v / r)
-
-
-def tangent_basis(x):
-    """Deterministic orthonormal tangent basis (u1, u2) at a point of S^2."""
-    x = as_unit_vector(x)
-    if x.size != 3:
-        raise ValueError("tangent_basis is for S^2 points only")
-    k = int(np.argmin(np.abs(x)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u1 = e - x[k] * x
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(x, u1)
-    return u1, u2
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,43 +97,6 @@ def equator():
     return LatitudeCircle(math.pi / 2)
 
 
-def latitude_circle(colatitude):
-    return LatitudeCircle(colatitude)
-
-
-def great_subsphere():
-    return GreatSubsphere()
-
-
-def distance_gradient_check(x, r, omega):
-    """Deviation of the numerical gradient of psi_r from omega at the base point.
-
-    psi_r(z) = -d(z, exp_x(r omega)) is differentiated at z = x by central
-    differences in normal coordinates; the exact gradient is omega itself.
-    Returns the Euclidean norm of (numerical gradient - omega) in the
-    coordinate basis.
-    """
-    x = as_unit_vector(x)
-    if not (1e-2 <= r < math.pi / 2):
-        raise ValueError("r must lie in [0.01, pi/2) so the distance stays smooth")
-    omega = np.asarray(omega, dtype=float)
-    if abs(float(np.dot(omega, x))) > TANGENT_TOL:
-        raise ValueError("omega is not tangent at x")
-    nrm = float(np.linalg.norm(omega))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError("omega must be a unit tangent direction")
-    omega = omega / nrm
-    y = exp_map(x, r * omega)
-    u1, u2 = tangent_basis(x)
-    grad = np.empty(2)
-    for i, u in enumerate((u1, u2)):
-        d_plus = sphere_distance(exp_map(x, FD_STEP * u), y)
-        d_minus = sphere_distance(exp_map(x, -FD_STEP * u), y)
-        grad[i] = -(d_plus - d_minus) / (2.0 * FD_STEP)
-    target = np.array([float(np.dot(omega, u1)), float(np.dot(omega, u2))])
-    return float(np.linalg.norm(grad - target))
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Nodes on the target (rows of `nodes`) with positive weights."""
@@ -190,10 +113,6 @@ class QuadratureGrid:
             raise ValueError("quadrature weights must be strictly positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def total(self):
-        return float(np.sum(self.weights))
 
 
 @functools.lru_cache(maxsize=64)  # 64 rules hold at most 17 MB at n = 16404 (degree 8192)
@@ -239,39 +158,6 @@ def gauss_legendre(n):
     return nodes, weights
 
 
-def gauss_chebyshev2(n):
-    """Nodes/weights for int_{-1}^{1} f(u) sqrt(1-u^2) du, exact to degree 2n-1.
-
-    u_k = cos(k pi/(n+1)), w_k = pi/(n+1) sin^2(k pi/(n+1)).  This is the
-    natural rule for the sin^2(chi) d(chi) factor of the S^3 volume element.
-    """
-    k = np.arange(1, n + 1)
-    theta = k * math.pi / (n + 1)
-    return np.cos(theta), math.pi / (n + 1) * np.sin(theta) ** 2
-
-
-def sphere_grid(resolution):
-    """Product quadrature grid on S^2 with weights summing to 4 pi.
-
-    Gauss-Legendre in cos(theta) x uniform phi (resolution x 2*resolution
-    nodes), exact for harmonic polynomials of degree < 2*resolution.  No
-    sweep uses it: it is the oracle the reduced grids are checked against.
-    """
-    if resolution < 4:
-        raise ValueError("grid resolution must be at least 4")
-    t, wt = gauss_legendre(resolution)
-    nphi = 2 * resolution
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    wphi = 2.0 * math.pi / nphi
-    st = np.sqrt(1.0 - t**2)
-    x = np.outer(st, np.cos(phi)).ravel()
-    y = np.outer(st, np.sin(phi)).ravel()
-    z = np.repeat(t, nphi)
-    nodes = np.column_stack([x, y, z])
-    weights = np.repeat(wt * wphi, nphi)
-    return QuadratureGrid(nodes, weights)
-
-
 def curve_grid(curve, n):
     """Uniform arc-length grid on a latitude circle (a GreatSubsphere has no length)."""
     if n < 4:
@@ -281,48 +167,22 @@ def curve_grid(curve, n):
     return QuadratureGrid(curve.points(s), np.full(n, length / n))
 
 
-def polar_pair_grid(n):
-    """Reduced S^3 grid exact for integrands depending only on |x1 + i x2|.
+def zonal_grid(pole, n):
+    """Reduced S^2 grid along a meridian from `pole`, exact for zonal integrands.
 
-    In the split x = (cos(a) e^{i b1}, sin(a) e^{i b2}) the measure is
-    cos(a) sin(a) da db1 db2 and |x1+i x2| = cos(a), so with v = cos^2(a) the
-    integral reduces to 2 pi^2 int_0^1 f(sqrt(v)) dv, handled by Gauss-Legendre
-    in v.  Weight sum is exactly 2 pi^2.
-    """
-    if n < 4:
-        raise ValueError("grid needs at least 4 nodes")
-    t, w = gauss_legendre(n)
-    v = 0.5 * (t + 1.0)
-    c = np.sqrt(v)
-    s = np.sqrt(1.0 - v)
-    nodes = np.column_stack([c, np.zeros(n), s, np.zeros(n)])
-    weights = math.pi**2 * w
-    return QuadratureGrid(nodes, weights)
-
-
-def zonal_grid(dim, pole, n):
-    """Reduced grid along a meridian from `pole`, exact for zonal integrands.
-
-    For f depending only on t = <x, pole>, the transverse integrals are
-    constant, so int f = |S^(dim-1)| * int f(t) (1-t^2)^((dim-2)/2) dt.  The
-    returned nodes lie on one meridian and the weights absorb the transverse
-    measure; weight sums are still the full 4*pi (S^2) or 2*pi^2 (S^3).
+    For f depending only on t = <x, pole>, the azimuthal integral is
+    constant, so int f = 2 pi * int f(t) dt, by Gauss-Legendre in t.  The
+    returned nodes lie on one meridian and the weights absorb the azimuthal
+    measure; they still sum to the full 4 pi.
     """
     pole = as_unit_vector(pole)
-    if pole.size != dim + 1:
-        raise ValueError(f"a pole of S^{dim} has {dim + 1} coordinates, got {pole.size}")
+    if pole.size != 3:
+        raise ValueError(f"a pole of S^2 has 3 coordinates, got {pole.size}")
     if n < 4:
         raise ValueError("zonal grid needs at least 4 nodes")
-    if dim == 2:
-        t, w = gauss_legendre(n)
-        w = 2.0 * math.pi * w
-    elif dim == 3:
-        t, w = gauss_chebyshev2(n)
-        w = 4.0 * math.pi * w
-    else:
-        raise ValueError("only S^2 and S^3 are supported")
+    t, w = gauss_legendre(n)
     nodes = np.outer(t, pole) + np.outer(np.sqrt(1.0 - t**2), _normal(pole))
-    return QuadratureGrid(nodes, np.asarray(w))
+    return QuadratureGrid(nodes, 2.0 * math.pi * w)
 
 
 def _normal(pole):

@@ -125,46 +125,6 @@ def _points2d(points):
     return pts, single
 
 
-def eval_zonal(dim, degree, pole, points):
-    """Normalized zonal harmonic of degree n about `pole`, evaluated at points.
-
-    S^2: P-hat_n^0(<x, pole>) / sqrt(2 pi) = sqrt((2n+1)/4pi) P_n(<x, pole>);
-    S^3: U_n(<x, pole>) / sqrt(2 pi^2).
-    """
-    if dim not in (2, 3):
-        raise ValueError("zonal families are implemented on S^2 and S^3")
-    pole = geometry.as_unit_vector(pole)
-    if pole.size != dim + 1:
-        raise ValueError("pole dimension does not match the sphere")
-    pts, single = _points2d(points)
-    t = np.clip(pts @ pole, -1.0, 1.0)
-    if dim == 2:
-        vals = assoc_legendre_norm(degree, 0, t) / math.sqrt(2.0 * math.pi)
-    else:
-        vals = gegenbauer_u(degree, t) / math.sqrt(2.0 * math.pi**2)
-    return vals[0] if single else vals
-
-
-def eval_assoc_harmonic(degree, order, points):
-    """Full spherical harmonic Y_n^m on S^2 (z-axis pole), L^2-normalized.
-
-    Y_n^m = P-hat_n^m(cos theta) e^{i m phi} / sqrt(2 pi); negative orders via
-    Y_n^{-m} = (-1)^m conj(Y_n^m).
-    """
-    n, m = degree, order
-    if abs(m) > n:
-        raise ValueError(f"order |m| = {abs(m)} exceeds degree n = {n}")
-    pts, single = _points2d(points)
-    t = np.clip(pts[:, 2], -1.0, 1.0)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    am = abs(m)
-    radial = assoc_legendre_norm(n, am, t) / math.sqrt(2.0 * math.pi)
-    vals = radial * np.exp(1j * am * phi)
-    if m < 0:
-        vals = (-1) ** am * np.conj(vals)
-    return vals[0] if single else vals
-
-
 def highest_weight_log_const(dim, degree):
     """log of c_{n,d} with ||c (x1+i x2)^n||_{L^2(S^d)} = 1, via log-Gamma.
 
@@ -258,12 +218,22 @@ class Zonal(_SphereFamily):
     pole: np.ndarray
 
     def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError("zonal families are implemented on S^2 and S^3")
         object.__setattr__(self, "pole", geometry.as_unit_vector(self.pole))
         if self.pole.size != self.dim + 1:
             raise ValueError("pole dimension does not match the sphere")
 
     def __call__(self, points):
-        return eval_zonal(self.dim, self.degree, self.pole, points)
+        """S^2: P-hat_n^0(<x, pole>) / sqrt(2 pi) = sqrt((2n+1)/4pi) P_n(<x, pole>);
+        S^3: U_n(<x, pole>) / sqrt(2 pi^2)."""
+        pts, single = _points2d(points)
+        t = np.clip(pts @ self.pole, -1.0, 1.0)
+        if self.dim == 2:
+            vals = assoc_legendre_norm(self.degree, 0, t) / math.sqrt(2.0 * math.pi)
+        else:
+            vals = gegenbauer_u(self.degree, t) / math.sqrt(2.0 * math.pi**2)
+        return vals[0] if single else vals
 
     @property
     def subsphere_axis(self):
@@ -290,7 +260,17 @@ class AssocHarmonic(_SphereFamily):
             raise ValueError("order exceeds degree")
 
     def __call__(self, points):
-        return eval_assoc_harmonic(self.degree, self.order, points)
+        """Y_n^m = P-hat_n^m(cos theta) e^{i m phi} / sqrt(2 pi) about the z-axis;
+        negative orders via Y_n^{-m} = (-1)^m conj(Y_n^m)."""
+        pts, single = _points2d(points)
+        t = np.clip(pts[:, 2], -1.0, 1.0)
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        am = abs(self.order)
+        radial = assoc_legendre_norm(self.degree, am, t) / math.sqrt(2.0 * math.pi)
+        vals = radial * np.exp(1j * am * phi)
+        if self.order < 0:
+            vals = (-1) ** am * np.conj(vals)
+        return vals[0] if single else vals
 
 
 @dataclass(frozen=True, eq=False)

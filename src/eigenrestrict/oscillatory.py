@@ -1,6 +1,6 @@
 """Oscillatory-integral checks behind the restriction bounds.
 
-Four numerical experiments live here:
+Three numerical experiments live here:
 
 * kernel_matrix: the curve-pair kernel K(t, tau) on the equator, obtained
   by integrating e^{i lambda [psi_r(x(t), w) - psi_r(x(tau), w)]} over the
@@ -9,8 +9,6 @@ Four numerical experiments live here:
   is the coordinate basis e1, e2, e3 (center, tangent, normal); the radius,
   amplitude support, sample window and ratio band are the calibrated
   constants KERNEL_*.
-* critical_points: the two stationary directions of w -> psi_r(x, w) for a
-  pair x, x' and the exact phase values -d(x, x') and +d(x, x') they carry.
 * phase_expansion_fit: the cubic coefficient of the arc-length expansion of
   the geodesic distance along a curve, which equals curvature^2 / 24.
 * airy_operator_norm: the L^2 operator norm of the caustic-regime model
@@ -142,44 +140,6 @@ def verify_kernel_bound(lams):
     ratios = tuple(b / a for a, b in zip(sups, sups[1:]))
     ok = all(KERNEL_RATIO_BAND[0] <= q <= KERNEL_RATIO_BAND[1] for q in ratios)
     return KernelDecayReport(tuple(float(l) for l in lams), tuple(sups), ratios, ok)
-
-
-@dataclass(frozen=True)
-class CriticalPoints:
-    omega_star: np.ndarray   # stationary direction carrying phase -d(x, x')
-    phase_star: float        # psi_r(x, w*) - psi_r(x', w*) = -d(x, x')
-    phase_antipode: float    # +d(x, x') at w* + pi
-    separation: float        # d(x, x')
-
-
-def critical_points(x, x_prime, r):
-    """Stationary directions of w -> psi_r(x, w) with polar center x'.
-
-    The direction circle meets the geodesic through x and x' twice.  Pointing
-    away from x maximizes d(x, exp_{x'}(r w)) = r + d(x, x'), so psi_r is
-    minimal there with phase difference -d(x, x'); the opposite direction
-    gives +d(x, x').  Both values are recomputed from distances and must
-    agree with the geodesic prediction to 1e-10.
-    """
-    x = geometry.as_unit_vector(x)
-    xp = geometry.as_unit_vector(x_prime)
-    if x.size != 3 or xp.size != 3:
-        raise ValueError("critical-point geometry is implemented on S^2")
-    d = geometry.sphere_distance(x, xp)
-    if d == 0.0:
-        raise ValueError("x and x' coincide; the stationary directions degenerate")
-    if not (d < r < math.pi / 2):
-        raise ValueError("need 0 < d(x, x') < r < pi/2")
-    toward = x - float(np.dot(x, xp)) * xp
-    toward /= np.linalg.norm(toward)
-    omega_star = -toward
-    y_star = geometry.exp_map(xp, r * omega_star)
-    y_anti = geometry.exp_map(xp, -r * omega_star)
-    phase_star = r - geometry.sphere_distance(x, y_star)
-    phase_anti = r - geometry.sphere_distance(x, y_anti)
-    if abs(phase_star + d) > 1e-10 or abs(phase_anti - d) > 1e-10:
-        raise ArithmeticError("stationary phase values drifted beyond 1e-10")
-    return CriticalPoints(omega_star, phase_star, phase_anti, d)
 
 
 PHASE_STEPS = tuple(5e-3 * (10 ** (j / 7.0)) for j in range(8))  # 5e-3 .. 5e-2, rising

@@ -76,8 +76,8 @@ def lp_norm_on_curve(f, curve, p):
     of degree <= n in the angle, and its values at M >= 2n + 1 uniform
     points (`_circle_values`) fix it with no aliasing.  On the great
     subsphere {x4 = 0} of S^3, |f| is zonal about f.subsphere_axis (a
-    ValueError when f has none): the norm integrates over `zonal_grid(2,
-    axis, n)` at n = max(64, ceil(2 lambda) + 16), exact when |f|^p is a
+    ValueError when f has none): the norm integrates over `zonal_grid(axis,
+    n)` at n = max(64, ceil(2 lambda) + 16), exact when |f|^p is a
     polynomial of degree <= 2n - 1 in <x, axis>, and p = inf takes the max
     over 2N uniform points of the meridian through the axis, both poles
     included.
@@ -100,7 +100,7 @@ def lp_norm_on_curve(f, curve, p):
     if math.isinf(p):
         grid = geometry.meridian_grid(axis, n)
     else:
-        grid = geometry.zonal_grid(2, axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
+        grid = geometry.zonal_grid(axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
     # the S^2 of span(e1, e2, e3) as the subsphere {x4 = 0} of S^3
     nodes = np.column_stack([grid.nodes, np.zeros(grid.nodes.shape[0])])
     return lp_norm_weighted(f(nodes), grid.weights, p)
@@ -121,15 +121,6 @@ def _circle_values(f, curve, n):
     buf[n - deg:] = coeffs[m - deg:]  # empty at deg = 0
     buf *= n / m
     return np.fft.ifft(buf, out=buf)
-
-
-def l2_norm_on_manifold(f, grid):
-    """L^2 norm on a quadrature grid (caller picks adequate resolution).
-
-    The sweeps read the closed-form `l2_norm` of a family instead; this is
-    the independent cross-check of those constants.
-    """
-    return lp_norm_weighted(f(grid.nodes), grid.weights, 2)
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,7 @@ def turning_point_sweep(colatitude, degrees):
     norm |P-hat_n^m*(cos theta0)| sqrt(sin theta0), with no curve quadrature.
     """
     _validate_degrees(degrees)
-    curve = geometry.latitude_circle(colatitude)
+    curve = geometry.LatitudeCircle(colatitude)
     t0 = math.cos(colatitude)
     scale = math.sqrt(curve.length / (2.0 * math.pi))
     samples, orders = [], []

@@ -138,10 +138,8 @@ def divisor_growth(n_max):
     vanishes or r_2 = 0).
     """
     table = r2_table(n_max)
-    N = np.arange(2, len(table), dtype=np.int64)
-    r2 = table[2:]
-    keep = r2 > 0
-    N, r2 = N[keep], r2[keep]
+    N = np.flatnonzero(table[2:]) + 2
+    r2 = table[N]
     exponent = np.log(r2.astype(float)) / np.log(np.sqrt(N.astype(float)))
     return DivisorGrowthTable(N, r2, exponent)
 

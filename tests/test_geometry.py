@@ -1,4 +1,4 @@
-"""Geometry layer: distances, exponential map, curves, quadrature grids."""
+"""Geometry layer (curves, quadrature grids) and the geometry oracles of oracles.py."""
 
 import math
 
@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenrestrict import geometry as geo
+from eigenrestrict import harmonics as ha
+from oracles import (distance_gradient_check, exp_map, polar_pair_grid,
+                     sphere_distance, sphere_grid, tangent_basis)
 
 
 def random_unit(rng, dim):
@@ -26,17 +29,17 @@ def random_tangent(rng, x):
 def test_distance_basics():
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    assert geo.sphere_distance(e1, e1) == 0.0
-    assert math.isclose(geo.sphere_distance(e1, e2), math.pi / 2, abs_tol=1e-15)
-    assert math.isclose(geo.sphere_distance(e1, -e1), math.pi, abs_tol=1e-12)
+    assert sphere_distance(e1, e1) == 0.0
+    assert math.isclose(sphere_distance(e1, e2), math.pi / 2, abs_tol=1e-15)
+    assert math.isclose(sphere_distance(e1, -e1), math.pi, abs_tol=1e-12)
 
 
 def test_distance_rejects_bad_input():
     e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        geo.sphere_distance(e1, np.array([1.0, 0.0, 0.0, 0.0]))
+        sphere_distance(e1, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        geo.sphere_distance(e1, np.array([0.5, 0.0, 0.0]))
+        sphere_distance(e1, np.array([0.5, 0.0, 0.0]))
 
 
 @settings(deadline=None)
@@ -44,8 +47,8 @@ def test_distance_rejects_bad_input():
 def test_triangle_inequality(seed, dim):
     rng = np.random.default_rng(seed)
     x, y, z = (random_unit(rng, dim) for _ in range(3))
-    assert geo.sphere_distance(x, z) <= (geo.sphere_distance(x, y)
-                                         + geo.sphere_distance(y, z) + 1e-12)
+    assert sphere_distance(x, z) <= (sphere_distance(x, y)
+                                     + sphere_distance(y, z) + 1e-12)
 
 
 @settings(deadline=None)
@@ -54,24 +57,24 @@ def test_exp_map_radial_distance(seed, r, dim):
     rng = np.random.default_rng(seed)
     x = random_unit(rng, dim)
     v = random_tangent(rng, x)
-    y = geo.exp_map(x, r * v)
+    y = exp_map(x, r * v)
     assert math.isclose(np.linalg.norm(y), 1.0, abs_tol=1e-12)
     # arccos conditioning near the endpoints limits this to ~1e-7
-    assert abs(geo.sphere_distance(x, y) - r) < 1e-6
+    assert abs(sphere_distance(x, y) - r) < 1e-6
 
 
 def test_exp_map_zero_and_tangency():
     x = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(geo.exp_map(x, np.zeros(3)), x)
+    assert np.allclose(exp_map(x, np.zeros(3)), x)
     with pytest.raises(ValueError):
-        geo.exp_map(x, np.array([0.0, 0.0, 0.3]))  # not tangent
+        exp_map(x, np.array([0.0, 0.0, 0.3]))  # not tangent
 
 
 def test_tangent_basis_orthonormal():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = random_unit(rng, 2)
-        u1, u2 = geo.tangent_basis(x)
+        u1, u2 = tangent_basis(x)
         gram = np.array([[u1 @ u1, u1 @ u2, u1 @ x],
                          [u2 @ u1, u2 @ u2, u2 @ x]])
         assert np.allclose(gram, [[1, 0, 0], [0, 1, 0]], atol=1e-13)
@@ -83,17 +86,17 @@ def test_curve_constructors_and_measures():
     eq = geo.equator()
     assert (eq.ambient_dim, eq.dim, eq.curved) == (2, 1, False)
     assert eq.length == 2 * math.pi
-    lat = geo.latitude_circle(math.pi / 4)
+    lat = geo.LatitudeCircle(math.pi / 4)
     assert math.isclose(lat.length, 2 * math.pi * math.sin(math.pi / 4))
     assert (lat.ambient_dim, lat.dim, lat.curved) == (2, 1, True)
-    sub = geo.great_subsphere()
+    sub = geo.GreatSubsphere()
     assert (sub.ambient_dim, sub.dim, sub.curved) == (3, 2, False)
     assert not hasattr(sub, "length")  # a surface: area, not length
 
 
 def test_equator_is_the_latitude_circle_at_half_pi():
     # height and curvature exactly 0.0: the same bits as cos(s), sin(s), 0
-    eq = geo.latitude_circle(math.pi / 2)
+    eq = geo.LatitudeCircle(math.pi / 2)
     s = np.linspace(0.0, 7.0, 29)
     pts = eq.points(s)
     assert np.array_equal(pts, np.column_stack([np.cos(s), np.sin(s), np.zeros(s.size)]))
@@ -101,20 +104,20 @@ def test_equator_is_the_latitude_circle_at_half_pi():
     assert eq.curvature == 0.0 and not eq.curved
     assert np.array_equal(geo.equator().points(s), pts)
     # the colatitude is kept exactly as given
-    assert geo.latitude_circle(1.5707963267948966).colatitude == 1.5707963267948966
+    assert geo.LatitudeCircle(1.5707963267948966).colatitude == 1.5707963267948966
 
 
 def test_curve_validation_errors():
     with pytest.raises(ValueError):
-        geo.latitude_circle(0.0)
+        geo.LatitudeCircle(0.0)
     with pytest.raises(ValueError):
-        geo.latitude_circle(2.0)  # past the equator
+        geo.LatitudeCircle(2.0)  # past the equator
     with pytest.raises(ValueError, match="colatitude in"):
-        geo.latitude_circle(math.nan)
+        geo.LatitudeCircle(math.nan)
 
 
 def test_curve_points_on_sphere_and_periodic():
-    for curve in (geo.equator(), geo.latitude_circle(0.9)):
+    for curve in (geo.equator(), geo.LatitudeCircle(0.9)):
         s = np.linspace(0.0, 2 * curve.length, 37)
         pts = curve.points(s)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-13)
@@ -126,17 +129,17 @@ def test_curve_points_on_sphere_and_periodic():
 @given(st.floats(0.15, 1.55), st.floats(0.0, 6.0), st.floats(0.0, 6.0))
 def test_latitude_chord_closed_form(theta0, s1, s2):
     # cos d(gamma(s1), gamma(s2)) = sin^2 t0 cos((s1-s2)/sin t0) + cos^2 t0
-    curve = geo.latitude_circle(theta0)
+    curve = geo.LatitudeCircle(theta0)
     x, y = curve.points([s1, s2])
     st_, ct = math.sin(theta0), math.cos(theta0)
     want = st_**2 * math.cos((s1 - s2) / st_) + ct**2
-    assert math.isclose(math.cos(geo.sphere_distance(x, y)), want, abs_tol=1e-12)
+    assert math.isclose(math.cos(sphere_distance(x, y)), want, abs_tol=1e-12)
 
 
 def test_latitude_curvature_values():
     assert geo.equator().curvature == 0.0
-    assert math.isclose(geo.latitude_circle(math.pi / 4).curvature, 1.0)
-    assert geo.latitude_circle(0.6).curvature == 1.0 / math.tan(0.6)
+    assert math.isclose(geo.LatitudeCircle(math.pi / 4).curvature, 1.0)
+    assert geo.LatitudeCircle(0.6).curvature == 1.0 / math.tan(0.6)
 
 
 # ---------------------------------------------------------- gradient identity
@@ -148,7 +151,7 @@ def test_distance_gradient_identity_batch():
         x = random_unit(rng, 2)
         omega = random_tangent(rng, x)
         r = rng.uniform(0.05, math.pi / 2 - 0.05)
-        worst = max(worst, geo.distance_gradient_check(x, r, omega))
+        worst = max(worst, distance_gradient_check(x, r, omega))
     assert worst < 1e-6
 
 
@@ -156,9 +159,9 @@ def test_distance_gradient_rejects_bad_config():
     x = np.array([0.0, 0.0, 1.0])
     omega = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        geo.distance_gradient_check(x, 2.0, omega)  # r past pi/2
+        distance_gradient_check(x, 2.0, omega)  # r past pi/2
     with pytest.raises(ValueError):
-        geo.distance_gradient_check(x, 0.5, np.array([0.0, 0.0, 1.0]))
+        distance_gradient_check(x, 0.5, np.array([0.0, 0.0, 1.0]))
 
 
 # ------------------------------------------------------------------- grids
@@ -171,24 +174,22 @@ def test_quadrature_grid_validation():
 
 
 def test_sphere_grid_total_measure():
-    g2 = geo.sphere_grid(48)
-    assert math.isclose(g2.total, 4 * math.pi, rel_tol=1e-13)
+    g2 = sphere_grid(48)
+    assert math.isclose(float(np.sum(g2.weights)), 4 * math.pi, rel_tol=1e-13)
     assert np.allclose(np.linalg.norm(g2.nodes, axis=1), 1.0, atol=1e-13)
 
 
 def test_reduced_grids_total_measure():
-    z2 = geo.zonal_grid(2, np.array([0.0, 0.0, 1.0]), 40)
-    assert math.isclose(z2.total, 4 * math.pi, rel_tol=1e-13)
-    z3 = geo.zonal_grid(3, np.array([1.0, 0.0, 0.0, 0.0]), 40)
-    assert math.isclose(z3.total, 2 * math.pi**2, rel_tol=1e-13)
-    pp = geo.polar_pair_grid(40)
-    assert math.isclose(pp.total, 2 * math.pi**2, rel_tol=1e-13)
+    z2 = geo.zonal_grid(np.array([0.0, 0.0, 1.0]), 40)
+    assert math.isclose(float(np.sum(z2.weights)), 4 * math.pi, rel_tol=1e-13)
+    pp = polar_pair_grid(40)
+    assert math.isclose(float(np.sum(pp.weights)), 2 * math.pi**2, rel_tol=1e-13)
 
 
 def test_polar_pair_grid_closed_form():
     # integral over S^3 of |x1 + i x2|^(2n) equals 2 pi^2 / (n+1)
     for n in (1, 4, 9):
-        g = geo.polar_pair_grid(2 * n + 8)
+        g = polar_pair_grid(2 * n + 8)
         vals = (g.nodes[:, 0] ** 2 + g.nodes[:, 1] ** 2) ** n
         got = float(np.sum(g.weights * vals))
         assert math.isclose(got, 2 * math.pi**2 / (n + 1), rel_tol=1e-12)
@@ -196,33 +197,29 @@ def test_polar_pair_grid_closed_form():
 
 def test_sphere_grid_spectral_exactness():
     # a degree-12 harmonic integrates to zero on a grid resolving degree 12
-    from eigenrestrict.harmonics import eval_zonal
-    g = geo.sphere_grid(40)
-    pole = np.array([0.6, 0.0, 0.8])
-    vals = eval_zonal(2, 12, pole, g.nodes)
+    g = sphere_grid(40)
+    vals = ha.Zonal(2, 12, np.array([0.6, 0.0, 0.8]))(g.nodes)
     assert abs(float(np.sum(g.weights * vals))) < 1e-11
 
 
 def test_curve_grid_measures():
     eq = geo.equator()
     g = geo.curve_grid(eq, 128)
-    assert math.isclose(g.total, eq.length, rel_tol=1e-13)
+    assert math.isclose(float(np.sum(g.weights)), eq.length, rel_tol=1e-13)
     # the subsphere is a surface: its norms use zonal_grid, not a curve grid
     with pytest.raises(AttributeError):
-        geo.curve_grid(geo.great_subsphere(), 32)
+        geo.curve_grid(geo.GreatSubsphere(), 32)
 
 
 def test_zonal_grid_pole_must_match_dimension():
-    with pytest.raises(ValueError, match="S\\^3 has 4 coordinates"):
-        geo.zonal_grid(3, [0.0, 0.0, 1.0], 40)
     with pytest.raises(ValueError, match="S\\^2 has 3 coordinates"):
-        geo.zonal_grid(2, [1.0, 0.0, 0.0, 0.0], 40)
+        geo.zonal_grid([1.0, 0.0, 0.0, 0.0], 40)
 
 
 def test_meridian_grid_runs_through_the_pole():
     pole = np.array([0.0, 0.6, 0.8])
     g = geo.meridian_grid(pole, 8)
-    assert math.isclose(g.total, 2 * math.pi, rel_tol=1e-15)
+    assert math.isclose(float(np.sum(g.weights)), 2 * math.pi, rel_tol=1e-15)
     assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-15)
     assert np.array_equal(g.nodes[0], pole)
     assert np.allclose(g.nodes[4], -pole, atol=1e-15)
@@ -284,4 +281,4 @@ def test_gauss_legendre_repeat_is_shared_and_read_only():
 
 def test_sphere_grid_rejects_tiny_resolution():
     with pytest.raises(ValueError):
-        geo.sphere_grid(3)
+        sphere_grid(3)

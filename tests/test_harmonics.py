@@ -9,9 +9,27 @@ import pytest
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict.profiles import unit_bump
-from eigenrestrict.restriction import l2_norm_on_manifold
+from eigenrestrict.restriction import lp_norm_weighted
+from oracles import exp_map, polar_pair_grid, sphere_grid
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def l2_norm(f, grid):
+    return lp_norm_weighted(f(grid.nodes), grid.weights, 2)
+
+
+def s3_zonal_grid(pole, normal, m):
+    """m midpoint nodes in the angle chi from `pole` toward `normal` on S^3.
+
+    For f depending only on t = <x, pole>, int_{S^3} f = 4 pi int_0^pi
+    f(cos chi) sin^2(chi) dchi.  There U_n(cos chi) sin(chi) = sin((n+1) chi),
+    so |U_n|^2 sin^2 is 1/2 minus half a cosine of frequency 2(n+1), which
+    the rule integrates exactly unless m divides n + 1.
+    """
+    chi = math.pi * (np.arange(m) + 0.5) / m
+    nodes = np.outer(np.cos(chi), pole) + np.outer(np.sin(chi), normal)
+    return geo.QuadratureGrid(nodes, 4.0 * math.pi**2 / m * np.sin(chi) ** 2)
 
 
 def lb_residual(f, x, dim, h=2e-4):
@@ -41,8 +59,8 @@ def lb_residual(f, x, dim, h=2e-4):
     lap = 0.0
     fx = complex(f(x))
     for u in frame:
-        fp = complex(f(geo.exp_map(x, h * u)))
-        fm = complex(f(geo.exp_map(x, -h * u)))
+        fp = complex(f(exp_map(x, h * u)))
+        fm = complex(f(exp_map(x, -h * u)))
         lap += (fp + fm - 2.0 * fx) / h**2
     lam2 = f.eigenvalue**2
     return abs(lap + lam2 * fx) / (lam2 * max(abs(fx), 1e-12))
@@ -172,10 +190,10 @@ def test_zonal_pole_value_and_norm():
     z10 = ha.Zonal(2, 10, pole)
     assert math.isclose(abs(complex(z10(pole))), math.sqrt(21.0 / (4 * math.pi)),
                         rel_tol=1e-13)
-    assert math.isclose(l2_norm_on_manifold(z10, geo.zonal_grid(2, pole, 2 * 10 + 16)),
+    assert math.isclose(l2_norm(z10, geo.zonal_grid(pole, 2 * 10 + 16)),
                         1.0, rel_tol=1e-12)
     # reduced meridian rule agrees with the full product grid
-    full = l2_norm_on_manifold(z10, geo.sphere_grid(2 * 10 + 16))
+    full = l2_norm(z10, sphere_grid(2 * 10 + 16))
     assert math.isclose(full, 1.0, rel_tol=1e-12)
 
 
@@ -184,8 +202,15 @@ def test_zonal_s3_pole_value_and_norm():
     z6 = ha.Zonal(3, 6, pole)
     assert math.isclose(abs(complex(z6(pole))), 7.0 / math.sqrt(2 * math.pi**2),
                         rel_tol=1e-13)
-    assert math.isclose(l2_norm_on_manifold(z6, geo.zonal_grid(3, pole, 2 * 6 + 16)),
+    assert math.isclose(l2_norm(z6, s3_zonal_grid(pole, np.eye(4)[1], 2 * 6 + 16)),
                         1.0, rel_tol=1e-12)
+
+
+def test_zonal_checks_its_sphere_when_built():
+    with pytest.raises(ValueError, match="S\\^2 and S\\^3"):
+        ha.Zonal(4, 6, np.eye(5)[0])
+    with pytest.raises(ValueError, match="pole dimension"):
+        ha.Zonal(3, 6, Z_AXIS)
 
 
 def test_pole_value_growth_rate():
@@ -210,18 +235,18 @@ def test_assoc_harmonic_frozen_value_and_conjugation():
 
 def test_assoc_harmonic_norm_full_grid():
     y = ha.AssocHarmonic(12, 5)
-    assert math.isclose(l2_norm_on_manifold(y, geo.sphere_grid(40)), 1.0,
+    assert math.isclose(l2_norm(y, sphere_grid(40)), 1.0,
                         rel_tol=1e-12)
 
 
 def test_highest_weight_norms_and_values():
     e8 = ha.HighestWeight(2, 8)
-    assert math.isclose(l2_norm_on_manifold(e8, geo.zonal_grid(2, Z_AXIS, 2 * 8 + 16)),
+    assert math.isclose(l2_norm(e8, geo.zonal_grid(Z_AXIS, 2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
-    assert math.isclose(l2_norm_on_manifold(e8, geo.sphere_grid(2 * 8 + 16)),
+    assert math.isclose(l2_norm(e8, sphere_grid(2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
     s3 = ha.HighestWeight(3, 8)
-    assert math.isclose(l2_norm_on_manifold(s3, geo.polar_pair_grid(2 * 8 + 16)),
+    assert math.isclose(l2_norm(s3, polar_pair_grid(2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
     # closed form: |e_n|^2 integrates |x1+ix2|^(2n), total 2 pi^2/(n+1) on S^3
     x = np.array([1.0, 0.0, 0.0, 0.0])
@@ -235,7 +260,7 @@ def test_highest_weight_vanishes_off_torus_axis():
 
 
 def test_orthogonality_across_families():
-    g = geo.sphere_grid(56)
+    g = sphere_grid(56)
     z = ha.Zonal(2, 12, np.array([0.0, 0.0, 1.0]))
     e = ha.HighestWeight(2, 12)
     y = ha.AssocHarmonic(12, 5)
@@ -270,7 +295,7 @@ def test_laplace_beltrami_eigen_equation(family, dim):
 
 def test_averaged_beam_is_harmonic_and_normalized():
     u16 = ha.Averaged(16, 0.9)
-    assert math.isclose(l2_norm_on_manifold(u16, geo.sphere_grid(2 * 16 + 16)),
+    assert math.isclose(l2_norm(u16, sphere_grid(2 * 16 + 16)),
                         1.0, rel_tol=1e-12)
     x = geo.equator().points(0.4)[0]
     assert lb_residual(u16, x, 2) < 1e-4
@@ -283,30 +308,31 @@ def test_averaged_beam_is_harmonic_and_normalized():
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_averaged_l2_norm_matches_full_sphere_quadrature(n):
     u = ha.Averaged(n, 0.9)
-    grid = geo.sphere_grid(2 * n + 16)
-    assert math.isclose(l2_norm_on_manifold(u, grid), u.l2_norm, rel_tol=1e-12)
+    grid = sphere_grid(2 * n + 16)
+    assert math.isclose(l2_norm(u, grid), u.l2_norm, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family,grid,rel_tol", [
-    (lambda: ha.Zonal(2, 37, Z_AXIS), lambda: geo.zonal_grid(2, Z_AXIS, 90), 1e-12),
-    (lambda: ha.Zonal(2, 1024, Z_AXIS), lambda: geo.zonal_grid(2, Z_AXIS, 2064), 1e-10),
+    (lambda: ha.Zonal(2, 37, Z_AXIS), lambda: geo.zonal_grid(Z_AXIS, 90), 1e-12),
+    (lambda: ha.Zonal(2, 1024, Z_AXIS), lambda: geo.zonal_grid(Z_AXIS, 2064), 1e-10),
     (lambda: ha.Zonal(3, 41, np.array([0.5, 0.5, 0.5, 0.5])),
-     lambda: geo.zonal_grid(3, np.array([0.5, 0.5, 0.5, 0.5]), 98), 1e-12),
-    (lambda: ha.HighestWeight(2, 45), lambda: geo.zonal_grid(2, Z_AXIS, 106), 1e-12),
-    (lambda: ha.HighestWeight(3, 45), lambda: geo.polar_pair_grid(106), 1e-12),
-    (lambda: ha.AssocHarmonic(40, 17), lambda: geo.zonal_grid(2, Z_AXIS, 96), 1e-12),
-    (lambda: ha.AssocHarmonic(40, -40), lambda: geo.zonal_grid(2, Z_AXIS, 96), 1e-12),
+     lambda: s3_zonal_grid(np.array([0.5, 0.5, 0.5, 0.5]),
+                           np.array([0.5, -0.5, 0.5, -0.5]), 98), 1e-12),
+    (lambda: ha.HighestWeight(2, 45), lambda: geo.zonal_grid(Z_AXIS, 106), 1e-12),
+    (lambda: ha.HighestWeight(3, 45), lambda: polar_pair_grid(106), 1e-12),
+    (lambda: ha.AssocHarmonic(40, 17), lambda: geo.zonal_grid(Z_AXIS, 96), 1e-12),
+    (lambda: ha.AssocHarmonic(40, -40), lambda: geo.zonal_grid(Z_AXIS, 96), 1e-12),
 ])
 def test_closed_form_l2_norm_matches_reduced_quadrature(family, grid, rel_tol):
     f = family()
-    assert math.isclose(l2_norm_on_manifold(f, grid()), f.l2_norm, rel_tol=rel_tol)
+    assert math.isclose(l2_norm(f, grid()), f.l2_norm, rel_tol=rel_tol)
 
 
 def test_averaged_raw_is_weighted_sum_of_rotated_beams():
     # the tilt average is sum_j W_j e_n(R_j x) with R_j the rotation by phi_j
     # about the x1-axis; compare against the beam formula written out directly
     n, delta = 24, 0.9
-    pts = geo.sphere_grid(8).nodes
+    pts = sphere_grid(8).nodes
     w = ha.averaged_window(n, delta)
     t, wt = np.polynomial.legendre.leggauss(ha.averaged_node_count(n))
     logc = ha.highest_weight_log_const(2, n)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict import restriction as re_
+from oracles import sphere_grid
 
 
 class _Const:
@@ -79,7 +80,7 @@ def test_curve_norm_frozen_values():
                         math.sqrt(19.0 / (4 * math.pi)), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("curve", [geo.equator(), geo.latitude_circle(math.pi / 4)])
+@pytest.mark.parametrize("curve", [geo.equator(), geo.LatitudeCircle(math.pi / 4)])
 def test_pinf_curve_norm_is_the_doubled_grid_max(curve):
     # the N-node grid is the even-index subset of the 2N-node grid, bit for bit
     f = ha.Zonal(2, 300, np.array([0.6, 0.0, 0.8]))
@@ -91,7 +92,7 @@ def test_pinf_curve_norm_is_the_doubled_grid_max(curve):
     assert math.isclose(re_.lp_norm_on_curve(f, curve, math.inf), want, rel_tol=1e-11)
 
 
-_CIRCLES = [geo.equator(), geo.latitude_circle(0.785), geo.latitude_circle(1.0)]
+_CIRCLES = [geo.equator(), geo.LatitudeCircle(0.785), geo.LatitudeCircle(1.0)]
 _FAMILIES = {
     "zonal-e1": lambda n: ha.Zonal(2, n, np.array([1.0, 0.0, 0.0])),
     "zonal-off": lambda n: ha.Zonal(2, n, np.array([math.sin(1.0), 0.0, math.cos(1.0)])),
@@ -122,7 +123,7 @@ def test_curve_norm_needs_a_degree():
         return np.ones(np.atleast_2d(pts).shape[0])
 
     undegreed.eigenvalue = 1.0
-    for curve in (geo.equator(), geo.latitude_circle(1.0)):
+    for curve in (geo.equator(), geo.LatitudeCircle(1.0)):
         with pytest.raises(ValueError, match="degree"):
             re_.lp_norm_on_curve(undegreed, curve, 2)
     # a degree the eigenvalue's grid cannot hold would alias, not interpolate
@@ -137,7 +138,7 @@ def test_curve_norm_needs_an_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
         re_.lp_norm_on_curve(bare, geo.equator(), 2)
     with pytest.raises(ValueError, match="eigenvalue"):
-        re_.lp_norm_on_curve(bare, geo.great_subsphere(), 2)
+        re_.lp_norm_on_curve(bare, geo.GreatSubsphere(), 2)
 
 
 def test_curve_norm_grid_refinement_converged():
@@ -150,7 +151,7 @@ def test_curve_norm_grid_refinement_converged():
 
 
 def test_subsphere_norm_and_floor():
-    sub = geo.great_subsphere()
+    sub = geo.GreatSubsphere()
     c = _Const()
     c.subsphere_axis = np.array([0.0, 0.0, 1.0])  # constant: any axis serves
     # normalized measure is the full area 4 pi
@@ -159,12 +160,12 @@ def test_subsphere_norm_and_floor():
     # at its resolution the 1-d rule is already exact for |z|^2: doubling it
     # changes nothing
     z = ha.Zonal(3, 50, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = geo.zonal_grid(2, z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
+    grid = geo.zonal_grid(z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
     fine = re_.lp_norm_weighted(z(_pad(grid.nodes)), grid.weights, 2)
     assert math.isclose(re_.lp_norm_on_curve(z, sub, 2), fine, rel_tol=1e-12)
     # below the floor the resolution is SUBSPHERE_FLOOR
     small = ha.Zonal(3, 4, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = geo.zonal_grid(2, small.subsphere_axis, re_.SUBSPHERE_FLOOR)
+    grid = geo.zonal_grid(small.subsphere_axis, re_.SUBSPHERE_FLOOR)
     want = re_.lp_norm_weighted(small(_pad(grid.nodes)), grid.weights, 4)
     assert re_.lp_norm_on_curve(small, sub, 4) == want
 
@@ -190,18 +191,18 @@ def test_subsphere_norm_matches_the_product_grid(label, family, p, degree):
     # the S^2 product rule at the same resolution is exact for these |f|^p
     # (p = 2.5: the same rule in <x, e3>), whatever the axis
     f = family(degree)
-    grid = geo.sphere_grid(max(re_.SUBSPHERE_FLOOR, int(math.ceil(2 * f.eigenvalue)) + 16))
+    grid = sphere_grid(max(re_.SUBSPHERE_FLOOR, int(math.ceil(2 * f.eigenvalue)) + 16))
     want = re_.lp_norm_weighted(f(_pad(grid.nodes)), grid.weights, p)
-    got = re_.lp_norm_on_curve(f, geo.great_subsphere(), p)
+    got = re_.lp_norm_on_curve(f, geo.GreatSubsphere(), p)
     assert math.isclose(got, want, rel_tol=1e-11)
     assert got > 0.0
 
 
 def test_subsphere_norm_needs_an_axis():
     with pytest.raises(ValueError, match="subsphere_axis"):
-        re_.lp_norm_on_curve(_Const(), geo.great_subsphere(), 2)
+        re_.lp_norm_on_curve(_Const(), geo.GreatSubsphere(), 2)
     with pytest.raises(ValueError, match="S\\^3"):
-        re_.lp_norm_on_curve(ha.HighestWeight(2, 8), geo.great_subsphere(), 2)
+        re_.lp_norm_on_curve(ha.HighestWeight(2, 8), geo.GreatSubsphere(), 2)
 
 
 @pytest.mark.parametrize("degree", [16, 45, 256])
@@ -209,7 +210,7 @@ def test_subsphere_sup_is_the_closed_form(degree):
     # zonal-s3 peaks at its pole, (n+1)/sqrt(2 pi^2); highest-weight-s3 on the
     # circle x3 = 0 of the subsphere, where |x1 + i x2| = 1.  The 2N meridian
     # points hold both poles and, with N even, that circle too.
-    sub = geo.great_subsphere()
+    sub = geo.GreatSubsphere()
     zonal = re_.lp_norm_on_curve(ha.Zonal(3, degree, _E1), sub, math.inf)
     assert math.isclose(zonal, (degree + 1) / math.sqrt(2 * math.pi**2), rel_tol=1e-12)
     hw = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), sub, math.inf)
@@ -221,7 +222,7 @@ def test_norm_monotone_in_p_after_normalizing():
     eq = geo.equator()
     f = ha.Zonal(2, 12, np.array([1.0, 0.0, 0.0]))
     grid = geo.curve_grid(eq, 4096)
-    w = grid.weights / grid.total
+    w = grid.weights / np.sum(grid.weights)
     vals = f(grid.nodes)
     norms = [re_.lp_norm_weighted(vals, w, p) for p in (2, 4, 6, math.inf)]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -385,7 +386,7 @@ def test_turning_point_scan_matches_direct_argmax():
     for m, s in zip(result.orders, result.samples):
         assert 0.5 <= m / s.degree <= math.sin(theta0) + 0.02
     # the norm read from the scan row against the curve quadrature
-    circle = geo.latitude_circle(theta0)
+    circle = geo.LatitudeCircle(theta0)
     for m, s in zip(result.orders, result.samples):
         quad = re_.lp_norm_on_curve(ha.AssocHarmonic(s.degree, m), circle, 2)
         assert math.isclose(s.restricted_norm, quad, rel_tol=1e-12)
