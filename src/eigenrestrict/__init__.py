@@ -7,8 +7,7 @@ oscillatory-integral machinery (kernel decay, phase expansions, the caustic
 model operator) behind them.
 """
 
-from .geometry import (GreatSubsphere, LatitudeCircle, QuadratureGrid,
-                       curve_grid, equator)
+from .geometry import GreatSubsphere, LatitudeCircle, QuadratureGrid, equator
 from .harmonics import (AssocHarmonic, Averaged, HighestWeight, TorusSum,
                         Zonal, eigenvalue)
 from .oscillatory import (AirySpec, airy_operator_norm, phase_expansion_fit,
@@ -23,8 +22,8 @@ __all__ = [
     "AirySpec", "AssocHarmonic", "Averaged", "ExponentFit",
     "GreatSubsphere", "HighestWeight", "LatitudeCircle", "NormSample",
     "QuadratureGrid", "TorusSum", "Zonal", "airy_operator_norm",
-    "curve_grid", "divisor_growth", "eigenvalue", "envelope_check",
-    "equator", "fit_exponent", "geometric_degrees", "lp_norm_on_curve",
+    "divisor_growth", "eigenvalue", "envelope_check", "equator",
+    "fit_exponent", "geometric_degrees", "lp_norm_on_curve",
     "phase_expansion_fit", "r2_table", "random_eigenfunction",
     "representations", "sweep", "theoretical_exponent",
     "turning_point_sweep", "verify_kernel_bound", "verify_linfty_bound",

@@ -117,7 +117,7 @@ def _circle_number(text):
     # bounded before the O(sqrt N) representation scan
     n = _checked(int, lambda n: 1 <= n <= torus.DESK_N_MAX,
                  f"need 1 <= N <= {torus.DESK_N_MAX}")(text)
-    if torus.representations(n).r2 == 0:
+    if len(torus.representations(n)) == 0:
         raise ValueError(f"N={n} is not a sum of two squares")
     return n
 
@@ -334,8 +334,7 @@ def _run_torus(cfg):
         rows = [(str(r.N), str(r.r2), _fmt(r.sup.lo), _fmt(r.curve_l2), str(r.seed))
                 for r in report.rows]
         results["rows"] = [{"N": r.N, "seed": r.seed, **_enclosure(r.sup), "curves": r.curves,
-                            **dict(zip(("circle_nodes", "circle_tail_bound"),
-                                       torus.circle_nodes(r.N, r.r2)))}
+                            **dict(zip(("circle_nodes", "circle_tail_bound"), r.circle_rule))}
                            for r in report.rows]
         results["sup_bound"] = {
             "ok": report.bound_ok, "worst_margin": report.worst_margin,

@@ -1,17 +1,18 @@
 """Closed-form geometry on round unit spheres.
 
-The two restriction targets, one Gauss-Legendre rule, and the grids the
-restricted norms are taken on.  The targets are latitude circles of S^2 in
-arc length (LatitudeCircle; the equator is the one at colatitude pi/2) and
+The two restriction targets, one Gauss-Legendre rule, and the meridians
+the subsphere norms are read on.  The targets are latitude circles of S^2
+in arc length (LatitudeCircle; the equator is the one at colatitude pi/2) and
 the great 2-subsphere of S^3 (GreatSubsphere).  Each states the ambient
 dimension d, its own dimension k and whether it is curved: the key of
 restriction.theoretical_exponent.  They sit in one standard position each,
 written in the coordinate basis e1, e2, e3 (there are no frames to rotate
-them).  The grids are uniform in arc length on a latitude circle
-(curve_grid) or lie on one meridian of S^2: Gauss-Legendre in <x, pole>,
-with weights summing exactly to 4 pi (zonal_grid), or uniform in arc length
-(meridian_grid).  Everything here is pure and immutable; downstream modules
-rely on these functions being deterministic.
+them).  A meridian is the great circle cos(s) pole + sin(s) u through a
+pole and its normal u (meridian).  The one grid lies on it: Gauss-Legendre
+in <x, pole>, with weights summing exactly to 4 pi (zonal_grid).  A latitude
+circle needs no grid: its samples are its own points at uniform arc length.
+Everything here is pure and immutable; downstream modules rely on these
+functions being deterministic.
 """
 
 import functools
@@ -158,15 +159,6 @@ def gauss_legendre(n):
     return nodes, weights
 
 
-def curve_grid(curve, n):
-    """Uniform arc-length grid on a latitude circle (a GreatSubsphere has no length)."""
-    if n < 4:
-        raise ValueError("curve grid needs at least 4 nodes")
-    length = curve.length
-    s = length * np.arange(n) / n
-    return QuadratureGrid(curve.points(s), np.full(n, length / n))
-
-
 def zonal_grid(pole, n):
     """Reduced S^2 grid along a meridian from `pole`, exact for zonal integrands.
 
@@ -181,8 +173,7 @@ def zonal_grid(pole, n):
     if n < 4:
         raise ValueError("zonal grid needs at least 4 nodes")
     t, w = gauss_legendre(n)
-    nodes = np.outer(t, pole) + np.outer(np.sqrt(1.0 - t**2), _normal(pole))
-    return QuadratureGrid(nodes, 2.0 * math.pi * w)
+    return QuadratureGrid(meridian(pole, t, np.sqrt(1.0 - t**2)), 2.0 * math.pi * w)
 
 
 def _normal(pole):
@@ -194,12 +185,7 @@ def _normal(pole):
     return u / np.linalg.norm(u)
 
 
-def meridian_grid(pole, n):
-    """n uniform arc-length nodes cos(s) pole + sin(s) u of the great circle
-    through `pole` and the normal u of zonal_grid's meridian; s = 0 is the pole."""
-    pole = as_unit_vector(pole)
-    if n < 4:
-        raise ValueError("meridian grid needs at least 4 nodes")
-    s = 2.0 * math.pi * np.arange(n) / n
-    nodes = np.outer(np.cos(s), pole) + np.outer(np.sin(s), _normal(pole))
-    return QuadratureGrid(nodes, np.full(n, 2.0 * math.pi / n))
+def meridian(pole, c, s):
+    """Points c pole + s u of the meridian through `pole` and its normal u,
+    for arrays c = cos(arc), s = sin(arc) from the pole."""
+    return np.outer(c, pole) + np.outer(s, _normal(pole))

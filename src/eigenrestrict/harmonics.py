@@ -192,8 +192,8 @@ def eval_averaged_raw(degree, delta, points, profile=unit_bump):
     out = np.zeros(pts.shape[0], dtype=complex)
     for phi, weight in zip(*_averaged_tilts(degree, delta, profile)):
         c, s = math.cos(phi), math.sin(phi)
-        rotated = np.column_stack([pts[:, 0], c * pts[:, 1] + s * pts[:, 2],
-                                   c * pts[:, 2] - s * pts[:, 1]])
+        # the beam reads only x1 and x2 of the rotated point
+        rotated = np.column_stack([pts[:, 0], c * pts[:, 1] + s * pts[:, 2]])
         out += weight * eval_highest_weight(2, degree, rotated)
     return out[0] if single else out
 

@@ -4,12 +4,14 @@ The measurement pipeline is: take a family member's values on a curve grid
 dense enough to resolve its oscillation (>= 20 points per wavelength), form
 the restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
-geometric ladder of degrees.  On a latitude circle a degree-n member is a
-trigonometric polynomial of degree n, so its grid values come from 2n + 1
-samples and one zero-padded FFT, not from evaluating it at every node.  On
-the great 2-subsphere of S^3 the families' moduli are zonal about an axis
-they name (`subsphere_axis`), so the surface integral is one 1-d
-Gauss-Legendre rule along a meridian.  The grid size is always derived from
+geometric ladder of degrees.  Along a latitude circle, and along a great
+circle of the subsphere, a degree-n member is a trigonometric polynomial of
+degree n, so its grid values come from >= 2n + 1 samples and one zero-padded
+FFT (`_circle_values`, the one sampler of both targets), not from
+evaluating it at every node.  On the great 2-subsphere of S^3 the families'
+moduli are zonal about an axis they name (`subsphere_axis`), so the surface
+integral is one 1-d Gauss-Legendre rule along a meridian, and the sup is
+the max along that meridian.  The grid size is always derived from
 the family's eigenvalue (`required_curve_points`; the subsphere resolution
 likewise); no caller picks it.  The theoretical_exponent oracle carries the
 sharp growth rates the fits are compared to.
@@ -80,7 +82,11 @@ def lp_norm_on_curve(f, curve, p):
     n)` at n = max(64, ceil(2 lambda) + 16), exact when |f|^p is a
     polynomial of degree <= 2n - 1 in <x, axis>, and p = inf takes the max
     over 2N uniform points of the meridian through the axis, both poles
-    included.
+    included.  The meridian is a great circle, so f is a trigonometric
+    polynomial of degree <= n along it too, and `_circle_values` gives
+    those 2N values from M >= 2n + 1 samples and one FFT; the samples keep
+    their own values at every (2N / M)-th point, so both poles of the
+    meridian, where the zonal members peak, read f exactly.
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
@@ -88,39 +94,60 @@ def lp_norm_on_curve(f, curve, p):
     lam = float(f.eigenvalue)
     n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
     if curve.dim == 1:
-        if getattr(f, "degree", None) is None:
-            raise ValueError("f has no degree attribute, so its restriction "
-                             "cannot be sampled as a trigonometric polynomial")
-        values = _circle_values(f, curve, n)
-        return lp_norm_weighted(values, np.full(n, curve.length / n), p)
+        def sample(m):
+            return curve.points(curve.length * np.arange(m) / m)
+        return lp_norm_weighted(_circle_values(f, sample, n), curve.length / n, p)
     axis = getattr(f, "subsphere_axis", None)
     if axis is None:
         raise ValueError("f has no subsphere_axis attribute, so its restriction "
                          "to the great subsphere cannot be reduced to a meridian")
+
+    def on_subsphere(nodes):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
+        return np.column_stack([nodes, np.zeros(nodes.shape[0])])
+
     if math.isinf(p):
-        grid = geometry.meridian_grid(axis, n)
-    else:
-        grid = geometry.zonal_grid(axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
-    # the S^2 of span(e1, e2, e3) as the subsphere {x4 = 0} of S^3
-    nodes = np.column_stack([grid.nodes, np.zeros(grid.nodes.shape[0])])
-    return lp_norm_weighted(f(nodes), grid.weights, p)
+        def sample(m):
+            s = 2.0 * math.pi * np.arange(m) / m
+            return on_subsphere(geometry.meridian(axis, np.cos(s), np.sin(s)))
+        return lp_norm_weighted(_circle_values(f, sample, n, keep_samples=True), None, p)
+    grid = geometry.zonal_grid(axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
+    return lp_norm_weighted(f(on_subsphere(grid.nodes)), grid.weights, p)
 
 
-def _circle_values(f, curve, n):
-    """f at the n nodes of curve_grid(curve, n), from M = _smooth_size(2 deg + 1)
-    samples: one FFT, the 2 deg + 1 coefficients zero-padded to n, one
-    inverse FFT scaled by n / M.  Needs n >= 2 deg + 1, which the
-    20-lambda grid gives any family with lambda > deg."""
+def _circle_values(f, sample, n, keep_samples=False):
+    """f at the n nodes sample(n) of a closed circle, uniform in its angle,
+    along which f is a trigonometric polynomial of degree deg = f.degree.
+
+    From M = _smooth_size(2 deg + 1) samples f(sample(M)): one FFT, the
+    2 deg + 1 coefficients zero-padded to n, one inverse FFT scaled by n / M.
+    Needs n >= 2 deg + 1, which the 20-lambda grid gives any family with
+    lambda > deg.  With keep_samples (n even), M is the least even divisor
+    of n that is >= 2 deg + 1 instead, and every (n / M)-th value is f's
+    own sample, not its interpolant: a max on a sample, the angle 0 and pi
+    among them, reads f exactly, free of the roundoff the FFT spreads from
+    the other samples.
+    """
+    if getattr(f, "degree", None) is None:
+        raise ValueError("f has no degree attribute, so its restriction "
+                         "cannot be sampled as a trigonometric polynomial")
     deg = int(f.degree)
     if n < 2 * deg + 1:
         raise ValueError(f"{n} curve nodes cannot resolve degree {deg}")
-    m = _smooth_size(max(4, 2 * deg + 1))
-    coeffs = np.fft.fft(f(geometry.curve_grid(curve, m).nodes))
+    m = max(4, 2 * deg + 1)
+    if keep_samples:  # M | n and M even: samples at both angle 0 and pi
+        m = n // max(q for q in range(1, n // m + 1) if n % (2 * q) == 0)
+    else:
+        m = _smooth_size(m)
+    samples = f(sample(m))
+    coeffs = np.fft.fft(samples)
     buf = np.zeros(n, dtype=complex)
     buf[:deg + 1] = coeffs[:deg + 1]
     buf[n - deg:] = coeffs[m - deg:]  # empty at deg = 0
     buf *= n / m
-    return np.fft.ifft(buf, out=buf)
+    values = np.fft.ifft(buf, out=buf)
+    if keep_samples:
+        values[::n // m] = samples
+    return values
 
 
 @dataclass(frozen=True)

@@ -37,33 +37,13 @@ GEODESICS = (("slope0", (1, 0)), ("slope1", (1, 1)), ("slope1/2", (2, 1)))
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class CircleRepresentations:
-    """All integer points on the circle m^2 + n^2 = N.
-
-    For N = 0 the list is the single point (0, 0); every positive N with a
-    representation has a count divisible by 4 (the four sign/swap
-    symmetries act freely off the axes and in pairs on them).
-    """
-
-    N: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (r, 2) integer array")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def r2(self):
-        return int(self.points.shape[0])
-
-
 def representations(N):
-    """Exhaustive scan for integer solutions of m^2 + n^2 = N.
+    """The integer points (m, n) of the circle m^2 + n^2 = N: an (r_2, 2) int64 array.
 
-    Takes every m in [-isqrt(N), isqrt(N)] at once and tests N - m^2 for
+    For N = 0 it is the single point (0, 0); every positive N with a
+    representation has a count divisible by 4 (the four sign/swap
+    symmetries act freely off the axes and in pairs on them).  The scan
+    takes every m in [-isqrt(N), isqrt(N)] at once and tests N - m^2 for
     squareness with exact integer arithmetic on its truncated float root; a
     perfect square below 2^53 has an exactly computed float root, so the
     list is complete by construction (N >= 2^53 raises ValueError).  Rows
@@ -83,7 +63,7 @@ def representations(N):
     pts = np.column_stack([m, n, m, -n]).reshape(-1, 2)
     keep = np.repeat(n > 0, 2)  # one row (m, 0) where n = 0
     keep[::2] = True
-    return CircleRepresentations(N, pts[keep])
+    return pts[keep]
 
 
 def r2_table(n_max):
@@ -163,10 +143,10 @@ def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
 
 
 def _lattice_circle(N):
-    reps = representations(N)
-    if N == 0 or reps.r2 == 0:
+    points = representations(N)
+    if N == 0 or len(points) == 0:
         raise ValueError(f"N={N} has no lattice circle to draw from")
-    return reps
+    return points
 
 
 def random_eigenfunction(N, seed):
@@ -175,11 +155,11 @@ def random_eigenfunction(N, seed):
     Every coefficient has modulus 1/sqrt(r_2(N)), so the L^2 norm is exactly 1
     and sup |f| <= sqrt(r_2(N)) with equality iff all phases align somewhere.
     """
-    reps = _lattice_circle(N)
+    points = _lattice_circle(N)
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=reps.r2)
-    coeffs = np.exp(1j * phases) / math.sqrt(reps.r2)
-    return TorusSum(reps.points, coeffs)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(points))
+    coeffs = np.exp(1j * phases) / math.sqrt(len(points))
+    return TorusSum(points, coeffs)
 
 
 def equal_coefficient_witness(N):
@@ -191,8 +171,8 @@ def equal_coefficient_witness(N):
     L^2 norm is sqrt(2 - s/r_2), s the circle points alone on their level of
     <k, w> (`alone_on_level`).
     """
-    reps = _lattice_circle(N)
-    return TorusSum(reps.points, np.full(reps.r2, 1.0 / math.sqrt(reps.r2)))
+    points = _lattice_circle(N)
+    return TorusSum(points, np.full(len(points), 1.0 / math.sqrt(len(points))))
 
 
 @dataclass(frozen=True)
@@ -412,22 +392,22 @@ def circle_nodes(N, terms):
 
 
 def curve_l2_norms(f):
-    """Restricted L^2 norms of f along the standard curves.
+    """Restricted L^2 norms of f along the standard curves, and the circle's rule.
 
     The closed geodesics of slope 0, 1 and 1/2 through the origin, in closed
     form (`geodesic_l2_norm`), and one round circle of radius CIRCLE_RADIUS
     about (pi, pi), not a geodesic, by the trapezoid rule on the M nodes of
     `circle_nodes`, certified to _EPS.  Normalized arc measure, so a constant
     of modulus 1 has norm 1 on every curve and the values compare directly
-    with ||f||_{L^2} = 1.
+    with ||f||_{L^2} = 1.  Returns (curve label -> norm, (M, bound)).
     """
     out = {label: geodesic_l2_norm(f, w) for label, w in GEODESICS}
-    num_points = circle_nodes(f.circle_number, len(f.coeffs))[0]
-    s = np.linspace(0.0, 2.0 * math.pi, num_points, endpoint=False)
+    M, bound = circle_nodes(f.circle_number, len(f.coeffs))
+    s = np.linspace(0.0, 2.0 * math.pi, M, endpoint=False)
     vals = f(np.column_stack([math.pi + CIRCLE_RADIUS * np.cos(s),
                               math.pi + CIRCLE_RADIUS * np.sin(s)]))
-    out["circle"] = lp_norm_weighted(vals, np.full(num_points, 1.0 / num_points), 2.0)
-    return out
+    out["circle"] = lp_norm_weighted(vals, 1.0 / M, 2.0)
+    return out, (M, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,6 +419,7 @@ class TorusRow:
     seed: int
     sup: SupEnclosure
     curves: dict  # curve label -> restricted L^2 norm
+    circle_rule: tuple  # (M, bound) of the circle's trapezoid rule (`circle_nodes`)
 
     @property
     def curve_l2(self):
@@ -535,13 +516,13 @@ def verify_linfty_bound(Ns, seeds):
         raise ValueError("verify_linfty_bound needs at least one N and one seed")
     rows, witnesses, ratio = [], [], 0.0
     for N in Ns:
-        reps = representations(N)
-        if reps.r2 == 0:
+        r2 = len(representations(N))
+        if r2 == 0:
             raise ValueError(f"N={N} is not a sum of two squares")
         witnesses.append(witness(N))
         for seed in seeds:
             f = random_eigenfunction(N, seed)
-            row = TorusRow(int(N), reps.r2, int(seed), grid_sup_norm(f), curve_l2_norms(f))
+            row = TorusRow(int(N), r2, int(seed), grid_sup_norm(f), *curve_l2_norms(f))
             cap = math.sqrt(2.0) * f.l2_norm
             ratio = max(ratio, *(row.curves[label] / cap for label, _ in GEODESICS))
             rows.append(row)

@@ -202,29 +202,9 @@ def test_sphere_grid_spectral_exactness():
     assert abs(float(np.sum(g.weights * vals))) < 1e-11
 
 
-def test_curve_grid_measures():
-    eq = geo.equator()
-    g = geo.curve_grid(eq, 128)
-    assert math.isclose(float(np.sum(g.weights)), eq.length, rel_tol=1e-13)
-    # the subsphere is a surface: its norms use zonal_grid, not a curve grid
-    with pytest.raises(AttributeError):
-        geo.curve_grid(geo.GreatSubsphere(), 32)
-
-
 def test_zonal_grid_pole_must_match_dimension():
     with pytest.raises(ValueError, match="S\\^2 has 3 coordinates"):
         geo.zonal_grid([1.0, 0.0, 0.0, 0.0], 40)
-
-
-def test_meridian_grid_runs_through_the_pole():
-    pole = np.array([0.0, 0.6, 0.8])
-    g = geo.meridian_grid(pole, 8)
-    assert math.isclose(float(np.sum(g.weights)), 2 * math.pi, rel_tol=1e-15)
-    assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-15)
-    assert np.array_equal(g.nodes[0], pole)
-    assert np.allclose(g.nodes[4], -pole, atol=1e-15)
-    # <x, pole> = cos(s) along the circle
-    assert np.allclose(g.nodes @ pole, np.cos(2 * math.pi * np.arange(8) / 8), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [4, 17, 64])

@@ -80,19 +80,51 @@ def test_curve_norm_frozen_values():
                         math.sqrt(19.0 / (4 * math.pi)), rel_tol=1e-12)
 
 
+def _circle_nodes(curve, n):
+    """n uniform arc-length nodes of a latitude circle, the first at angle 0."""
+    return curve.points(curve.length * np.arange(n) / n)
+
+
+def _meridian_nodes(axis, n):
+    """n uniform nodes cos(s) axis + sin(s) u of the meridian through `axis`,
+    u the normal zonal_grid's meridian takes, on the subsphere {x4 = 0}."""
+    s = 2 * math.pi * np.arange(n) / n
+    return _pad(np.outer(np.cos(s), axis) + np.outer(np.sin(s), geo._normal(axis)))
+
+
+def _pad(nodes):
+    """S^2 nodes as points of the great subsphere {x4 = 0} of S^3."""
+    return np.column_stack([nodes, np.zeros(nodes.shape[0])])
+
+
+_HALF = np.array([0.5, 0.5, 0.5, 0.5])
+_E1, _E4 = np.eye(4)[0], np.eye(4)[3]
+
+
 @pytest.mark.parametrize("curve", [geo.equator(), geo.LatitudeCircle(math.pi / 4)])
 def test_pinf_curve_norm_is_the_doubled_grid_max(curve):
     # the N-node grid is the even-index subset of the 2N-node grid, bit for bit
     f = ha.Zonal(2, 300, np.array([0.6, 0.0, 0.8]))
     n = re_.required_curve_points(f.eigenvalue)
-    coarse, fine = geo.curve_grid(curve, n), geo.curve_grid(curve, 2 * n)
-    assert np.array_equal(coarse.nodes, fine.nodes[::2])
+    coarse, fine = _circle_nodes(curve, n), _circle_nodes(curve, 2 * n)
+    assert np.array_equal(coarse, fine[::2])
     # the values are interpolated, not evaluated, at the 2N nodes
-    want = re_.lp_norm_weighted(f(fine.nodes), fine.weights, math.inf)
+    want = float(np.max(np.abs(f(fine))))
     assert math.isclose(re_.lp_norm_on_curve(f, curve, math.inf), want, rel_tol=1e-11)
 
 
-_CIRCLES = [geo.equator(), geo.LatitudeCircle(0.785), geo.LatitudeCircle(1.0)]
+def test_circle_norms_measure_the_circle_length():
+    # a constant has L^p norm length^(1/p) and sup 1 on every latitude circle
+    c = _Const()
+    for curve in _CIRCLES.values():
+        for p in (2.0, 4.0):
+            assert math.isclose(re_.lp_norm_on_curve(c, curve, p), curve.length ** (1 / p),
+                                rel_tol=1e-13)
+        assert math.isclose(re_.lp_norm_on_curve(c, curve, math.inf), 1.0, rel_tol=1e-15)
+
+
+_CIRCLES = {"equator": geo.equator(), "lat0.785": geo.LatitudeCircle(0.785),
+            "lat1.0": geo.LatitudeCircle(1.0)}
 _FAMILIES = {
     "zonal-e1": lambda n: ha.Zonal(2, n, np.array([1.0, 0.0, 0.0])),
     "zonal-off": lambda n: ha.Zonal(2, n, np.array([math.sin(1.0), 0.0, math.cos(1.0)])),
@@ -101,19 +133,40 @@ _FAMILIES = {
     "assoc-half": lambda n: ha.AssocHarmonic(n, n // 2),
     "averaged": lambda n: ha.Averaged(n, 0.9),
 }
+# on the subsphere the p = inf norm reads the meridian through the axis
+_S3_FAMILIES = {
+    "zonal-s3-e1": lambda n: ha.Zonal(3, n, _E1),
+    "zonal-s3-half": lambda n: ha.Zonal(3, n, _HALF),
+    "highest-weight-s3": lambda n: ha.HighestWeight(3, n),
+}
+_CIRCLE_CASES = [
+    *(pytest.param(_FAMILIES[family], degree, curve, id=f"{family}-{degree}-{label}")
+      for family in sorted(_FAMILIES) for degree in (4, 37, 300)
+      for label, curve in _CIRCLES.items()),
+    *(pytest.param(_S3_FAMILIES[family], degree, geo.GreatSubsphere(),
+                   id=f"{family}-{degree}-subsphere")
+      for family in sorted(_S3_FAMILIES) for degree in (4, 37, 300)),
+]
 
 
-@pytest.mark.parametrize("curve", _CIRCLES, ids=["equator", "lat0.785", "lat1.0"])
-@pytest.mark.parametrize("degree", [4, 37, 300])
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("family, degree, curve", _CIRCLE_CASES)
 def test_interpolated_circle_values_match_direct_evaluation(family, degree, curve):
-    f = _FAMILIES[family](degree)
-    n = re_.required_curve_points(f.eigenvalue)
-    direct = f(geo.curve_grid(curve, n).nodes)
+    f = family(degree)
+    if curve.dim == 1:
+        n, keep = re_.required_curve_points(f.eigenvalue), False
+
+        def nodes(m):
+            return _circle_nodes(curve, m)
+    else:  # the subsphere's sup takes 2N meridian points, samples kept
+        n, keep = 2 * re_.required_curve_points(f.eigenvalue), True
+
+        def nodes(m):
+            return _meridian_nodes(f.subsphere_axis, m)
+    direct = f(nodes(n))
     scale = float(np.max(np.abs(direct)))
     if scale == 0.0:  # e.g. P-hat_37^18 is odd in cos(theta): 0 on the equator
         pytest.skip("the family vanishes on this circle")
-    got = re_._circle_values(f, curve, n)
+    got = re_._circle_values(f, nodes, n, keep_samples=keep)
     assert got.shape == (n,)
     assert np.max(np.abs(got - direct)) <= 1e-10 * scale
 
@@ -145,8 +198,7 @@ def test_curve_norm_grid_refinement_converged():
     eq = geo.equator()
     f = ha.HighestWeight(2, 40)
     base = re_.lp_norm_on_curve(f, eq, 4)
-    grid = geo.curve_grid(eq, 2 * 4096)
-    fine = re_.lp_norm_weighted(f(grid.nodes), grid.weights, 4)
+    fine = re_.lp_norm_weighted(f(_circle_nodes(eq, 2 * 4096)), eq.length / (2 * 4096), 4)
     assert abs(base - fine) < 1e-5 * base
 
 
@@ -168,15 +220,6 @@ def test_subsphere_norm_and_floor():
     grid = geo.zonal_grid(small.subsphere_axis, re_.SUBSPHERE_FLOOR)
     want = re_.lp_norm_weighted(small(_pad(grid.nodes)), grid.weights, 4)
     assert re_.lp_norm_on_curve(small, sub, 4) == want
-
-
-def _pad(nodes):
-    """S^2 nodes as points of the great subsphere {x4 = 0} of S^3."""
-    return np.column_stack([nodes, np.zeros(nodes.shape[0])])
-
-
-_HALF = np.array([0.5, 0.5, 0.5, 0.5])
-_E1, _E4 = np.eye(4)[0], np.eye(4)[3]
 
 
 @pytest.mark.parametrize("degree", [16, 64, 256])
@@ -217,14 +260,28 @@ def test_subsphere_sup_is_the_closed_form(degree):
     assert math.isclose(hw, math.exp(ha.highest_weight_log_const(3, degree)), rel_tol=1e-12)
 
 
+def test_subsphere_sup_runs_through_the_pole():
+    # s = 0 and s = pi of the meridian are the axis and its antipode, where
+    # zonal-s3 peaks at (n + 1) / sqrt(2 pi^2).  Both are samples, so the
+    # sup reads f there, not an interpolant carrying the roundoff of the
+    # samples near the axis (3.4e-12 at n = 8192 if it did).  At n = 362 the
+    # least divisor of 2N above 2n + 1 is odd (729), which would leave the
+    # antipode between samples.  An axis off the coordinate axes takes the
+    # same path.
+    sub = geo.GreatSubsphere()
+    for pole in (_E1, np.array([0.0, 0.6, 0.8, 0.0])):
+        for degree in (4, 37, 300, 362, 937, 8192):
+            got = re_.lp_norm_on_curve(ha.Zonal(3, degree, pole), sub, math.inf)
+            want = (degree + 1) / math.sqrt(2 * math.pi**2)
+            assert math.isclose(got, want, rel_tol=1e-12), (pole, degree)
+
+
 def test_norm_monotone_in_p_after_normalizing():
     # on a probability-normalized curve measure L^p norms increase with p
     eq = geo.equator()
     f = ha.Zonal(2, 12, np.array([1.0, 0.0, 0.0]))
-    grid = geo.curve_grid(eq, 4096)
-    w = grid.weights / np.sum(grid.weights)
-    vals = f(grid.nodes)
-    norms = [re_.lp_norm_weighted(vals, w, p) for p in (2, 4, 6, math.inf)]
+    vals = f(_circle_nodes(eq, 4096))
+    norms = [re_.lp_norm_weighted(vals, 1.0 / 4096, p) for p in (2, 4, 6, math.inf)]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 

@@ -17,20 +17,19 @@ R2_KNOWN = {1: 4, 2: 4, 3: 0, 5: 8, 25: 12, 65: 16, 169: 12,
 
 def test_r2_frozen_values():
     for N, expected in R2_KNOWN.items():
-        assert torus.representations(N).r2 == expected
+        assert len(torus.representations(N)) == expected
 
 
 def test_representations_structure():
-    reps = torus.representations(65)
-    assert reps.points.shape == (16, 2)
-    assert np.all(np.sum(reps.points**2, axis=1) == 65)
-    assert len({tuple(p) for p in reps.points}) == 16
+    points = torus.representations(65)
+    assert points.shape == (16, 2) and points.dtype == np.int64
+    assert np.all(np.sum(points**2, axis=1) == 65)
+    assert len({tuple(p) for p in points}) == 16
 
 
 def test_representations_edge_cases():
     # the scan keeps the single row (0, 0); drawing on it is refused by value
-    zero = torus.representations(0)
-    assert zero.r2 == 1 and np.array_equal(zero.points, [[0, 0]])
+    assert np.array_equal(torus.representations(0), [[0, 0]])
     with pytest.raises(ValueError, match="N=0 has no lattice circle"):
         torus.random_eigenfunction(0, seed=0)
     with pytest.raises(ValueError):
@@ -49,8 +48,7 @@ def _loop_representations(N):
 @pytest.mark.parametrize("N", [1, 3, 25, 65, 4225, 99999, 10**7, 10**7 - 3, 5**16])
 def test_vectorized_scan_rows_follow_the_integer_loop(N):
     # m ascending, (m, n) before (m, -n), one row (m, 0) on the axes
-    assert torus.representations(N).points.tolist() == [list(p) for p in
-                                                        _loop_representations(N)]
+    assert torus.representations(N).tolist() == [list(p) for p in _loop_representations(N)]
 
 
 def test_representations_reject_n_past_exact_square_test():
@@ -61,7 +59,7 @@ def test_representations_reject_n_past_exact_square_test():
 def test_scan_matches_sieve():
     table = torus.r2_table(2000)
     for N in range(2000 + 1):
-        assert table[N] == torus.representations(N).r2
+        assert table[N] == len(torus.representations(N))
 
 
 def test_blocked_sieve_matches_scan_past_one_block(monkeypatch):
@@ -74,7 +72,7 @@ def test_blocked_sieve_matches_scan_past_one_block(monkeypatch):
     table = torus.r2_table(n_max)
     assert table.dtype == np.int64 and table.shape == (n_max + 1,)
     for N in [*range(2000), *range(n_max - 2000, n_max + 1)]:
-        assert table[N] == torus.representations(N).r2
+        assert table[N] == len(torus.representations(N))
     # every lattice point of the disk is binned once
     assert table.sum() == sum(2 * math.isqrt(n_max - m * m) + 1 for m in range(-s, s + 1))
     # blocks of one row or a few rows bin the same pairs
@@ -102,7 +100,7 @@ def test_octant_sieve_matches_full_square(n_max):
 @given(st.integers(1, 10**6))
 def test_r2_multiple_of_four(N):
     # the four rotations/reflections of any representation are distinct
-    r2 = torus.representations(N).r2
+    r2 = len(torus.representations(N))
     assert r2 % 4 == 0 or r2 == 0
 
 
@@ -181,10 +179,10 @@ def test_grid_sup_exact_for_aligned_phases():
     # the Bernstein factor keeps sqrt(r_2) inside the enclosure
     shift = np.array([0.1234567, 2.3456789])
     for N in (25, 65, 169, 4225):
-        reps = torus.representations(N)
-        f = TorusSum(reps.points, np.exp(-1j * reps.points @ shift) / math.sqrt(reps.r2))
+        points = torus.representations(N)
+        f = TorusSum(points, np.exp(-1j * points @ shift) / math.sqrt(len(points)))
         sup = torus.grid_sup_norm(f)
-        assert sup.lo <= math.sqrt(reps.r2) <= sup.hi, N
+        assert sup.lo <= math.sqrt(len(points)) <= sup.hi, N
         assert sup.width <= torus.SUP_RTOL
 
 
@@ -310,7 +308,7 @@ def test_grid_sup_divides_out_shared_factor():
 
 def test_curve_l2_of_constant_is_one():
     f = TorusSum(np.array([[0, 1]]), np.array([1.0 + 0j]))
-    norms = torus.curve_l2_norms(f)
+    norms, _ = torus.curve_l2_norms(f)
     assert set(norms) == {"slope0", "slope1", "slope1/2", "circle"}
     # slope-0 geodesic holds e^{iy} constant in modulus; all curves see |f| = 1
     for val in norms.values():
@@ -336,7 +334,7 @@ CIRCLE_NS = (25, 169, 625, 4225, 34225, 1000001)
 def test_circle_node_count_is_the_least_certified():
     counts = {}
     for N in CIRCLE_NS:
-        r2 = torus.representations(N).r2
+        r2 = len(torus.representations(N))
         M, bound = torus.circle_nodes(N, r2)
         counts[N] = M
         assert bound <= torus._EPS
@@ -358,7 +356,9 @@ def test_circle_norm_at_certified_count_matches_finer_rules(N):
           torus.equal_coefficient_witness(N))
     for f in fs:
         M, bound = torus.circle_nodes(N, len(f.coeffs))
-        norm = torus.curve_l2_norms(f)["circle"]
+        norms, rule = torus.curve_l2_norms(f)
+        assert rule == (M, bound)
+        norm = norms["circle"]
         for ref_points in (8 * M, max(4096, math.ceil(40 * f.eigenvalue))):
             ref = _trapezoid_circle_l2(f, ref_points)
             assert abs(norm - ref) <= (bound + 1e-13) * ref, (N, ref_points)
@@ -389,7 +389,7 @@ def test_geodesic_closed_form_matches_trapezoid():
     for N in (25, 65, 625, 4225):
         for f in (torus.random_eigenfunction(N, 1), torus.equal_coefficient_witness(N)):
             num_points = max(4096, math.ceil(40 * f.eigenvalue))
-            norms = torus.curve_l2_norms(f)
+            norms, _ = torus.curve_l2_norms(f)
             for label, (p, q) in directions.items():
                 ref = _trapezoid_geodesic_l2(f, p, q, num_points)
                 assert abs(norms[label] - ref) <= 1e-12, (N, label)
@@ -403,7 +403,7 @@ def test_witness_geodesic_norms():
         assert math.isclose(w.geodesics["slope1"], math.sqrt(2.0), rel_tol=1e-15)
         assert w.geodesic_gap <= torus.GEODESIC_RTOL
     # slope 0 at N = 25: (+-5, 0) are alone, so sqrt(2 - 2/12)
-    assert torus.alone_on_level(torus.representations(25).points, (1, 0)) == 2
+    assert torus.alone_on_level(torus.representations(25), (1, 0)) == 2
     assert math.isclose(torus.witness(25).geodesics["slope0"], math.sqrt(2.0 - 2.0 / 12.0))
     # slope 1/2 at N = 25: (4, 3) mirrors to (24/5, 7/5), not a lattice point
     assert torus.alone_on_level(np.array([[4, 3], [3, 4], [5, 0]]), (2, 1)) == 1
@@ -425,6 +425,8 @@ def test_verify_linfty_bound_report():
         assert row.sup.hi <= math.sqrt(row.r2)
         assert row.sup.width <= torus.SUP_RTOL
         assert set(row.curves) == {"slope0", "slope1", "slope1/2", "circle"}
+        # the row carries the rule its circle norm was taken with
+        assert row.circle_rule == torus.circle_nodes(row.N, row.r2)
         assert 0.0 < row.curve_l2 <= row.sup.lo + 1e-12
     with pytest.raises(ValueError, match="not a sum of two squares"):
         torus.verify_linfty_bound([21], seeds=[0])
