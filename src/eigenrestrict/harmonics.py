@@ -7,7 +7,9 @@ matrix of their tilted beams.
 Evaluation is vectorized over point arrays and stays finite up to degree
 several thousand.  The polynomials come from one place each: Chebyshev U_n in
 closed form, and every normalized associated Legendre P-hat_n^m (P_n is the
-m = 0 row) from one rescaled degree recurrence, with no raw factorials.
+m = 0 row) from one rescaled degree recurrence, with no raw factorials.  On
+a great circle through its pole the S^2 zonal harmonic needs neither: its
+Fourier coefficients there are closed-form (`Zonal.equator_coefficients`).
 """
 
 import math
@@ -70,8 +72,9 @@ def _diag_rescaled(m_max):
 def assoc_legendre_norm(n, m, t):
     """Order-m normalized associated Legendre P-hat_n^m(t), int_{-1}^{1} P-hat^2 = 1.
 
-    The order m (a scalar or an integer array) broadcasts against t, so one
-    call returns the whole row m = 0..n at a point, or one order on a grid.
+    The order m is a scalar that broadcasts against t (one order on a grid),
+    or a 1-d ascending integer array at one scalar t (a row of orders at a
+    point); any other pairing raises ValueError.
     Fully normalized recurrence in the degree k, started at k = m:
       P-hat_m^m = prod_{k<=m} -sqrt((2k+1)/(2k)) sqrt(1-t^2) * 1/sqrt(2)
       P-hat_k^m = a(k,m) t P-hat_{k-1}^m - b(k,m) P-hat_{k-2}^m,  k > m,
@@ -80,40 +83,50 @@ def assoc_legendre_norm(n, m, t):
     first step gives P-hat_{m+1}^m = sqrt(2m+3) t P-hat_m^m.  The s^m seed
     factor is carried in log space: for large m it underflows double range
     while the recurrence regrows it through the forbidden zone, so the naive
-    form amplifies pure roundoff there.
+    form amplifies pure roundoff there.  A row steps, in place, only its
+    prefix of orders m < k that have started.
     """
     m_arr = np.asarray(m)
-    if np.any((m_arr < 0) | (m_arr > n)):
-        raise ValueError("need 0 <= m <= n")
     t = np.asarray(t, dtype=float)
     row = m_arr.ndim > 0
-    # a scalar order keeps the coefficients in Python floats
+    if row and (m_arr.ndim != 1 or m_arr.size == 0 or t.ndim != 0
+                or np.any(np.diff(m_arr) < 0)):
+        raise ValueError("an order array must be 1-d, nonempty and ascending, "
+                         "at one scalar t")
+    if np.any((m_arr < 0) | (m_arr > n)):
+        raise ValueError("need 0 <= m <= n")
+    # a scalar order keeps the coefficients in Python numbers
     m = m_arr if row else int(m_arr)
     shape = np.broadcast_shapes(m_arr.shape, t.shape)
-    p = _diag_rescaled(int(m_arr.max()))[m] * np.ones(shape)
+    p = np.full(shape, _diag_rescaled(int(m_arr.max()))[m])
     p_prev = np.zeros(shape)
     offset = np.zeros(shape)
     # |P-hat_k^0(t)| <= sqrt((2k+1)/2) on |t| <= 1, far below _BIG, so a
     # scalar m = 0 there never rescales and skips the test
     rescale = row or m > 0 or np.any(np.abs(t) > 1.0)
-    # orders m >= k have not started at step k: their coefficients are not
-    # finite, and the live mask keeps their seed in place
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(int(m_arr.min()) + 1, n + 1):
-            a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = np.sqrt((2.0 * k + 1.0) * (k - 1.0 - m) * (k - 1.0 + m)
-                        / ((2.0 * k - 3.0) * (k - m) * (k + m)))
-            new = a * t * p - b * p_prev
-            if row:
-                live = m < k
-                p, p_prev = np.where(live, new, p), np.where(live, p, p_prev)
-            else:
-                p, p_prev = new, p
-            if rescale and np.any(hot := np.abs(p) > _BIG):
-                p = np.where(hot, p / _BIG, p)
-                p_prev = np.where(hot, p_prev / _BIG, p_prev)
-                offset = np.where(hot, offset + _LOG_BIG, offset)
-        s = np.sqrt(np.maximum(0.0, 1.0 - t**2))
+    # the factors of a^2 and b^2 are integers, formed exactly; below 2^53
+    # their float products were exact too, so the quotients are unchanged
+    msq = m * m
+    live = ...  # a scalar order has started at every t
+    for k in range(int(m_arr.min()) + 1, n + 1):
+        if row:  # the orders m < k have started: the row's prefix
+            live = slice(0, int(np.searchsorted(m_arr, k)))
+        ms = msq[live] if row else msq
+        d2 = k * k - ms
+        a = np.sqrt((4.0 * k * k - 1.0) / d2)
+        b = np.sqrt((2 * k + 1) * ((k - 1) ** 2 - ms) / ((2 * k - 3) * d2))
+        new = a * t * p[live] - b * p_prev[live]
+        if row:  # the orders not yet started keep their seeds
+            p_prev[live] = p[live]
+            p[live] = new
+        else:  # a 0-d t gives a NumPy scalar: the rescale writes into arrays
+            p, p_prev = np.asarray(new), p
+        if rescale and np.any(hot := np.abs(cur := p[live]) > _BIG):
+            cur[hot] /= _BIG
+            p_prev[live][hot] /= _BIG
+            offset[live][hot] += _LOG_BIG
+    s = np.sqrt(np.maximum(0.0, 1.0 - t**2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at the poles
         logs = offset + np.where(m_arr > 0, m * np.log(s), 0.0)
     return np.where((s > 0.0) | (m_arr == 0), p * np.exp(logs), 0.0)
 
@@ -234,6 +247,30 @@ class Zonal(_SphereFamily):
         else:
             vals = gegenbauer_u(self.degree, t) / math.sqrt(2.0 * math.pi**2)
         return vals[0] if single else vals
+
+    def equator_coefficients(self):
+        """Fourier coefficients c_j, |j| <= n, of f(cos s, sin s, 0) = sum_j
+        c_j e^{i j s}, in FFT order (c_j at index j mod 2n + 1), when the
+        equator passes through the pole of S^2 (pole[2] == 0.0).
+
+        There <x, pole> = cos(s - s0) with s0 = atan2(pole[1], pole[0]), and
+        P_n(cos s) = sum_{k=0}^{n} alpha_k alpha_{n-k} e^{i (n - 2k) s} with
+        alpha_k = C(2k, k) / 4^k = prod_{j<=k} (2j - 1) / (2j) (DLMF 14.13),
+        so c_{n-2k} = sqrt((2n+1)/4pi) alpha_k alpha_{n-k} e^{-i (n-2k) s0}:
+        no recurrence, and the terms, all positive at s = s0, sum to f's pole
+        value to rounding.
+        """
+        if self.dim != 2 or self.pole[2] != 0.0:
+            raise ValueError("the equator passes through the pole only for a "
+                             "pole of S^2 with z = 0")
+        n = self.degree
+        j = np.arange(1, n + 1)
+        alpha = np.cumprod(np.concatenate([[1.0], (2.0 * j - 1.0) / (2.0 * j)]))
+        s0 = math.atan2(self.pole[1], self.pole[0])
+        coeffs = np.zeros(2 * n + 1, dtype=complex)  # frequencies -n..n
+        coeffs[::2] = (math.sqrt((2 * n + 1) / (4.0 * math.pi)) * alpha * alpha[::-1]
+                       * np.exp(-1j * s0 * np.arange(-n, n + 1, 2)))
+        return np.fft.ifftshift(coeffs)
 
     @property
     def subsphere_axis(self):

@@ -6,15 +6,19 @@ the restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
 geometric ladder of degrees.  Along a latitude circle, and along a great
 circle of the subsphere, a degree-n member is a trigonometric polynomial of
-degree n, so its grid values come from >= 2n + 1 samples and one zero-padded
-FFT (`_circle_values`, the one sampler of both targets), not from
-evaluating it at every node.  On the great 2-subsphere of S^3 the families'
-moduli are zonal about an axis they name (`subsphere_axis`), so the surface
-integral is one 1-d Gauss-Legendre rule along a meridian, and the sup is
-the max along that meridian.  The grid size is always derived from
-the family's eigenvalue (`required_curve_points`; the subsphere resolution
-likewise); no caller picks it.  The theoretical_exponent oracle carries the
-sharp growth rates the fits are compared to.
+degree n, so its grid values come from its 2n + 1 Fourier coefficients and
+one zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
+every node.  One pair reads those coefficients in closed form: an S^2 zonal
+harmonic on the equator through its pole (`Zonal.equator_coefficients`).
+Every other pair of family and circle takes them from >= 2n + 1 samples and
+one FFT (`_circle_values`, the one sampler of both targets).  On the great
+2-subsphere of S^3 the families' moduli are zonal about an axis they name
+(`subsphere_axis`), so the surface integral is one 1-d Gauss-Legendre rule
+along a meridian, and the sup is the max along that meridian.  The grid
+size is always derived from the family's eigenvalue (`required_curve_points`;
+the subsphere resolution likewise); no caller picks it.  The
+theoretical_exponent oracle carries the sharp growth rates the fits are
+compared to.
 """
 
 import math
@@ -75,18 +79,24 @@ def lp_norm_on_curve(f, curve, p):
     The values at those nodes are not evaluated there: f of degree n
     (f.degree, a ValueError when f has none) is a polynomial of degree <= n
     in (x, y, z), so on a latitude circle it is a trigonometric polynomial
-    of degree <= n in the angle, and its values at M >= 2n + 1 uniform
-    points (`_circle_values`) fix it with no aliasing.  On the great
-    subsphere {x4 = 0} of S^3, |f| is zonal about f.subsphere_axis (a
-    ValueError when f has none): the norm integrates over `zonal_grid(axis,
-    n)` at n = max(64, ceil(2 lambda) + 16), exact when |f|^p is a
-    polynomial of degree <= 2n - 1 in <x, axis>, and p = inf takes the max
-    over 2N uniform points of the meridian through the axis, both poles
-    included.  The meridian is a great circle, so f is a trigonometric
-    polynomial of degree <= n along it too, and `_circle_values` gives
-    those 2N values from M >= 2n + 1 samples and one FFT; the samples keep
-    their own values at every (2N / M)-th point, so both poles of the
-    meridian, where the zonal members peak, read f exactly.
+    of degree <= n in the angle, and its 2n + 1 Fourier coefficients fix
+    it.  The pair picks where they come from: an S^2 `harmonics.Zonal` on
+    the equator with its pole on it (pole[2] == 0.0) has them in closed
+    form (`Zonal.equator_coefficients`), free of samples and of the
+    Legendre recurrence's n^2 eps drift, so its sup reads the pole value
+    to rounding; every other family, pole or latitude circle takes them
+    from its values at M >= 2n + 1 uniform points (`_circle_values`), with
+    no aliasing.  On the great subsphere {x4 = 0} of S^3, |f| is zonal
+    about f.subsphere_axis (a ValueError when f has none): the norm
+    integrates over `zonal_grid(axis, n)` at n = max(64, ceil(2 lambda) +
+    16), exact when |f|^p is a polynomial of degree <= 2n - 1 in <x, axis>,
+    and p = inf takes the max over 2N uniform points of the meridian
+    through the axis, both poles included.  The meridian is a great circle,
+    so f is a trigonometric polynomial of degree <= n along it too, and
+    `_circle_values` gives those 2N values from M >= 2n + 1 samples and one
+    FFT; the samples keep their own values at every (2N / M)-th point, so
+    both poles of the meridian, where the zonal members peak, read f
+    exactly.
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
@@ -94,9 +104,13 @@ def lp_norm_on_curve(f, curve, p):
     lam = float(f.eigenvalue)
     n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
     if curve.dim == 1:
-        def sample(m):
-            return curve.points(curve.length * np.arange(m) / m)
-        return lp_norm_weighted(_circle_values(f, sample, n), curve.length / n, p)
+        if _pole_on_equator(f, curve):
+            values = _fourier_values(f.equator_coefficients(), f.degree, n, n)
+        else:
+            def sample(m):
+                return curve.points(curve.length * np.arange(m) / m)
+            values = _circle_values(f, sample, n)
+        return lp_norm_weighted(values, curve.length / n, p)
     axis = getattr(f, "subsphere_axis", None)
     if axis is None:
         raise ValueError("f has no subsphere_axis attribute, so its restriction "
@@ -114,18 +128,24 @@ def lp_norm_on_curve(f, curve, p):
     return lp_norm_weighted(f(on_subsphere(grid.nodes)), grid.weights, p)
 
 
+def _pole_on_equator(f, curve):
+    """Whether f is an S^2 zonal harmonic whose pole lies on the curve, the
+    equator: its restriction's Fourier coefficients are then closed-form."""
+    return (isinstance(f, harmonics.Zonal) and f.dim == 2 and not curve.curved
+            and f.pole[2] == 0.0)
+
+
 def _circle_values(f, sample, n, keep_samples=False):
     """f at the n nodes sample(n) of a closed circle, uniform in its angle,
     along which f is a trigonometric polynomial of degree deg = f.degree.
 
-    From M = _smooth_size(2 deg + 1) samples f(sample(M)): one FFT, the
-    2 deg + 1 coefficients zero-padded to n, one inverse FFT scaled by n / M.
-    Needs n >= 2 deg + 1, which the 20-lambda grid gives any family with
-    lambda > deg.  With keep_samples (n even), M is the least even divisor
-    of n that is >= 2 deg + 1 instead, and every (n / M)-th value is f's
-    own sample, not its interpolant: a max on a sample, the angle 0 and pi
-    among them, reads f exactly, free of the roundoff the FFT spreads from
-    the other samples.
+    From M = _smooth_size(2 deg + 1) samples f(sample(M)): one FFT gives the
+    coefficients, and `_fourier_values` the n values.  Needs n >= 2 deg + 1,
+    which the 20-lambda grid gives any family with lambda > deg.  With
+    keep_samples (n even), M is the least even divisor of n that is
+    >= 2 deg + 1 instead, and every (n / M)-th value is f's own sample, not
+    its interpolant: a max on a sample, the angle 0 and pi among them, reads
+    f exactly, free of the roundoff the FFT spreads from the other samples.
     """
     if getattr(f, "degree", None) is None:
         raise ValueError("f has no degree attribute, so its restriction "
@@ -139,15 +159,25 @@ def _circle_values(f, sample, n, keep_samples=False):
     else:
         m = _smooth_size(m)
     samples = f(sample(m))
-    coeffs = np.fft.fft(samples)
-    buf = np.zeros(n, dtype=complex)
-    buf[:deg + 1] = coeffs[:deg + 1]
-    buf[n - deg:] = coeffs[m - deg:]  # empty at deg = 0
-    buf *= n / m
-    values = np.fft.ifft(buf, out=buf)
+    values = _fourier_values(np.fft.fft(samples), deg, n, n / m)
     if keep_samples:
         values[::n // m] = samples
     return values
+
+
+def _fourier_values(coeffs, deg, n, scale):
+    """sum_{|j| <= deg} c_j e^{2 pi i j l / n} at l = 0..n-1, for n >= 2 deg + 1.
+
+    coeffs holds n c_j / scale in FFT order (c_j at index j mod its length,
+    which is >= 2 deg + 1): the FFT of M samples with scale n / M, or the c_j
+    themselves with scale n.  The 2 deg + 1 of them, zero-padded to n and
+    scaled, take one inverse FFT.
+    """
+    buf = np.zeros(n, dtype=complex)
+    buf[:deg + 1] = coeffs[:deg + 1]
+    buf[n - deg:] = coeffs[coeffs.size - deg:]  # empty at deg = 0
+    buf *= scale
+    return np.fft.ifft(buf, out=buf)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,46 @@ def test_assoc_legendre_batched_scan_matches_single_m():
         assert math.isclose(row[m], single, rel_tol=1e-11, abs_tol=1e-13)
 
 
+def _whole_row_reference(n, orders, t0):
+    """The row stepped over every order at every k, unstarted ones held by a
+    mask: the loop the live-prefix row replaced, kept as its reference."""
+    p = ha._diag_rescaled(int(orders.max()))[orders].copy()
+    p_prev, offset = np.zeros(orders.size), np.zeros(orders.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(int(orders.min()) + 1, n + 1):
+            a = np.sqrt((4.0 * k * k - 1.0) / (k * k - orders * orders))
+            b = np.sqrt((2.0 * k + 1.0) * (k - 1.0 - orders) * (k - 1.0 + orders)
+                        / ((2.0 * k - 3.0) * (k - orders) * (k + orders)))
+            live = orders < k
+            new = a * t0 * p - b * p_prev
+            p, p_prev = np.where(live, new, p), np.where(live, p, p_prev)
+            hot = np.abs(p) > ha._BIG
+            p, p_prev = np.where(hot, p / ha._BIG, p), np.where(hot, p_prev / ha._BIG, p_prev)
+            offset = np.where(hot, offset + ha._LOG_BIG, offset)
+        logs = offset + np.where(orders > 0, orders * math.log(math.sqrt(1.0 - t0**2)), 0.0)
+    return p * np.exp(logs)
+
+
+@pytest.mark.parametrize("n", [32, 128, 1024])
+@pytest.mark.parametrize("theta0", [0.3, math.pi / 4, 1.5])
+def test_assoc_legendre_row_is_bitwise_the_whole_row_loop(n, theta0):
+    t0 = math.cos(theta0)
+    for orders in (np.arange(n + 1), np.arange((n + 1) // 2, n + 1), np.array([2, 5, 5, n])):
+        assert np.array_equal(ha.assoc_legendre_norm(n, orders, t0),
+                              _whole_row_reference(n, orders, t0))
+
+
+@pytest.mark.parametrize("orders, t", [
+    (np.array([3, 2]), 0.5),                 # not ascending
+    (np.array([[1, 2]]), 0.5),               # not 1-d
+    (np.array([], dtype=int), 0.5),          # empty
+    (np.array([1, 2]), np.array([0.5])),     # t is not a scalar
+])
+def test_assoc_legendre_order_array_form_is_narrow(orders, t):
+    with pytest.raises(ValueError, match="order array"):
+        ha.assoc_legendre_norm(8, orders, t)
+
+
 def test_recurrence_stable_at_large_degree():
     t0 = math.cos(math.pi / 4)
     big = ha.assoc_legendre_norm(4096, 2048, np.array([t0]))

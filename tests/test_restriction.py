@@ -171,6 +171,59 @@ def test_interpolated_circle_values_match_direct_evaluation(family, degree, curv
     assert np.max(np.abs(got - direct)) <= 1e-10 * scale
 
 
+_ROTATED = np.array([math.cos(0.3), math.sin(0.3), 0.0])  # s0 = 0.3 on the equator
+
+
+@pytest.mark.parametrize("pole", [np.array([1.0, 0.0, 0.0]), _ROTATED], ids=["e1", "rotated"])
+@pytest.mark.parametrize("degree", [16, 181, 1024])
+@pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
+def test_equator_zonal_closed_form_matches_the_sampler(pole, degree, p):
+    f = ha.Zonal(2, degree, pole)
+    eq = geo.equator()
+    n = re_.required_curve_points(f.eigenvalue) * (2 if math.isinf(p) else 1)
+    sampled = re_._circle_values(f, lambda m: _circle_nodes(eq, m), n)
+    # the sampler carries the Legendre recurrence's n^2 eps drift, 9.2e-12
+    # relative at the pole at n = 1024; the closed form does not
+    tol = 1e-12 * max(1.0, (degree / 256) ** 2)
+    closed = re_._fourier_values(f.equator_coefficients(), degree, n, n)
+    assert np.max(np.abs(closed - sampled)) <= tol * np.max(np.abs(sampled))
+    want = re_.lp_norm_weighted(sampled, eq.length / n, p)
+    assert math.isclose(re_.lp_norm_on_curve(f, eq, p), want, rel_tol=tol)
+
+
+def test_only_a_pole_on_the_equator_reads_closed_form_coefficients(monkeypatch):
+    eq, e1 = geo.equator(), np.array([1.0, 0.0, 0.0])
+    calls = {"samples": 0, "coefficients": 0}
+    sample, coefficients = ha.Zonal.__call__, ha.Zonal.equator_coefficients
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ha.Zonal, "__call__", counting("samples", sample))
+    monkeypatch.setattr(ha.Zonal, "equator_coefficients", counting("coefficients", coefficients))
+    re_.lp_norm_on_curve(ha.Zonal(2, 64, _ROTATED), eq, 6)
+    assert calls == {"samples": 0, "coefficients": 1}
+    tilted = np.array([1.0, 0.0, 1e-9])  # z != 0, however small
+    cases = [(tilted, eq), *((e1, curve) for curve in _CIRCLES.values() if curve.curved)]
+    for pole, curve in cases:
+        calls.update(samples=0, coefficients=0)
+        re_.lp_norm_on_curve(ha.Zonal(2, 64, pole), curve, 6)
+        assert calls == {"samples": 1, "coefficients": 0}
+    with pytest.raises(ValueError, match="z = 0"):
+        coefficients(ha.Zonal(2, 64, tilted))
+
+
+@pytest.mark.parametrize("degree", [4096, 8192])
+def test_equator_zonal_sup_is_the_pole_value_free_of_recurrence_drift(degree):
+    # the recurrence's n^2 eps drift put this 2.2e-10 and 6.7e-10 off
+    f = ha.Zonal(2, degree, np.array([1.0, 0.0, 0.0]))
+    got = re_.lp_norm_on_curve(f, geo.equator(), math.inf)
+    assert math.isclose(got, math.sqrt((2 * degree + 1) / (4 * math.pi)), rel_tol=1e-13)
+
+
 def test_curve_norm_needs_a_degree():
     def undegreed(pts):
         return np.ones(np.atleast_2d(pts).shape[0])
