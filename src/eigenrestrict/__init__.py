@@ -7,7 +7,7 @@ oscillatory-integral machinery (kernel decay, phase expansions, the caustic
 model operator) behind them.
 """
 
-from .geometry import GreatSubsphere, LatitudeCircle, QuadratureGrid, equator
+from .geometry import GreatSubsphere, LatitudeCircle, equator
 from .harmonics import (AssocHarmonic, Averaged, HighestWeight, TorusSum,
                         Zonal, eigenvalue)
 from .oscillatory import (AirySpec, airy_operator_norm, phase_expansion_fit,
@@ -21,7 +21,7 @@ from .torus import (divisor_growth, r2_table, random_eigenfunction,
 __all__ = [
     "AirySpec", "AssocHarmonic", "Averaged", "ExponentFit",
     "GreatSubsphere", "HighestWeight", "LatitudeCircle", "NormSample",
-    "QuadratureGrid", "TorusSum", "Zonal", "airy_operator_norm",
+    "TorusSum", "Zonal", "airy_operator_norm",
     "divisor_growth", "eigenvalue", "envelope_check", "equator",
     "fit_exponent", "geometric_degrees", "lp_norm_on_curve",
     "phase_expansion_fit", "r2_table", "random_eigenfunction",

@@ -8,9 +8,9 @@ dimension d, its own dimension k and whether it is curved: the key of
 restriction.theoretical_exponent.  They sit in one standard position each,
 written in the coordinate basis e1, e2, e3 (there are no frames to rotate
 them).  A meridian is the great circle cos(s) pole + sin(s) u through a
-pole and its normal u (meridian).  The one grid lies on it: Gauss-Legendre
-in <x, pole>, with weights summing exactly to 4 pi (zonal_grid).  A latitude
-circle needs no grid: its samples are its own points at uniform arc length.
+pole and its normal u (meridian); the subsphere norms read their values at
+uniform s along it.  Neither target needs a grid of its own: a latitude
+circle's samples are its own points at uniform arc length.
 Everything here is pure and immutable; downstream modules rely on these
 functions being deterministic.
 """
@@ -85,7 +85,7 @@ class GreatSubsphere:
     """The great 2-sphere {x4 = 0} of S^3, the unit sphere of span(e1, e2, e3).
 
     A surface, not a curve: restriction integrates over it along one
-    meridian (zonal_grid), so it carries no parametrization.
+    meridian (`meridian`), so it carries no parametrization.
     """
 
     ambient_dim = 3
@@ -98,25 +98,7 @@ def equator():
     return LatitudeCircle(math.pi / 2)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Nodes on the target (rows of `nodes`) with positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or nodes.shape[0] != weights.shape[0]:
-            raise ValueError("nodes and weights must have matching leading dimension")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be strictly positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
-@functools.lru_cache(maxsize=64)  # 64 rules hold at most 17 MB at n = 16404 (degree 8192)
+@functools.lru_cache(maxsize=64)  # tilt rules hold 32 + 4 n^(1/3) nodes: a few KB each
 def gauss_legendre(n):
     """Nodes (ascending) and weights on [-1, 1], exact for polynomials of degree 2n-1.
 
@@ -157,23 +139,6 @@ def gauss_legendre(n):
     nodes, weights = np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-def zonal_grid(pole, n):
-    """Reduced S^2 grid along a meridian from `pole`, exact for zonal integrands.
-
-    For f depending only on t = <x, pole>, the azimuthal integral is
-    constant, so int f = 2 pi * int f(t) dt, by Gauss-Legendre in t.  The
-    returned nodes lie on one meridian and the weights absorb the azimuthal
-    measure; they still sum to the full 4 pi.
-    """
-    pole = as_unit_vector(pole)
-    if pole.size != 3:
-        raise ValueError(f"a pole of S^2 has 3 coordinates, got {pole.size}")
-    if n < 4:
-        raise ValueError("zonal grid needs at least 4 nodes")
-    t, w = gauss_legendre(n)
-    return QuadratureGrid(meridian(pole, t, np.sqrt(1.0 - t**2)), 2.0 * math.pi * w)
 
 
 def _normal(pole):

@@ -227,7 +227,7 @@ AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
 LANCZOS_MAX_STEPS = 200    # Lanczos step limit
 LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
 _LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms
-_FFT_BUFFERS = 6           # length-m complex arrays: eig, its conjugate, one A^H A product
+_FFT_BUFFERS = 5           # length-m complex arrays beside the basis: 4.86 traced at lambda 20000
 _PANEL_ROWS = 64           # dense-kernel rows built per thread-pool task
 
 
@@ -243,11 +243,14 @@ def airy_matrix_dim(spec):
     (LANCZOS_MAX_STEPS + 1) x n Lanczos basis plus the operator, which is
     the n x n kernel when c or d is set (n <= 8090, lambda <= 2541) and, for
     the Toeplitz model kernel, which is never formed, _FFT_BUFFERS circulant
-    arrays of length m = 2^ceil(log2(2n - 1)) (n <= 302574, lambda <= 95056).
-    A larger one raises ValueError.  The cap bounds this working set, not
-    the process RSS: the interpreter with numpy and the package (about
-    30 MiB) and the kernel's row-panel temporaries come on top, so the
-    variable case at lambda = 2541 peaks near 1053 MiB.
+    arrays of length m = 2^ceil(log2(2n - 1)) (n <= 307788, lambda <= 96694):
+    its eigenvalues, one product buffer each for A and A^H, and the
+    length-n vectors around them, 4.86 such arrays at the peak tracemalloc
+    sees beyond the basis at lambda = 20000.  A larger one raises
+    ValueError.  The cap bounds this working set, not the process RSS: the
+    interpreter with numpy and the package (about 30 MiB) and the kernel's
+    row-panel temporaries come on top, so the variable case at
+    lambda = 2541 peaks near 1053 MiB.
     """
     n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
     if spec.toeplitz:
@@ -277,21 +280,30 @@ def _toeplitz_products(offsets, column):
     m = 2^ceil(log2(2n - 1)) whose first column holds the offsets
     i - j = 0..n-1, zeros, then i - j = 1-n..-1; a circulant is diagonal in
     the Fourier basis, so both products cost O(m log m) (Chan & Ng, SIAM
-    Rev. 38, 1996).  Its eigenvalues are one FFT, taken here.
+    Rev. 38, 1996).  Its eigenvalues are one FFT, taken here; each product
+    then runs in place in one length-m buffer, the adjoint conjugating
+    around the multiply instead of holding the eigenvalues' conjugate.
     """
     n = column.size
     m = 1 << (2 * n - 2).bit_length()
     first = np.zeros(m, dtype=complex)
     first[:n] = offsets[n - 1:]
     first[m - n + 1:] = offsets[:n - 1]
-    eig = np.fft.fft(first)
-    eig_conj = eig.conj()
+    eig = np.fft.fft(first, out=first)
 
     def apply(v):
-        return np.fft.ifft(eig * np.fft.fft(column * v, m))[:n]
+        buf = np.fft.fft(column * v, m)
+        np.multiply(eig, buf, out=buf)  # eig first: its FMA rounding is order-sensitive
+        return np.fft.ifft(buf, out=buf)[:n]
 
-    def apply_adjoint(u):
-        return column * np.fft.ifft(eig_conj * np.fft.fft(u, m))[:n]
+    def apply_adjoint(u):  # conj(eig) b = conj(eig conj(b))
+        buf = np.fft.fft(u, m)
+        np.conjugate(buf, out=buf)
+        np.multiply(eig, buf, out=buf)
+        np.conjugate(buf, out=buf)
+        values = np.fft.ifft(buf, out=buf)[:n]
+        values *= column
+        return values
 
     return apply, apply_adjoint
 

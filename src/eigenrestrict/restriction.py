@@ -13,10 +13,11 @@ harmonic on the equator through its pole (`Zonal.equator_coefficients`).
 Every other pair of family and circle takes them from >= 2n + 1 samples and
 one FFT (`_circle_values`, the one sampler of both targets).  On the great
 2-subsphere of S^3 the families' moduli are zonal about an axis they name
-(`subsphere_axis`), so the surface integral is one 1-d Gauss-Legendre rule
-along a meridian, and the sup is the max along that meridian.  The grid
-size is always derived from the family's eigenvalue (`required_curve_points`;
-the subsphere resolution likewise); no caller picks it.  The
+(`subsphere_axis`), so every norm there reads one set of uniform values
+along the meridian through that axis: the sup is their max, and the
+surface integral is one fixed |sin s|-weighted rule on them
+(`_meridian_weights`).  The grid size is always derived from the family's
+eigenvalue (`required_curve_points`); no caller picks it.  The
 theoretical_exponent oracle carries the sharp growth rates the fits are
 compared to.
 """
@@ -31,7 +32,6 @@ from . import geometry, harmonics
 
 CURVE_FLOOR = 4096
 POINTS_PER_WAVELENGTH = 20
-SUBSPHERE_FLOOR = 64
 SWEEP_RATIO = math.sqrt(2.0)  # degree ladder spacing
 ENVELOPE_SLACK = 0.02  # exponent slack of the envelope check
 
@@ -87,23 +87,25 @@ def lp_norm_on_curve(f, curve, p):
     to rounding; every other family, pole or latitude circle takes them
     from its values at M >= 2n + 1 uniform points (`_circle_values`), with
     no aliasing.  On the great subsphere {x4 = 0} of S^3, |f| is zonal
-    about f.subsphere_axis (a ValueError when f has none): the norm
-    integrates over `zonal_grid(axis, n)` at n = max(64, ceil(2 lambda) +
-    16), exact when |f|^p is a polynomial of degree <= 2n - 1 in <x, axis>,
-    and p = inf takes the max over 2N uniform points of the meridian
-    through the axis, both poles included.  The meridian is a great circle,
-    so f is a trigonometric polynomial of degree <= n along it too, and
-    `_circle_values` gives those 2N values from M >= 2n + 1 samples and one
-    FFT; the samples keep their own values at every (2N / M)-th point, so
-    both poles of the meridian, where the zonal members peak, read f
-    exactly.
+    about f.subsphere_axis (a ValueError when f has none), so every p reads
+    f at the same 2N uniform points of the meridian through the axis, both
+    poles included: p = inf takes their max, and a finite p weighs |f|^p
+    there by `_meridian_weights(2N)`, which is exact when |f|^p is a
+    trigonometric polynomial of degree < N in the meridian's angle (every
+    even p <= 20).  The meridian is a great circle, so f is a trigonometric
+    polynomial of degree <= n along it too, and `_circle_values` gives
+    those 2N values from M >= 2n + 1 samples and one FFT; the samples keep
+    their own values at every (2N / M)-th point, so both poles of the
+    meridian, where the zonal members peak, read f exactly.
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
                          "sized to resolve its oscillation")
     lam = float(f.eigenvalue)
-    n = required_curve_points(lam) * (2 if math.isinf(p) else 1)
+    n = required_curve_points(lam)
     if curve.dim == 1:
+        if math.isinf(p):
+            n *= 2
         if _pole_on_equator(f, curve):
             values = _fourier_values(f.equator_coefficients(), f.degree, n, n)
         else:
@@ -116,16 +118,31 @@ def lp_norm_on_curve(f, curve, p):
         raise ValueError("f has no subsphere_axis attribute, so its restriction "
                          "to the great subsphere cannot be reduced to a meridian")
 
-    def on_subsphere(nodes):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
-        return np.column_stack([nodes, np.zeros(nodes.shape[0])])
+    def sample(m):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
+        s = 2.0 * math.pi * np.arange(m) / m
+        nodes = geometry.meridian(axis, np.cos(s), np.sin(s))
+        return np.column_stack([nodes, np.zeros(m)])
 
-    if math.isinf(p):
-        def sample(m):
-            s = 2.0 * math.pi * np.arange(m) / m
-            return on_subsphere(geometry.meridian(axis, np.cos(s), np.sin(s)))
-        return lp_norm_weighted(_circle_values(f, sample, n, keep_samples=True), None, p)
-    grid = geometry.zonal_grid(axis, max(SUBSPHERE_FLOOR, int(math.ceil(2 * lam)) + 16))
-    return lp_norm_weighted(f(on_subsphere(grid.nodes)), grid.weights, p)
+    values = _circle_values(f, sample, 2 * n, keep_samples=True)
+    return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(2 * n), p)
+
+
+def _meridian_weights(m):
+    """Weights at the m uniform angles s_j = 2 pi j / m (m even) of a meridian
+    of S^2 for a zonal integrand: int_{S^2} G(<x, pole>) = pi int_0^{2 pi}
+    G(cos s) |sin s| ds.
+
+    |sin s| = sum over even k of (2 / pi) e^{iks} / (1 - k^2), so the rule
+    w_j = (pi / m) sum over even k in (-m/2, m/2] of 4 e^{2 pi ijk / m} / (1 - k^2),
+    one real FFT, is exact when G(cos s) is a trigonometric polynomial of
+    degree < m / 2: Clenshaw-Curtis in t = cos s (Waldvogel, BIT 46, 2006).
+    The weights are positive, symmetric in j -> m - j and sum to 4 pi, to
+    rounding.
+    """
+    k = np.arange(0.0, m // 2 + 1, 2.0)
+    coeffs = np.zeros(m // 2 + 1)
+    coeffs[::2] = 4.0 / (1.0 - k**2)
+    return math.pi * np.fft.irfft(coeffs, m)
 
 
 def _pole_on_equator(f, curve):

@@ -2,8 +2,10 @@
 
 The geometry lemmas behind the oscillatory kernel (geodesic distance, the
 exponential map, a tangent frame, the distance-gradient identity and the
-two stationary directions of psi_r), and the full product grids on S^2 and
-S^3 that the reduced one-dimensional rules are checked against.
+two stationary directions of psi_r), the full product grids on S^2 and
+S^3 that the reduced one-dimensional rules are checked against, and a
+Gauss-Legendre rule along a meridian for zonal integrands.  Each grid is a
+pair (nodes, weights), one node per row.
 """
 
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eigenrestrict.geometry import QuadratureGrid, as_unit_vector, gauss_legendre
+from eigenrestrict.geometry import as_unit_vector, gauss_legendre, meridian
 
 TANGENT_TOL = 1e-10
 # Central-difference step for derivative checks: truncation O(h^2) ~ 1e-10,
@@ -142,7 +144,7 @@ def sphere_grid(resolution):
     z = np.repeat(t, nphi)
     nodes = np.column_stack([x, y, z])
     weights = np.repeat(wt * wphi, nphi)
-    return QuadratureGrid(nodes, weights)
+    return nodes, weights
 
 
 def polar_pair_grid(n):
@@ -161,4 +163,15 @@ def polar_pair_grid(n):
     s = np.sqrt(1.0 - v)
     nodes = np.column_stack([c, np.zeros(n), s, np.zeros(n)])
     weights = math.pi**2 * w
-    return QuadratureGrid(nodes, weights)
+    return nodes, weights
+
+
+def zonal_gl_grid(pole, n):
+    """n Gauss-Legendre nodes in t = <x, pole> along the meridian from `pole`.
+
+    For f depending only on t, int_{S^2} f = 2 pi int f(t) dt, so the
+    weights 2 pi w_GL (summing to 4 pi) make the rule exact when f is a
+    polynomial of degree <= 2n - 1 in t.
+    """
+    t, w = gauss_legendre(n)
+    return meridian(as_unit_vector(pole), t, np.sqrt(1.0 - t**2)), 2.0 * math.pi * w

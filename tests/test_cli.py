@@ -425,7 +425,7 @@ def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "airy", "--lambda-list", "200,100000", "--out", str(out)]) == 2
     assert calls == []
     assert "lambda-list: lambda=100000 needs matrix dimension 318311: a 201 x 318311 " \
-        "Lanczos basis and 6 x 1048576 FFT buffers, a complex working set of 1124351472 " \
+        "Lanczos basis and 5 x 1048576 FFT buffers, a complex working set of 1107574256 " \
         "bytes, which exceeds the cap 1073741824" in capsys.readouterr().err
 
 

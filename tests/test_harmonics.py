@@ -10,13 +10,14 @@ from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict.profiles import unit_bump
 from eigenrestrict.restriction import lp_norm_weighted
-from oracles import exp_map, polar_pair_grid, sphere_grid
+from oracles import exp_map, polar_pair_grid, sphere_grid, zonal_gl_grid
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def l2_norm(f, grid):
-    return lp_norm_weighted(f(grid.nodes), grid.weights, 2)
+    nodes, weights = grid
+    return lp_norm_weighted(f(nodes), weights, 2)
 
 
 def s3_zonal_grid(pole, normal, m):
@@ -29,7 +30,7 @@ def s3_zonal_grid(pole, normal, m):
     """
     chi = math.pi * (np.arange(m) + 0.5) / m
     nodes = np.outer(np.cos(chi), pole) + np.outer(np.sin(chi), normal)
-    return geo.QuadratureGrid(nodes, 4.0 * math.pi**2 / m * np.sin(chi) ** 2)
+    return nodes, 4.0 * math.pi**2 / m * np.sin(chi) ** 2
 
 
 def lb_residual(f, x, dim, h=2e-4):
@@ -230,7 +231,7 @@ def test_zonal_pole_value_and_norm():
     z10 = ha.Zonal(2, 10, pole)
     assert math.isclose(abs(complex(z10(pole))), math.sqrt(21.0 / (4 * math.pi)),
                         rel_tol=1e-13)
-    assert math.isclose(l2_norm(z10, geo.zonal_grid(pole, 2 * 10 + 16)),
+    assert math.isclose(l2_norm(z10, zonal_gl_grid(pole, 2 * 10 + 16)),
                         1.0, rel_tol=1e-12)
     # reduced meridian rule agrees with the full product grid
     full = l2_norm(z10, sphere_grid(2 * 10 + 16))
@@ -281,7 +282,7 @@ def test_assoc_harmonic_norm_full_grid():
 
 def test_highest_weight_norms_and_values():
     e8 = ha.HighestWeight(2, 8)
-    assert math.isclose(l2_norm(e8, geo.zonal_grid(Z_AXIS, 2 * 8 + 16)),
+    assert math.isclose(l2_norm(e8, zonal_gl_grid(Z_AXIS, 2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
     assert math.isclose(l2_norm(e8, sphere_grid(2 * 8 + 16)),
                         1.0, rel_tol=1e-12)
@@ -300,13 +301,13 @@ def test_highest_weight_vanishes_off_torus_axis():
 
 
 def test_orthogonality_across_families():
-    g = sphere_grid(56)
+    nodes, weights = sphere_grid(56)
     z = ha.Zonal(2, 12, np.array([0.0, 0.0, 1.0]))
     e = ha.HighestWeight(2, 12)
     y = ha.AssocHarmonic(12, 5)
-    zi = z(g.nodes)
-    for other in (e(g.nodes), y(g.nodes)):
-        inner = float(np.abs(np.sum(g.weights * zi * np.conj(other))))
+    zi = z(nodes)
+    for other in (e(nodes), y(nodes)):
+        inner = float(np.abs(np.sum(weights * zi * np.conj(other))))
         assert inner < 1e-12
 
 
@@ -353,15 +354,15 @@ def test_averaged_l2_norm_matches_full_sphere_quadrature(n):
 
 
 @pytest.mark.parametrize("family,grid,rel_tol", [
-    (lambda: ha.Zonal(2, 37, Z_AXIS), lambda: geo.zonal_grid(Z_AXIS, 90), 1e-12),
-    (lambda: ha.Zonal(2, 1024, Z_AXIS), lambda: geo.zonal_grid(Z_AXIS, 2064), 1e-10),
+    (lambda: ha.Zonal(2, 37, Z_AXIS), lambda: zonal_gl_grid(Z_AXIS, 90), 1e-12),
+    (lambda: ha.Zonal(2, 1024, Z_AXIS), lambda: zonal_gl_grid(Z_AXIS, 2064), 1e-10),
     (lambda: ha.Zonal(3, 41, np.array([0.5, 0.5, 0.5, 0.5])),
      lambda: s3_zonal_grid(np.array([0.5, 0.5, 0.5, 0.5]),
                            np.array([0.5, -0.5, 0.5, -0.5]), 98), 1e-12),
-    (lambda: ha.HighestWeight(2, 45), lambda: geo.zonal_grid(Z_AXIS, 106), 1e-12),
+    (lambda: ha.HighestWeight(2, 45), lambda: zonal_gl_grid(Z_AXIS, 106), 1e-12),
     (lambda: ha.HighestWeight(3, 45), lambda: polar_pair_grid(106), 1e-12),
-    (lambda: ha.AssocHarmonic(40, 17), lambda: geo.zonal_grid(Z_AXIS, 96), 1e-12),
-    (lambda: ha.AssocHarmonic(40, -40), lambda: geo.zonal_grid(Z_AXIS, 96), 1e-12),
+    (lambda: ha.AssocHarmonic(40, 17), lambda: zonal_gl_grid(Z_AXIS, 96), 1e-12),
+    (lambda: ha.AssocHarmonic(40, -40), lambda: zonal_gl_grid(Z_AXIS, 96), 1e-12),
 ])
 def test_closed_form_l2_norm_matches_reduced_quadrature(family, grid, rel_tol):
     f = family()
@@ -372,7 +373,7 @@ def test_averaged_raw_is_weighted_sum_of_rotated_beams():
     # the tilt average is sum_j W_j e_n(R_j x) with R_j the rotation by phi_j
     # about the x1-axis; compare against the beam formula written out directly
     n, delta = 24, 0.9
-    pts = sphere_grid(8).nodes
+    pts, _ = sphere_grid(8)
     w = ha.averaged_window(n, delta)
     t, wt = np.polynomial.legendre.leggauss(ha.averaged_node_count(n))
     logc = ha.highest_weight_log_const(2, n)

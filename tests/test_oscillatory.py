@@ -183,7 +183,7 @@ def test_airy_step_and_dim_guards():
     with pytest.raises(ValueError, match="exceeds the cap"):
         osc.airy_operator_norm(osc.AirySpec(2542.0, **_AIRY_CASES["variable"]))
     with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(95057.0))
+        osc.airy_operator_norm(osc.AirySpec(96695.0))
 
 
 def test_airy_norm_decays_at_caustic_rate():
@@ -345,9 +345,9 @@ def test_airy_matrix_dim_cap():
     with pytest.raises(ValueError, match="lambda=2542 needs matrix dimension 8093: "
                        "a 201 x 8093 Lanczos basis and a 8093 x 8093 kernel"):
         osc.airy_matrix_dim(osc.AirySpec(2542.0, **variable))
-    assert osc.airy_matrix_dim(osc.AirySpec(95056.0)) == 302574
-    with pytest.raises(ValueError, match="lambda=95057 needs matrix dimension 302577"):
-        osc.airy_matrix_dim(osc.AirySpec(95057.0))
+    assert osc.airy_matrix_dim(osc.AirySpec(96694.0)) == 307788
+    with pytest.raises(ValueError, match="lambda=96695 needs matrix dimension 307791"):
+        osc.airy_matrix_dim(osc.AirySpec(96695.0))
 
 
 def test_kernel_bound_needs_two_lambdas():

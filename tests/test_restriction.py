@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict import restriction as re_
-from oracles import sphere_grid
+from oracles import sphere_grid, zonal_gl_grid
 
 
 class _Const:
@@ -87,7 +87,7 @@ def _circle_nodes(curve, n):
 
 def _meridian_nodes(axis, n):
     """n uniform nodes cos(s) axis + sin(s) u of the meridian through `axis`,
-    u the normal zonal_grid's meridian takes, on the subsphere {x4 = 0}."""
+    u the normal geometry.meridian takes, on the subsphere {x4 = 0}."""
     s = 2 * math.pi * np.arange(n) / n
     return _pad(np.outer(np.cos(s), axis) + np.outer(np.sin(s), geo._normal(axis)))
 
@@ -262,17 +262,19 @@ def test_subsphere_norm_and_floor():
     # normalized measure is the full area 4 pi
     assert math.isclose(re_.lp_norm_on_curve(c, sub, 2), math.sqrt(4 * math.pi),
                         rel_tol=1e-13)
-    # at its resolution the 1-d rule is already exact for |z|^2: doubling it
-    # changes nothing
+    # the meridian rule is already exact for |z|^2: a Gauss-Legendre rule in
+    # <x, axis> at twice the degree agrees
     z = ha.Zonal(3, 50, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = geo.zonal_grid(z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
-    fine = re_.lp_norm_weighted(z(_pad(grid.nodes)), grid.weights, 2)
+    nodes, weights = zonal_gl_grid(z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
+    fine = re_.lp_norm_weighted(z(_pad(nodes)), weights, 2)
     assert math.isclose(re_.lp_norm_on_curve(z, sub, 2), fine, rel_tol=1e-12)
-    # below the floor the resolution is SUBSPHERE_FLOOR
+    # below the curve floor every p reads 2 CURVE_FLOOR meridian values
     small = ha.Zonal(3, 4, np.array([1.0, 0.0, 0.0, 0.0]))
-    grid = geo.zonal_grid(small.subsphere_axis, re_.SUBSPHERE_FLOOR)
-    want = re_.lp_norm_weighted(small(_pad(grid.nodes)), grid.weights, 4)
-    assert re_.lp_norm_on_curve(small, sub, 4) == want
+    m = 2 * re_.CURVE_FLOOR
+    assert re_.required_curve_points(small.eigenvalue) == re_.CURVE_FLOOR
+    values = small(_meridian_nodes(small.subsphere_axis, m))
+    want = re_.lp_norm_weighted(values, re_._meridian_weights(m), 4)
+    assert math.isclose(re_.lp_norm_on_curve(small, sub, 4), want, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("degree", [16, 64, 256])
@@ -284,14 +286,69 @@ def test_subsphere_norm_and_floor():
     ("hw-s3-p2.5", lambda n: ha.HighestWeight(3, n), 2.5),
 ])
 def test_subsphere_norm_matches_the_product_grid(label, family, p, degree):
-    # the S^2 product rule at the same resolution is exact for these |f|^p
+    # the S^2 product rule at this resolution is exact for these |f|^p
     # (p = 2.5: the same rule in <x, e3>), whatever the axis
     f = family(degree)
-    grid = sphere_grid(max(re_.SUBSPHERE_FLOOR, int(math.ceil(2 * f.eigenvalue)) + 16))
-    want = re_.lp_norm_weighted(f(_pad(grid.nodes)), grid.weights, p)
+    nodes, weights = sphere_grid(max(64, int(math.ceil(2 * f.eigenvalue)) + 16))
+    want = re_.lp_norm_weighted(f(_pad(nodes)), weights, p)
     got = re_.lp_norm_on_curve(f, geo.GreatSubsphere(), p)
     assert math.isclose(got, want, rel_tol=1e-11)
     assert got > 0.0
+
+
+@pytest.mark.parametrize("degree", [64, 256, 1024])
+def test_subsphere_p6_norm_matches_a_rule_exact_for_it(degree):
+    # |U_n|^6 has degree 6n in <x, e1>: Gauss-Legendre in t at 8 times the
+    # ceil(2 lambda) + 16 nodes of the former 1-d rule integrates it exactly,
+    # which that rule, exact to degree ~ 4n + 31, did not (off by 7.1e-3,
+    # 1.8e-2 and 2.2e-2 relative here)
+    f = ha.Zonal(3, degree, _E1)
+    nodes, weights = zonal_gl_grid(f.subsphere_axis, 8 * (int(math.ceil(2 * f.eigenvalue)) + 16))
+    want = re_.lp_norm_weighted(f(_pad(nodes)), weights, 6)
+    got = re_.lp_norm_on_curve(f, geo.GreatSubsphere(), 6)
+    assert math.isclose(got, want, rel_tol=1e-10)
+
+
+def test_subsphere_p6_sweep_fits_the_sharp_exponent():
+    # the hypersurface exponent 1 - 2/p at p = 6; the former 1-d rule's bias
+    # bent the 16:1024 fit to 0.66012
+    samples = re_.sweep(lambda n: ha.Zonal(3, n, _E1), geo.GreatSubsphere(), 6,
+                        re_.geometric_degrees(16, 1024))
+    slope = re_.fit_exponent(samples).slope
+    assert abs(slope - 2.0 / 3.0) <= 1e-3
+
+
+def _highest_weight_s3_norm(n, p):
+    """||c (x1 + i x2)^n||_{L^p} on {x4 = 0}: |f| = c (1 - x3^2)^{n/2} there,
+    so int |f|^p = 2 pi c^p B(1/2, pn/2 + 1), in logs."""
+    log_beta = math.lgamma(0.5) + math.lgamma(p * n / 2 + 1) - math.lgamma(p * n / 2 + 1.5)
+    log_c = ha.highest_weight_log_const(3, n)
+    return math.exp((math.log(2 * math.pi) + log_beta) / p + log_c)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_highest_weight_subsphere_norm_is_the_beta_integral(p):
+    sub = geo.GreatSubsphere()
+    for degree in re_.geometric_degrees(16, 8192):
+        got = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), sub, p)
+        assert math.isclose(got, _highest_weight_s3_norm(degree, p), rel_tol=1e-11), degree
+
+
+@pytest.mark.parametrize("m", [8, 10, 12, 64, 4098, 10368])
+def test_meridian_weights_integrate_even_powers_of_cos(m):
+    # int_{S^2} t^{2j} = 4 pi / (2j + 1); cos^{2j} s has degree 2j < m / 2
+    w = re_._meridian_weights(m)
+    assert math.isclose(float(np.sum(w)), 4 * math.pi, rel_tol=1e-14)
+    assert np.all(w > 0.0)
+    # symmetric in j -> m - j to rounding of the mean weight 4 pi / m (the
+    # weights by the poles are smaller, down to 6e-6 of it at m = 328050)
+    assert np.allclose(w[1:], w[:0:-1], rtol=0.0, atol=1e-14 * 4 * math.pi / m)
+    t2 = np.cos(2 * math.pi * np.arange(m) / m) ** 2
+    power = np.ones(m)
+    for j in range((m + 3) // 4):
+        got = float(np.sum(w * power))
+        assert math.isclose(got, 4 * math.pi / (2 * j + 1), rel_tol=1e-13), (m, j)
+        power *= t2
 
 
 def test_subsphere_norm_needs_an_axis():
