@@ -5,11 +5,12 @@ closed-form constants, highest-weight vectors by log-Gamma evaluation of the
 Beta integral, and window-averaged combinations by the closed-form Gram
 matrix of their tilted beams.
 Evaluation is vectorized over point arrays and stays finite up to degree
-several thousand.  The polynomials come from one place each: Chebyshev U_n in
-closed form, and every normalized associated Legendre P-hat_n^m (P_n is the
-m = 0 row) from one rescaled degree recurrence, with no raw factorials.  On
-a great circle through its pole the S^2 zonal harmonic needs neither: its
-Fourier coefficients there are closed-form (`Zonal.equator_coefficients`).
+several thousand.  The polynomials come from one place each: a zonal
+harmonic on S^2 or S^3 from its Gegenbauer series in the angle from its
+pole, which also gives its Fourier coefficients on every great circle
+through that pole (`Zonal.circle_coefficients`), and every normalized
+associated Legendre P-hat_n^m from one rescaled degree recurrence, with no
+raw factorials.
 """
 
 import math
@@ -28,25 +29,6 @@ def eigenvalue(dim, degree):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return math.sqrt(degree * (degree + dim - 1))
-
-
-def gegenbauer_u(n, t):
-    """Chebyshev U_n(t) = C_n^{(1)}(t), the zonal kernel polynomial of S^3.
-
-    Closed form sin((n+1) theta) / sin(theta) with theta = arccos|t| in
-    [0, pi/2] and the parity U_n(-t) = (-1)^n U_n(t): folding onto |t| keeps
-    theta away from pi, where sin(float pi) = 1.2e-16 is not 0.  The limit
-    n + 1 holds at |t| = 1.
-    """
-    t = np.asarray(t, dtype=float)
-    mag = np.abs(t)
-    if np.any(mag > 1.0):
-        raise ValueError("gegenbauer_u is evaluated on [-1, 1]")
-    theta = np.arccos(mag)
-    sin_theta = np.sin(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(sin_theta > 0.0, np.sin((n + 1) * theta) / sin_theta, n + 1.0)
-    return np.where(t < 0.0, -u, u) if n % 2 else u
 
 
 # rescaled-recurrence bookkeeping: renormalize whenever a value passes BIG and
@@ -237,53 +219,52 @@ class Zonal(_SphereFamily):
         if self.pole.size != self.dim + 1:
             raise ValueError("pole dimension does not match the sphere")
 
+    def _series(self):
+        """c_{n-2k} = (family constant) a_k a_{n-k}, k = 0..n: f at angle theta
+        from its pole is sum_k c_{n-2k} e^{i (n - 2k) theta}.
+
+        The Gegenbauer series C_n^{(a)}(cos theta) = sum_k a_k a_{n-k}
+        e^{i (n - 2k) theta}, a = (d - 1)/2 and a_k = (a)_k / k! (DLMF
+        18.5.11): P_n on S^2, U_n on S^3.  The terms are positive and
+        symmetric in k -> n - k, and sum to f's pole value to rounding.
+        """
+        n = self.degree
+        k = np.arange(1, n + 1)
+        a = np.cumprod(np.concatenate([[1.0], (0.5 * (self.dim - 3) + k) / k]))
+        const = (math.sqrt((2 * n + 1) / (4.0 * math.pi)) if self.dim == 2
+                 else 1.0 / math.sqrt(2.0 * math.pi**2))
+        return const * a * a[::-1]
+
     def __call__(self, points):
-        """S^2: P-hat_n^0(<x, pole>) / sqrt(2 pi) = sqrt((2n+1)/4pi) P_n(<x, pole>);
-        S^3: U_n(<x, pole>) / sqrt(2 pi^2)."""
+        """S^2: sqrt((2n+1)/4pi) P_n(<x, pole>); S^3: U_n(<x, pole>) / sqrt(2 pi^2).
+
+        The series at the angle theta from the pole, by Horner in
+        e^{-2 i theta}: its positive terms keep the error within ~ n eps of
+        the pole value.  theta = atan2(|x - t pole|, t), t = <x, pole>, is
+        accurate to eps; arccos(t) would lose eps / sin(theta) near the
+        poles, an n^2 eps error in f there.
+        """
         pts, single = _points2d(points)
-        t = np.clip(pts @ self.pole, -1.0, 1.0)
-        if self.dim == 2:
-            vals = assoc_legendre_norm(self.degree, 0, t) / math.sqrt(2.0 * math.pi)
-        else:
-            vals = gegenbauer_u(self.degree, t) / math.sqrt(2.0 * math.pi**2)
+        t = pts @ self.pole
+        theta = np.arctan2(np.linalg.norm(pts - np.outer(t, self.pole), axis=1), t)
+        step = np.exp(-2j * theta)
+        series = self._series()
+        acc = np.full(theta.shape, series[-1], dtype=complex)
+        for c in series[-2::-1]:
+            acc *= step
+            acc += c
+        vals = (acc * np.exp(1j * self.degree * theta)).real
         return vals[0] if single else vals
 
-    def equator_coefficients(self):
-        """Fourier coefficients c_j, |j| <= n, of f(cos s, sin s, 0) = sum_j
-        c_j e^{i j s}, in FFT order (c_j at index j mod 2n + 1), when the
-        equator passes through the pole of S^2 (pole[2] == 0.0).
-
-        There <x, pole> = cos(s - s0) with s0 = atan2(pole[1], pole[0]), and
-        P_n(cos s) = sum_{k=0}^{n} alpha_k alpha_{n-k} e^{i (n - 2k) s} with
-        alpha_k = C(2k, k) / 4^k = prod_{j<=k} (2j - 1) / (2j) (DLMF 14.13),
-        so c_{n-2k} = sqrt((2n+1)/4pi) alpha_k alpha_{n-k} e^{-i (n-2k) s0}:
-        no recurrence, and the terms, all positive at s = s0, sum to f's pole
-        value to rounding.
-        """
-        if self.dim != 2 or self.pole[2] != 0.0:
-            raise ValueError("the equator passes through the pole only for a "
-                             "pole of S^2 with z = 0")
+    def circle_coefficients(self):
+        """Real Fourier coefficients c_j, |j| <= n, in FFT order (c_j at
+        index j mod 2n + 1), of f along any great circle through its pole:
+        f = sum_j c_j e^{i j s}, with s = 0 at the pole.  No recurrence, no
+        samples."""
         n = self.degree
-        j = np.arange(1, n + 1)
-        alpha = np.cumprod(np.concatenate([[1.0], (2.0 * j - 1.0) / (2.0 * j)]))
-        s0 = math.atan2(self.pole[1], self.pole[0])
-        coeffs = np.zeros(2 * n + 1, dtype=complex)  # frequencies -n..n
-        coeffs[::2] = (math.sqrt((2 * n + 1) / (4.0 * math.pi)) * alpha * alpha[::-1]
-                       * np.exp(-1j * s0 * np.arange(-n, n + 1, 2)))
+        coeffs = np.zeros(2 * n + 1)  # frequencies -n..n
+        coeffs[::2] = self._series()
         return np.fft.ifftshift(coeffs)
-
-    @property
-    def subsphere_axis(self):
-        """Axis in R^3 of f on the great subsphere {x4 = 0} of S^3.
-
-        There <x, pole> = <y, q> with q the pole's first three coordinates,
-        so f is zonal about q/|q|; for q = 0 it is constant and e3 serves.
-        """
-        if self.dim != 3:
-            raise ValueError(f"the great subsphere lies in S^3, not S^{self.dim}")
-        q = self.pole[:3]
-        norm = float(np.linalg.norm(q))
-        return q / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)

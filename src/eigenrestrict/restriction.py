@@ -8,16 +8,16 @@ geometric ladder of degrees.  Along a latitude circle, and along a great
 circle of the subsphere, a degree-n member is a trigonometric polynomial of
 degree n, so its grid values come from its 2n + 1 Fourier coefficients and
 one zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
-every node.  One pair reads those coefficients in closed form: an S^2 zonal
-harmonic on the equator through its pole (`Zonal.equator_coefficients`).
-Every other pair of family and circle takes them from >= 2n + 1 samples and
-one FFT (`_circle_values`, the one sampler of both targets).  On the great
-2-subsphere of S^3 the families' moduli are zonal about an axis they name
-(`subsphere_axis`), so every norm there reads one set of uniform values
-along the meridian through that axis: the sup is their max, and the
-surface integral is one fixed |sin s|-weighted rule on them
-(`_meridian_weights`).  The grid size is always derived from the family's
-eigenvalue (`required_curve_points`); no caller picks it.  The
+every node.  A zonal harmonic read along a great circle through its pole
+(the equator of S^2, a meridian of the subsphere of S^3) has them in closed
+form (`Zonal.circle_coefficients`); every other pair of family and circle
+takes them from >= 2n + 1 samples and one FFT (`_circle_values`).  On the
+great 2-subsphere of S^3 the families' moduli are zonal about an axis (the
+pole, or the `subsphere_axis` a sampled family names), so every norm there
+reads one set of uniform values along the meridian through that axis: the
+sup is their max, and the surface integral is one fixed |sin s|-weighted
+rule on them (`_meridian_weights`).  The grid size is always derived from
+the family's eigenvalue (`required_curve_points`); no caller picks it.  The
 theoretical_exponent oracle carries the sharp growth rates the fits are
 compared to.
 """
@@ -70,61 +70,58 @@ def lp_norm_weighted(values, weights, p):
 
 
 def lp_norm_on_curve(f, curve, p):
-    """Restricted L^p norm of f over a curve (trapezoid in arc length).
+    """Restricted L^p norm of f over a latitude circle of S^2 or the great
+    subsphere {x4 = 0} of S^3.
 
-    lambda is read from f.eigenvalue (a ValueError when f has none).  1-d
-    curves take N = max(4096, 20 lambda) nodes, rounded up to a 5-smooth
-    size; p = inf takes the grid max over 2N nodes: the N-node grid is bit
-    for bit its even-index subset, so the one doubling already covers it.
-    The values at those nodes are not evaluated there: f of degree n
-    (f.degree, a ValueError when f has none) is a polynomial of degree <= n
-    in (x, y, z), so on a latitude circle it is a trigonometric polynomial
-    of degree <= n in the angle, and its 2n + 1 Fourier coefficients fix
-    it.  The pair picks where they come from: an S^2 `harmonics.Zonal` on
-    the equator with its pole on it (pole[2] == 0.0) has them in closed
-    form (`Zonal.equator_coefficients`), free of samples and of the
-    Legendre recurrence's n^2 eps drift, so its sup reads the pole value
-    to rounding; every other family, pole or latitude circle takes them
-    from its values at M >= 2n + 1 uniform points (`_circle_values`), with
-    no aliasing.  On the great subsphere {x4 = 0} of S^3, |f| is zonal
-    about f.subsphere_axis (a ValueError when f has none), so every p reads
-    f at the same 2N uniform points of the meridian through the axis, both
-    poles included: p = inf takes their max, and a finite p weighs |f|^p
-    there by `_meridian_weights(2N)`, which is exact when |f|^p is a
-    trigonometric polynomial of degree < N in the meridian's angle (every
-    even p <= 20).  The meridian is a great circle, so f is a trigonometric
-    polynomial of degree <= n along it too, and `_circle_values` gives
-    those 2N values from M >= 2n + 1 samples and one FFT; the samples keep
-    their own values at every (2N / M)-th point, so both poles of the
-    meridian, where the zonal members peak, read f exactly.
+    lambda is read from f.eigenvalue (a ValueError when f has none), and
+    sets N = max(4096, 20 lambda), rounded up to a 5-smooth size.  A circle
+    takes the trapezoid rule in arc length on N uniform nodes; p = inf takes
+    the grid max over 2N nodes: the N-node grid is bit for bit its
+    even-index subset, so the one doubling already covers it.  On the
+    subsphere |f| is zonal about an axis, so every p reads f at the same 2N
+    uniform points of a meridian through that axis, both poles included:
+    p = inf takes their max, and a finite p weighs |f|^p there by
+    `_meridian_weights(2N)`, which is exact when |f|^p is a trigonometric
+    polynomial of degree < N in the meridian's angle (every even p <= 20).
+
+    Either way the values lie on a circle along which f of degree n
+    (f.degree, a ValueError when f has none) is a trigonometric polynomial
+    of degree <= n, fixed by its 2n + 1 Fourier coefficients.  A
+    `harmonics.Zonal` whose pole lies on the great sphere it is read on
+    (the equator, or the subsphere: pole[-1] == 0.0) is read along a great
+    circle through that pole, where the coefficients are closed-form
+    (`Zonal.circle_coefficients`): no samples, and its sup reads the pole
+    value to rounding.  Every other pair takes them from samples
+    (`_circle_values`): a latitude circle's own points, or the meridian of
+    the subsphere through f.subsphere_axis (a ValueError when f has none,
+    as for a zonal harmonic of S^3 whose pole lies off {x4 = 0}).
     """
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
                          "sized to resolve its oscillation")
-    lam = float(f.eigenvalue)
-    n = required_curve_points(lam)
+    n = required_curve_points(float(f.eigenvalue))
+    if math.isinf(p) or curve.dim == 2:
+        n *= 2
+    if (isinstance(f, harmonics.Zonal) and f.dim == curve.ambient_dim
+            and not curve.curved and f.pole[-1] == 0.0):
+        values = _fourier_values(f.circle_coefficients(), f.degree, n, n)
+    elif curve.dim == 1:
+        values = _circle_values(f, lambda m: curve.points(curve.length * np.arange(m) / m), n)
+    else:
+        axis = getattr(f, "subsphere_axis", None)
+        if axis is None:
+            raise ValueError("f has no subsphere_axis attribute, so its restriction "
+                             "to the great subsphere cannot be reduced to a meridian")
+
+        def sample(m):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
+            s = 2.0 * math.pi * np.arange(m) / m
+            nodes = geometry.meridian(axis, np.cos(s), np.sin(s))
+            return np.column_stack([nodes, np.zeros(m)])
+
+        values = _circle_values(f, sample, n)
     if curve.dim == 1:
-        if math.isinf(p):
-            n *= 2
-        if _pole_on_equator(f, curve):
-            values = _fourier_values(f.equator_coefficients(), f.degree, n, n)
-        else:
-            def sample(m):
-                return curve.points(curve.length * np.arange(m) / m)
-            values = _circle_values(f, sample, n)
         return lp_norm_weighted(values, curve.length / n, p)
-    axis = getattr(f, "subsphere_axis", None)
-    if axis is None:
-        raise ValueError("f has no subsphere_axis attribute, so its restriction "
-                         "to the great subsphere cannot be reduced to a meridian")
-
-    def sample(m):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
-        s = 2.0 * math.pi * np.arange(m) / m
-        nodes = geometry.meridian(axis, np.cos(s), np.sin(s))
-        return np.column_stack([nodes, np.zeros(m)])
-
-    values = _circle_values(f, sample, 2 * n, keep_samples=True)
-    return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(2 * n), p)
+    return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(n), p)
 
 
 def _meridian_weights(m):
@@ -145,24 +142,13 @@ def _meridian_weights(m):
     return math.pi * np.fft.irfft(coeffs, m)
 
 
-def _pole_on_equator(f, curve):
-    """Whether f is an S^2 zonal harmonic whose pole lies on the curve, the
-    equator: its restriction's Fourier coefficients are then closed-form."""
-    return (isinstance(f, harmonics.Zonal) and f.dim == 2 and not curve.curved
-            and f.pole[2] == 0.0)
-
-
-def _circle_values(f, sample, n, keep_samples=False):
+def _circle_values(f, sample, n):
     """f at the n nodes sample(n) of a closed circle, uniform in its angle,
     along which f is a trigonometric polynomial of degree deg = f.degree.
 
     From M = _smooth_size(2 deg + 1) samples f(sample(M)): one FFT gives the
     coefficients, and `_fourier_values` the n values.  Needs n >= 2 deg + 1,
-    which the 20-lambda grid gives any family with lambda > deg.  With
-    keep_samples (n even), M is the least even divisor of n that is
-    >= 2 deg + 1 instead, and every (n / M)-th value is f's own sample, not
-    its interpolant: a max on a sample, the angle 0 and pi among them, reads
-    f exactly, free of the roundoff the FFT spreads from the other samples.
+    which the 20-lambda grid gives any family with lambda > deg.
     """
     if getattr(f, "degree", None) is None:
         raise ValueError("f has no degree attribute, so its restriction "
@@ -170,16 +156,8 @@ def _circle_values(f, sample, n, keep_samples=False):
     deg = int(f.degree)
     if n < 2 * deg + 1:
         raise ValueError(f"{n} curve nodes cannot resolve degree {deg}")
-    m = max(4, 2 * deg + 1)
-    if keep_samples:  # M | n and M even: samples at both angle 0 and pi
-        m = n // max(q for q in range(1, n // m + 1) if n % (2 * q) == 0)
-    else:
-        m = _smooth_size(m)
-    samples = f(sample(m))
-    values = _fourier_values(np.fft.fft(samples), deg, n, n / m)
-    if keep_samples:
-        values[::n // m] = samples
-    return values
+    m = _smooth_size(max(4, 2 * deg + 1))
+    return _fourier_values(np.fft.fft(f(sample(m))), deg, n, n / m)
 
 
 def _fourier_values(coeffs, deg, n, scale):

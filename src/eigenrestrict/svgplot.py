@@ -41,7 +41,7 @@ def _scale(lo, hi, out_lo, out_hi):
     return to_px
 
 
-def loglog_svg(series, title="", xlabel="", ylabel=""):
+def loglog_svg(series, title=""):
     """Render series of positive (x, y) data as an SVG log-log plot.
 
     `series` is a sequence of (label, xs, ys) with strictly positive values;
@@ -96,13 +96,6 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
                    f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(py)}" stroke="black"/>')
         out.append(f'<text x="{_fmt(MARGIN_L - 8)}" y="{_fmt(py + 4)}" '
                    f'text-anchor="end" font-size="11">1e{int(math.log10(tick))}</text>')
-    if xlabel:
-        out.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(HEIGHT - 12)}" '
-                   f'text-anchor="middle" font-size="12">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="16" y="{_fmt(HEIGHT / 2)}" text-anchor="middle" '
-                   f'font-size="12" transform="rotate(-90 16 {_fmt(HEIGHT / 2)})">'
-                   f'{ylabel}</text>')
 
     for idx, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]

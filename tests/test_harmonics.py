@@ -84,11 +84,7 @@ def legendre_p(n, t):
 def test_legendre_and_gegenbauer_closed_forms():
     t = np.linspace(-1.0, 1.0, 31)
     assert np.allclose(legendre_p(2, t), 0.5 * (3 * t**2 - 1), atol=1e-14)
-    assert np.allclose(ha.gegenbauer_u(2, t), 4 * t**2 - 1, atol=1e-13)
     assert np.allclose(legendre_p(9, np.array([1.0])), 1.0)
-    assert np.allclose(ha.gegenbauer_u(9, np.array([1.0])), 10.0)
-    with pytest.raises(ValueError):
-        ha.gegenbauer_u(3, np.array([0.5, 1.5]))
 
 
 # Exact references: every float t is a dyadic rational a/d, so d^k U_k(t) and
@@ -115,11 +111,31 @@ ORACLE_POINTS = np.array([-1.0, np.nextafter(-1.0, 0.0), -0.3, 0.0,
                           np.nextafter(1.0, 0.0), 1.0])
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 256, 1024])
-def test_gegenbauer_u_matches_exact_recurrence(n):
-    want = np.array([float(exact_chebyshev_u(n, t)) for t in ORACLE_POINTS])
-    err = np.max(np.abs(ha.gegenbauer_u(n, ORACLE_POINTS) - want))
-    assert err <= 1e-15 * (n + 1)
+def _points_at(t, dim):
+    """Points of S^dim whose inner product with e_{dim+1} is exactly t."""
+    t = np.asarray(t, dtype=float)
+    rest = np.zeros((t.size, dim - 1))
+    return np.column_stack([np.sqrt(1.0 - t**2), rest, t])
+
+
+# ORACLE_POINTS plus seeded random t; the exact references take a few
+# seconds at n = 4096, so only a handful
+_ZONAL_POINTS = np.concatenate([ORACLE_POINTS,
+                                np.random.default_rng(7).uniform(-1.0, 1.0, 4)])
+
+
+@pytest.mark.parametrize("dim, exact", [(2, exact_legendre_p), (3, exact_chebyshev_u)],
+                         ids=["s2-legendre", "s3-chebyshev"])
+@pytest.mark.parametrize("n", [0, 1, 9, 256, 1024, 4096])
+def test_zonal_series_matches_exact_polynomials(dim, exact, n):
+    # the Gegenbauer series by Horner in e^{-2 i theta} has positive terms,
+    # so its error stays within ~ n eps of the pole value: no n^2 eps drift
+    f = ha.Zonal(dim, n, np.eye(dim + 1)[dim])
+    const = math.sqrt((2 * n + 1) / (4 * math.pi)) if dim == 2 else 1 / math.sqrt(2 * math.pi**2)
+    pole_value = const * float(exact(n, 1.0))
+    want = np.array([const * float(exact(n, t)) for t in _ZONAL_POINTS])
+    err = np.max(np.abs(f(_points_at(_ZONAL_POINTS, dim)) - want))
+    assert err <= 4 * (n + 1) * np.finfo(float).eps * pole_value
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 256, 1024])

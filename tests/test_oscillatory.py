@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,11 +180,43 @@ def test_airy_zero_amplitude_kills_operator():
     assert osc._lanczos_sigma1(lambda v: zero.conj().T @ (zero @ v), 64) == (0.0, 1, 0.0)
 
 
+def _first_refused_lambda(case):
+    """Least integer lambda whose working set airy_matrix_dim refuses: the
+    dimension grows with lambda, so double from an admissible 100, then bisect."""
+    def refused(lam):
+        try:
+            osc.airy_matrix_dim(osc.AirySpec(float(lam), **case))
+        except ValueError as err:
+            assert "exceeds the cap" in str(err)
+            return True
+        return False
+
+    lo, hi = 100, 200
+    assert not refused(lo)
+    while not refused(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return hi
+
+
 def test_airy_step_and_dim_guards():
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(2542.0, **_AIRY_CASES["variable"]))
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        osc.airy_operator_norm(osc.AirySpec(96695.0))
+    # the cap's first refused lambda is derived, not written down, so a
+    # change to the working-set count cannot turn this into a cap-sized norm
+    for case, last_admitted in (("variable", 2541), ("model", 96694)):
+        lam = _first_refused_lambda(_AIRY_CASES[case])
+        osc.airy_matrix_dim(osc.AirySpec(float(lam - 1), **_AIRY_CASES[case]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                osc.airy_operator_norm(osc.AirySpec(float(lam), **_AIRY_CASES[case]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, case  # refused before any kernel or basis exists
+        # the bounds the airy_matrix_dim docstring and README state
+        assert lam - 1 == last_admitted, case
 
 
 def test_airy_norm_decays_at_caustic_rate():

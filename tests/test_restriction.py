@@ -153,48 +153,73 @@ _CIRCLE_CASES = [
 def test_interpolated_circle_values_match_direct_evaluation(family, degree, curve):
     f = family(degree)
     if curve.dim == 1:
-        n, keep = re_.required_curve_points(f.eigenvalue), False
+        n = re_.required_curve_points(f.eigenvalue)
 
         def nodes(m):
             return _circle_nodes(curve, m)
-    else:  # the subsphere's sup takes 2N meridian points, samples kept
-        n, keep = 2 * re_.required_curve_points(f.eigenvalue), True
+    else:  # the subsphere's norms read 2N meridian points
+        n = 2 * re_.required_curve_points(f.eigenvalue)
+        axis = f.pole[:3] if isinstance(f, ha.Zonal) else f.subsphere_axis
 
         def nodes(m):
-            return _meridian_nodes(f.subsphere_axis, m)
+            return _meridian_nodes(axis / np.linalg.norm(axis), m)
     direct = f(nodes(n))
     scale = float(np.max(np.abs(direct)))
     if scale == 0.0:  # e.g. P-hat_37^18 is odd in cos(theta): 0 on the equator
         pytest.skip("the family vanishes on this circle")
-    got = re_._circle_values(f, nodes, n, keep_samples=keep)
+    got = re_._circle_values(f, nodes, n)
     assert got.shape == (n,)
     assert np.max(np.abs(got - direct)) <= 1e-10 * scale
 
 
-_ROTATED = np.array([math.cos(0.3), math.sin(0.3), 0.0])  # s0 = 0.3 on the equator
+_ROTATED = np.array([math.cos(0.3), math.sin(0.3), 0.0])  # at angle 0.3 on the equator
 
 
 @pytest.mark.parametrize("pole", [np.array([1.0, 0.0, 0.0]), _ROTATED], ids=["e1", "rotated"])
 @pytest.mark.parametrize("degree", [16, 181, 1024])
 @pytest.mark.parametrize("p", [2.0, 6.0, math.inf])
 def test_equator_zonal_closed_form_matches_the_sampler(pole, degree, p):
+    # the closed form reads the equator from the pole; so does the sampler here
     f = ha.Zonal(2, degree, pole)
     eq = geo.equator()
     n = re_.required_curve_points(f.eigenvalue) * (2 if math.isinf(p) else 1)
-    sampled = re_._circle_values(f, lambda m: _circle_nodes(eq, m), n)
-    # the sampler carries the Legendre recurrence's n^2 eps drift, 9.2e-12
-    # relative at the pole at n = 1024; the closed form does not
-    tol = 1e-12 * max(1.0, (degree / 256) ** 2)
-    closed = re_._fourier_values(f.equator_coefficients(), degree, n, n)
-    assert np.max(np.abs(closed - sampled)) <= tol * np.max(np.abs(sampled))
+    s0 = math.atan2(pole[1], pole[0])
+    sampled = re_._circle_values(f, lambda m: eq.points(s0 + eq.length * np.arange(m) / m), n)
+    closed = re_._fourier_values(f.circle_coefficients(), degree, n, n)
+    assert np.max(np.abs(closed - sampled)) <= 1e-12 * np.max(np.abs(sampled))
     want = re_.lp_norm_weighted(sampled, eq.length / n, p)
-    assert math.isclose(re_.lp_norm_on_curve(f, eq, p), want, rel_tol=tol)
+    assert math.isclose(re_.lp_norm_on_curve(f, eq, p), want, rel_tol=1e-12)
+
+
+_GREAT_CIRCLE_POLES = {
+    "s2-e1": np.array([1.0, 0.0, 0.0]),
+    "s2-rotated": _ROTATED,
+    "s2-tilted": np.array([0.6, 0.0, 0.8]),
+    "s3-e1": np.eye(4)[0],
+    "s3-e2-e3": np.array([0.0, 0.6, 0.8, 0.0]),
+    "s3-half": np.array([0.5, 0.5, 0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_GREAT_CIRCLE_POLES))
+@pytest.mark.parametrize("degree", [16, 181, 1024])
+def test_circle_coefficients_are_the_zonal_along_a_great_circle(label, degree):
+    # any great circle through the pole, from the pole: the closed form and
+    # the series summed pointwise agree to rounding, with no pole condition
+    pole = _GREAT_CIRCLE_POLES[label]
+    f = ha.Zonal(pole.size - 1, degree, pole)
+    n = re_.required_curve_points(f.eigenvalue)
+    s = 2 * math.pi * np.arange(n) / n
+    direct = f(geo.meridian(f.pole, np.cos(s), np.sin(s)))
+    closed = re_._fourier_values(f.circle_coefficients(), degree, n, n)
+    assert np.max(np.abs(closed - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_only_a_pole_on_the_equator_reads_closed_form_coefficients(monkeypatch):
-    eq, e1 = geo.equator(), np.array([1.0, 0.0, 0.0])
+    # the great sphere {x_d = 0}: the equator of S^2, the subsphere of S^3
+    eq, sub, e1 = geo.equator(), geo.GreatSubsphere(), np.array([1.0, 0.0, 0.0])
     calls = {"samples": 0, "coefficients": 0}
-    sample, coefficients = ha.Zonal.__call__, ha.Zonal.equator_coefficients
+    sample, coefficients = ha.Zonal.__call__, ha.Zonal.circle_coefficients
 
     def counting(name, fn):
         def wrapper(*args):
@@ -203,17 +228,22 @@ def test_only_a_pole_on_the_equator_reads_closed_form_coefficients(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ha.Zonal, "__call__", counting("samples", sample))
-    monkeypatch.setattr(ha.Zonal, "equator_coefficients", counting("coefficients", coefficients))
-    re_.lp_norm_on_curve(ha.Zonal(2, 64, _ROTATED), eq, 6)
-    assert calls == {"samples": 0, "coefficients": 1}
+    monkeypatch.setattr(ha.Zonal, "circle_coefficients", counting("coefficients", coefficients))
+    for pole, curve in ((_ROTATED, eq), (_E1, sub), (np.array([0.0, 0.6, 0.8, 0.0]), sub)):
+        for p in (6, math.inf):
+            calls.update(samples=0, coefficients=0)
+            re_.lp_norm_on_curve(ha.Zonal(pole.size - 1, 64, pole), curve, p)
+            assert calls == {"samples": 0, "coefficients": 1}
     tilted = np.array([1.0, 0.0, 1e-9])  # z != 0, however small
     cases = [(tilted, eq), *((e1, curve) for curve in _CIRCLES.values() if curve.curved)]
     for pole, curve in cases:
         calls.update(samples=0, coefficients=0)
         re_.lp_norm_on_curve(ha.Zonal(2, 64, pole), curve, 6)
         assert calls == {"samples": 1, "coefficients": 0}
-    with pytest.raises(ValueError, match="z = 0"):
-        coefficients(ha.Zonal(2, 64, tilted))
+    # an S^3 pole off {x4 = 0} has no meridian to be read on
+    for pole in (_HALF, _E4):
+        with pytest.raises(ValueError, match="subsphere_axis"):
+            re_.lp_norm_on_curve(ha.Zonal(3, 64, pole), sub, 6)
 
 
 @pytest.mark.parametrize("degree", [4096, 8192])
@@ -265,14 +295,14 @@ def test_subsphere_norm_and_floor():
     # the meridian rule is already exact for |z|^2: a Gauss-Legendre rule in
     # <x, axis> at twice the degree agrees
     z = ha.Zonal(3, 50, np.array([1.0, 0.0, 0.0, 0.0]))
-    nodes, weights = zonal_gl_grid(z.subsphere_axis, 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
+    nodes, weights = zonal_gl_grid(z.pole[:3], 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
     fine = re_.lp_norm_weighted(z(_pad(nodes)), weights, 2)
     assert math.isclose(re_.lp_norm_on_curve(z, sub, 2), fine, rel_tol=1e-12)
     # below the curve floor every p reads 2 CURVE_FLOOR meridian values
     small = ha.Zonal(3, 4, np.array([1.0, 0.0, 0.0, 0.0]))
     m = 2 * re_.CURVE_FLOOR
     assert re_.required_curve_points(small.eigenvalue) == re_.CURVE_FLOOR
-    values = small(_meridian_nodes(small.subsphere_axis, m))
+    values = small(_meridian_nodes(small.pole[:3], m))
     want = re_.lp_norm_weighted(values, re_._meridian_weights(m), 4)
     assert math.isclose(re_.lp_norm_on_curve(small, sub, 4), want, rel_tol=1e-13)
 
@@ -280,8 +310,7 @@ def test_subsphere_norm_and_floor():
 @pytest.mark.parametrize("degree", [16, 64, 256])
 @pytest.mark.parametrize("label, family, p", [
     ("zonal-s3-e1", lambda n: ha.Zonal(3, n, _E1), 4.0),
-    ("zonal-s3-half", lambda n: ha.Zonal(3, n, _HALF), 4.0),
-    ("zonal-s3-e4", lambda n: ha.Zonal(3, n, _E4), 4.0),  # constant: U_n(0)
+    ("zonal-s3-e2-e3", lambda n: ha.Zonal(3, n, np.array([0.0, 0.6, 0.8, 0.0])), 4.0),
     ("hw-s3-p2", lambda n: ha.HighestWeight(3, n), 2.0),
     ("hw-s3-p2.5", lambda n: ha.HighestWeight(3, n), 2.5),
 ])
@@ -303,7 +332,7 @@ def test_subsphere_p6_norm_matches_a_rule_exact_for_it(degree):
     # which that rule, exact to degree ~ 4n + 31, did not (off by 7.1e-3,
     # 1.8e-2 and 2.2e-2 relative here)
     f = ha.Zonal(3, degree, _E1)
-    nodes, weights = zonal_gl_grid(f.subsphere_axis, 8 * (int(math.ceil(2 * f.eigenvalue)) + 16))
+    nodes, weights = zonal_gl_grid(f.pole[:3], 8 * (int(math.ceil(2 * f.eigenvalue)) + 16))
     want = re_.lp_norm_weighted(f(_pad(nodes)), weights, 6)
     got = re_.lp_norm_on_curve(f, geo.GreatSubsphere(), 6)
     assert math.isclose(got, want, rel_tol=1e-10)
@@ -371,13 +400,11 @@ def test_subsphere_sup_is_the_closed_form(degree):
 
 
 def test_subsphere_sup_runs_through_the_pole():
-    # s = 0 and s = pi of the meridian are the axis and its antipode, where
-    # zonal-s3 peaks at (n + 1) / sqrt(2 pi^2).  Both are samples, so the
-    # sup reads f there, not an interpolant carrying the roundoff of the
-    # samples near the axis (3.4e-12 at n = 8192 if it did).  At n = 362 the
-    # least divisor of 2N above 2n + 1 is odd (729), which would leave the
-    # antipode between samples.  An axis off the coordinate axes takes the
-    # same path.
+    # s = 0 and s = pi of the meridian are the pole and its antipode, where
+    # zonal-s3 peaks at (n + 1) / sqrt(2 pi^2).  The meridian values come
+    # from closed-form coefficients, all positive at the pole, so the sup
+    # there is their sum: the pole value to rounding, whatever 2N and n are.
+    # A pole off the coordinate axes takes the same path.
     sub = geo.GreatSubsphere()
     for pole in (_E1, np.array([0.0, 0.6, 0.8, 0.0])):
         for degree in (4, 37, 300, 362, 937, 8192):
