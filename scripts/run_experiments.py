@@ -2,8 +2,9 @@
 """Standard experiment battery: one output directory per experiment.
 
 Runs the full set of headline experiments through the CLI runner and prints
-a verdict table.  Expect a few minutes of runtime; the airy and torus rows
-dominate.  Exit code is nonzero if any experiment fails its contract.
+a verdict table.  The whole battery takes under a second (0.6-0.9 s on 2
+cores); the airy and torus rows dominate.  Exit code is nonzero if any
+experiment fails its contract.
 """
 
 import argparse

@@ -1,16 +1,14 @@
 """Closed-form geometry on round unit spheres.
 
-The two restriction targets, one Gauss-Legendre rule, and the meridians
-the subsphere norms are read on.  The targets are latitude circles of S^2
-in arc length (LatitudeCircle; the equator is the one at colatitude pi/2) and
-the great 2-subsphere of S^3 (GreatSubsphere).  Each states the ambient
-dimension d, its own dimension k and whether it is curved: the key of
-restriction.theoretical_exponent.  They sit in one standard position each,
-written in the coordinate basis e1, e2, e3 (there are no frames to rotate
-them).  A meridian is the great circle cos(s) pole + sin(s) u through a
-pole and its normal u (meridian); the subsphere norms read their values at
-uniform s along it.  Neither target needs a grid of its own: a latitude
-circle's samples are its own points at uniform arc length.
+The two restriction targets and one Gauss-Legendre rule.  The targets are
+latitude circles of S^2 in arc length (LatitudeCircle; the equator is the
+one at colatitude pi/2) and the great 2-subsphere of S^3 (GreatSubsphere).
+Each states the ambient dimension d, its own dimension k and whether it is
+curved: the key of restriction.theoretical_exponent.  They sit in one
+standard position each, written in the coordinate basis e1, e2, e3 (there
+are no frames to rotate them).  Neither target needs a grid of its own: a
+latitude circle's samples are its own points at uniform arc length, and the
+subsphere is read in closed form.
 Everything here is pure and immutable; downstream modules rely on these
 functions being deterministic.
 """
@@ -84,8 +82,8 @@ class LatitudeCircle:
 class GreatSubsphere:
     """The great 2-sphere {x4 = 0} of S^3, the unit sphere of span(e1, e2, e3).
 
-    A surface, not a curve: restriction integrates over it along one
-    meridian (`meridian`), so it carries no parametrization.
+    A surface, not a curve: restriction reads its norms in closed form, or
+    along a meridian through a zonal pole, so it carries no parametrization.
     """
 
     ambient_dim = 3
@@ -140,17 +138,3 @@ def gauss_legendre(n):
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
-
-def _normal(pole):
-    """Unit normal to `pole`: its least aligned coordinate axis, orthogonalised."""
-    k = int(np.argmin(np.abs(pole)))
-    e = np.zeros(pole.size)
-    e[k] = 1.0
-    u = e - pole[k] * pole
-    return u / np.linalg.norm(u)
-
-
-def meridian(pole, c, s):
-    """Points c pole + s u of the meridian through `pole` and its normal u,
-    for arrays c = cos(arc), s = sin(arc) from the pole."""
-    return np.outer(c, pole) + np.outer(s, _normal(pole))

@@ -137,21 +137,6 @@ def highest_weight_log_const(dim, degree):
     return -0.5 * log_integral
 
 
-def eval_highest_weight(dim, degree, points):
-    """c_{n,d} (x1 + i x2)^n, the equator-concentrating Gaussian beam."""
-    logc = highest_weight_log_const(dim, degree)
-    pts, single = _points2d(points)
-    z = pts[:, 0] + 1j * pts[:, 1]
-    rho = np.abs(z)
-    vals = np.zeros(pts.shape[0], dtype=complex)
-    pos = rho > 0.0
-    if degree == 0:
-        vals[:] = math.exp(logc)
-    else:
-        vals[pos] = np.exp(logc + degree * np.log(rho[pos])) * np.exp(1j * degree * np.angle(z[pos]))
-    return vals[0] if single else vals
-
-
 def averaged_window(degree, delta):
     """Half-width delta * n^{-1/3} of the tilt-angle window; delta finite and > 0."""
     if not (math.isfinite(delta) and delta > 0.0):
@@ -185,11 +170,12 @@ def eval_averaged_raw(degree, delta, points, profile=unit_bump):
     """
     pts, single = _points2d(points)
     out = np.zeros(pts.shape[0], dtype=complex)
+    beam = HighestWeight(2, degree)
     for phi, weight in zip(*_averaged_tilts(degree, delta, profile)):
         c, s = math.cos(phi), math.sin(phi)
         # the beam reads only x1 and x2 of the rotated point
         rotated = np.column_stack([pts[:, 0], c * pts[:, 1] + s * pts[:, 2]])
-        out += weight * eval_highest_weight(2, degree, rotated)
+        out += weight * beam(rotated)
     return out[0] if single else out
 
 
@@ -297,14 +283,16 @@ class HighestWeight(_SphereFamily):
     degree: int
 
     def __call__(self, points):
-        return eval_highest_weight(self.dim, self.degree, points)
-
-    @property
-    def subsphere_axis(self):
-        """e3: on the great subsphere {x4 = 0}, |x1 + i x2|^2 = 1 - x3^2."""
-        if self.dim != 3:
-            raise ValueError(f"the great subsphere lies in S^3, not S^{self.dim}")
-        return np.array([0.0, 0.0, 1.0])
+        """c_{n,d} (x1 + i x2)^n, the equator-concentrating Gaussian beam."""
+        n, logc = self.degree, highest_weight_log_const(self.dim, self.degree)
+        pts, single = _points2d(points)
+        z = pts[:, 0] + 1j * pts[:, 1]
+        vals = np.full(z.shape, math.exp(logc) if n == 0 else 0.0, dtype=complex)
+        if n > 0:
+            pos = z != 0.0
+            vals[pos] = (np.exp(logc + n * np.log(np.abs(z[pos])))
+                         * np.exp(1j * n * np.angle(z[pos])))
+        return vals[0] if single else vals
 
 
 @dataclass(frozen=True, eq=False)

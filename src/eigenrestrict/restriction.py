@@ -10,16 +10,16 @@ degree n, so its grid values come from its 2n + 1 Fourier coefficients and
 one zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
 every node.  A zonal harmonic read along a great circle through its pole
 (the equator of S^2, a meridian of the subsphere of S^3) has them in closed
-form (`Zonal.circle_coefficients`); every other pair of family and circle
-takes them from >= 2n + 1 samples and one FFT (`_circle_values`).  On the
-great 2-subsphere of S^3 the families' moduli are zonal about an axis (the
-pole, or the `subsphere_axis` a sampled family names), so every norm there
-reads one set of uniform values along the meridian through that axis: the
-sup is their max, and the surface integral is one fixed |sin s|-weighted
-rule on them (`_meridian_weights`).  The grid size is always derived from
+form (`Zonal.circle_coefficients`); other families on a latitude circle
+take them from >= 2n + 1 samples and one FFT (`_circle_values`).  On the
+great 2-subsphere of S^3 only such zonal harmonics are read: every norm
+reads uniform values along a meridian through the pole, the sup is their
+max and the surface integral one |sin s|-weighted rule (`_meridian_weights`).
+The highest-weight beam needs no values: its modulus is constant on a
+latitude circle and a power of 1 - x3^2 on the subsphere, so its norms are
+closed form (`_highest_weight_norm`).  The grid size is always derived from
 the family's eigenvalue (`required_curve_points`); no caller picks it.  The
-theoretical_exponent oracle carries the sharp growth rates the fits are
-compared to.
+theoretical_exponent oracle carries the sharp growth rates of the fits.
 """
 
 import math
@@ -60,42 +60,47 @@ def required_curve_points(lam):
 
 
 def lp_norm_weighted(values, weights, p):
-    """(sum w |v|^p)^(1/p), or the grid max for p = inf (shared norm kernel)."""
+    """(sum w |v|^p)^(1/p), or the grid max for p = inf (shared norm kernel):
+    top (sum w (|v| / top)^p)^(1/p) with top = max |v|, so the sum neither
+    underflows to 0 nor overflows; a top of 0, inf or NaN is returned as is."""
     if not p > 0:  # NaN too
         raise ValueError(f"p must be positive or inf, got {p!r}")
     mags = np.abs(np.asarray(values))
-    if math.isinf(p):
-        return float(np.max(mags))
-    return float(np.sum(np.asarray(weights) * mags**p) ** (1.0 / p))
+    top = float(np.max(mags))
+    if math.isinf(p) or not 0.0 < top < math.inf:
+        return top
+    return top * float(np.sum(np.asarray(weights) * (mags / top) ** p)) ** (1.0 / p)
 
 
 def lp_norm_on_curve(f, curve, p):
     """Restricted L^p norm of f over a latitude circle of S^2 or the great
     subsphere {x4 = 0} of S^3.
 
-    lambda is read from f.eigenvalue (a ValueError when f has none), and
-    sets N = max(4096, 20 lambda), rounded up to a 5-smooth size.  A circle
+    A `harmonics.HighestWeight` takes its closed form (`_highest_weight_norm`).
+    Any other f sets N = max(4096, 20 lambda) from lambda = f.eigenvalue (a
+    ValueError when f has none), rounded up to a 5-smooth size.  A circle
     takes the trapezoid rule in arc length on N uniform nodes; p = inf takes
     the grid max over 2N nodes: the N-node grid is bit for bit its
-    even-index subset, so the one doubling already covers it.  On the
-    subsphere |f| is zonal about an axis, so every p reads f at the same 2N
-    uniform points of a meridian through that axis, both poles included:
-    p = inf takes their max, and a finite p weighs |f|^p there by
-    `_meridian_weights(2N)`, which is exact when |f|^p is a trigonometric
-    polynomial of degree < N in the meridian's angle (every even p <= 20).
+    even-index subset, so the one doubling already covers it.  The
+    subsphere reads only a `harmonics.Zonal` of S^3 whose pole lies on it
+    (pole[-1] == 0.0), and any other f raises ValueError.  Its |f| is zonal
+    about the pole, so every p reads f at the same 2N uniform points of a
+    meridian through it, both poles included: p = inf takes their max, and
+    a finite p weighs |f|^p there by `_meridian_weights(2N)`, which is exact
+    when |f|^p is a trigonometric polynomial of degree < N in the meridian's
+    angle (every even p <= 20).
 
-    Either way the values lie on a circle along which f of degree n
-    (f.degree, a ValueError when f has none) is a trigonometric polynomial
-    of degree <= n, fixed by its 2n + 1 Fourier coefficients.  A
-    `harmonics.Zonal` whose pole lies on the great sphere it is read on
-    (the equator, or the subsphere: pole[-1] == 0.0) is read along a great
-    circle through that pole, where the coefficients are closed-form
+    Either way the values lie on a circle along which f of degree n is a
+    trigonometric polynomial of degree <= n, fixed by its 2n + 1 Fourier
+    coefficients.  A zonal harmonic whose pole lies on the great sphere it
+    is read on (the equator, or the subsphere) is read along a great circle
+    through that pole, where they are closed-form
     (`Zonal.circle_coefficients`): no samples, and its sup reads the pole
-    value to rounding.  Every other pair takes them from samples
-    (`_circle_values`): a latitude circle's own points, or the meridian of
-    the subsphere through f.subsphere_axis (a ValueError when f has none,
-    as for a zonal harmonic of S^3 whose pole lies off {x4 = 0}).
+    value to rounding.  Every other f takes them from samples of the
+    latitude circle's own points (`_circle_values`, which reads f.degree).
     """
+    if isinstance(f, harmonics.HighestWeight):
+        return _highest_weight_norm(f, curve, p)
     if getattr(f, "eigenvalue", None) is None:
         raise ValueError("f has no eigenvalue attribute, so no grid can be "
                          "sized to resolve its oscillation")
@@ -108,20 +113,30 @@ def lp_norm_on_curve(f, curve, p):
     elif curve.dim == 1:
         values = _circle_values(f, lambda m: curve.points(curve.length * np.arange(m) / m), n)
     else:
-        axis = getattr(f, "subsphere_axis", None)
-        if axis is None:
-            raise ValueError("f has no subsphere_axis attribute, so its restriction "
-                             "to the great subsphere cannot be reduced to a meridian")
-
-        def sample(m):  # the S^2 of span(e1, e2, e3) as {x4 = 0} in S^3
-            s = 2.0 * math.pi * np.arange(m) / m
-            nodes = geometry.meridian(axis, np.cos(s), np.sin(s))
-            return np.column_stack([nodes, np.zeros(m)])
-
-        values = _circle_values(f, sample, n)
+        raise ValueError("the great subsphere reads only a zonal harmonic of S^3 "
+                         "whose pole lies on it, {x4 = 0}")
     if curve.dim == 1:
         return lp_norm_weighted(values, curve.length / n, p)
     return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(n), p)
+
+
+def _highest_weight_norm(f, curve, p):
+    """||c (x1 + i x2)^n||_{L^p}, in logs.  On the latitude circle at theta0
+    |f| = c sin(theta0)^n; on {x4 = 0} |f| = c (1 - x3^2)^{n/2}, so there
+    int |f|^p = 2 pi c^p B(1/2, pn/2 + 1)."""
+    if not p > 0:  # NaN too
+        raise ValueError(f"p must be positive or inf, got {p!r}")
+    if f.dim != curve.ambient_dim:
+        raise ValueError(f"the target lies in S^{curve.ambient_dim}, not S^{f.dim}")
+    log_norm = harmonics.highest_weight_log_const(f.dim, f.degree)
+    if curve.dim == 1:  # x / inf is 0.0: p = inf drops the measure term
+        return math.exp(log_norm + f.degree * math.log(math.sin(curve.colatitude))
+                        + math.log(curve.length) / p)
+    if math.isinf(p):
+        return math.exp(log_norm)
+    a = 0.5 * p * f.degree
+    log_beta = math.lgamma(0.5) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5)
+    return math.exp(log_norm + (math.log(2.0 * math.pi) + log_beta) / p)
 
 
 def _meridian_weights(m):

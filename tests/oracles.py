@@ -3,9 +3,9 @@
 The geometry lemmas behind the oscillatory kernel (geodesic distance, the
 exponential map, a tangent frame, the distance-gradient identity and the
 two stationary directions of psi_r), the full product grids on S^2 and
-S^3 that the reduced one-dimensional rules are checked against, and a
-Gauss-Legendre rule along a meridian for zonal integrands.  Each grid is a
-pair (nodes, weights), one node per row.
+S^3 that the reduced one-dimensional rules are checked against, the
+meridian through a pole, and a Gauss-Legendre rule along it for zonal
+integrands.  Each grid is a pair (nodes, weights), one node per row.
 """
 
 import math
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eigenrestrict.geometry import as_unit_vector, gauss_legendre, meridian
+from eigenrestrict.geometry import as_unit_vector, gauss_legendre
 
 TANGENT_TOL = 1e-10
 # Central-difference step for derivative checks: truncation O(h^2) ~ 1e-10,
@@ -164,6 +164,21 @@ def polar_pair_grid(n):
     nodes = np.column_stack([c, np.zeros(n), s, np.zeros(n)])
     weights = math.pi**2 * w
     return nodes, weights
+
+
+def meridian_normal(pole):
+    """Unit normal to `pole`: its least aligned coordinate axis, orthogonalised."""
+    k = int(np.argmin(np.abs(pole)))
+    e = np.zeros(pole.size)
+    e[k] = 1.0
+    u = e - pole[k] * pole
+    return u / np.linalg.norm(u)
+
+
+def meridian(pole, c, s):
+    """Points c pole + s u of the meridian through `pole` and its normal u,
+    for arrays c = cos(arc), s = sin(arc) from the pole."""
+    return np.outer(c, pole) + np.outer(s, meridian_normal(pole))
 
 
 def zonal_gl_grid(pole, n):

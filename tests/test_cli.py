@@ -182,6 +182,23 @@ def test_each_target_selects_its_oracle_row(tmp_path, monkeypatch, family, curve
     assert calls == [key]
 
 
+@pytest.mark.parametrize("family", ["highest-weight", "averaged:0.9"])
+def test_beams_decaying_off_the_equator_reach_the_fit(tmp_path, family):
+    # on latitude 0.785 the beams fall to ~1e-154 and ~1e-124 by n = 1024;
+    # their p = 6 norms once underflowed to 0 and stopped the run before the
+    # fit.  The fit's failure is the true verdict: they decay exponentially
+    out = tmp_path / "decay"
+    code = cli.main(["run", "sweep", "--family", family, "--curve", "latitude:0.785",
+                     "--p", "6", "--degrees", "16:1024", "--out", str(out)])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert "error" not in summary
+    assert summary["verdicts"]["exponent_fit"] == "fail"
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(restriction.geometric_degrees(16, 1024))
+    assert all(float(row.split(",")[-1]) > 0.0 for row in rows)
+
+
 def test_subsphere_sup_sweep_fits_slope_one(tmp_path):
     # sup |f| on the subsphere grows like lambda^1 for zonal-s3
     out = tmp_path / "sup"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict import restriction as re_
-from oracles import sphere_grid, zonal_gl_grid
+from oracles import meridian, sphere_grid, zonal_gl_grid
 
 
 class _Const:
@@ -34,6 +34,13 @@ def test_lp_norm_weighted_basics():
     assert re_.lp_norm_weighted(v, w, math.inf) == 2.0
     with pytest.raises(ValueError):
         re_.lp_norm_weighted(v, w, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_lp_norm_weighted_neither_underflows_nor_overflows(scale):
+    # scale^6 is 0.0 or inf in doubles; the norm, scale 2^(1/6), is not
+    got = re_.lp_norm_weighted(np.full(4, scale), 0.5, 6)
+    assert math.isclose(got, scale * 2 ** (1 / 6), rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("p", [math.nan, -math.inf])
@@ -87,9 +94,9 @@ def _circle_nodes(curve, n):
 
 def _meridian_nodes(axis, n):
     """n uniform nodes cos(s) axis + sin(s) u of the meridian through `axis`,
-    u the normal geometry.meridian takes, on the subsphere {x4 = 0}."""
+    u the normal the oracle `meridian` takes, on the subsphere {x4 = 0}."""
     s = 2 * math.pi * np.arange(n) / n
-    return _pad(np.outer(np.cos(s), axis) + np.outer(np.sin(s), geo._normal(axis)))
+    return _pad(meridian(axis, np.cos(s), np.sin(s)))
 
 
 def _pad(nodes):
@@ -99,6 +106,7 @@ def _pad(nodes):
 
 _HALF = np.array([0.5, 0.5, 0.5, 0.5])
 _E1, _E4 = np.eye(4)[0], np.eye(4)[3]
+_E3 = np.array([0.0, 0.0, 1.0])  # |x1 + i x2|^2 = 1 - x3^2 on the subsphere
 
 
 @pytest.mark.parametrize("curve", [geo.equator(), geo.LatitudeCircle(math.pi / 4)])
@@ -159,7 +167,7 @@ def test_interpolated_circle_values_match_direct_evaluation(family, degree, curv
             return _circle_nodes(curve, m)
     else:  # the subsphere's norms read 2N meridian points
         n = 2 * re_.required_curve_points(f.eigenvalue)
-        axis = f.pole[:3] if isinstance(f, ha.Zonal) else f.subsphere_axis
+        axis = f.pole[:3] if isinstance(f, ha.Zonal) else _E3
 
         def nodes(m):
             return _meridian_nodes(axis / np.linalg.norm(axis), m)
@@ -210,7 +218,7 @@ def test_circle_coefficients_are_the_zonal_along_a_great_circle(label, degree):
     f = ha.Zonal(pole.size - 1, degree, pole)
     n = re_.required_curve_points(f.eigenvalue)
     s = 2 * math.pi * np.arange(n) / n
-    direct = f(geo.meridian(f.pole, np.cos(s), np.sin(s)))
+    direct = f(meridian(f.pole, np.cos(s), np.sin(s)))
     closed = re_._fourier_values(f.circle_coefficients(), degree, n, n)
     assert np.max(np.abs(closed - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -242,7 +250,7 @@ def test_only_a_pole_on_the_equator_reads_closed_form_coefficients(monkeypatch):
         assert calls == {"samples": 1, "coefficients": 0}
     # an S^3 pole off {x4 = 0} has no meridian to be read on
     for pole in (_HALF, _E4):
-        with pytest.raises(ValueError, match="subsphere_axis"):
+        with pytest.raises(ValueError, match="x4 = 0"):
             re_.lp_norm_on_curve(ha.Zonal(3, 64, pole), sub, 6)
 
 
@@ -287,11 +295,6 @@ def test_curve_norm_grid_refinement_converged():
 
 def test_subsphere_norm_and_floor():
     sub = geo.GreatSubsphere()
-    c = _Const()
-    c.subsphere_axis = np.array([0.0, 0.0, 1.0])  # constant: any axis serves
-    # normalized measure is the full area 4 pi
-    assert math.isclose(re_.lp_norm_on_curve(c, sub, 2), math.sqrt(4 * math.pi),
-                        rel_tol=1e-13)
     # the meridian rule is already exact for |z|^2: a Gauss-Legendre rule in
     # <x, axis> at twice the degree agrees
     z = ha.Zonal(3, 50, np.array([1.0, 0.0, 0.0, 0.0]))
@@ -347,20 +350,34 @@ def test_subsphere_p6_sweep_fits_the_sharp_exponent():
     assert abs(slope - 2.0 / 3.0) <= 1e-3
 
 
-def _highest_weight_s3_norm(n, p):
-    """||c (x1 + i x2)^n||_{L^p} on {x4 = 0}: |f| = c (1 - x3^2)^{n/2} there,
-    so int |f|^p = 2 pi c^p B(1/2, pn/2 + 1), in logs."""
-    log_beta = math.lgamma(0.5) + math.lgamma(p * n / 2 + 1) - math.lgamma(p * n / 2 + 1.5)
-    log_c = ha.highest_weight_log_const(3, n)
-    return math.exp((math.log(2 * math.pi) + log_beta) / p + log_c)
-
-
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
 def test_highest_weight_subsphere_norm_is_the_beta_integral(p):
+    # the closed form against f itself at the 2N uniform points of the
+    # meridian through e3, weighed by the |sin s| rule: |f| is zonal about e3
     sub = geo.GreatSubsphere()
     for degree in re_.geometric_degrees(16, 8192):
-        got = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), sub, p)
-        assert math.isclose(got, _highest_weight_s3_norm(degree, p), rel_tol=1e-11), degree
+        f = ha.HighestWeight(3, degree)
+        m = 2 * re_.required_curve_points(f.eigenvalue)
+        want = re_.lp_norm_weighted(f(_meridian_nodes(_E3, m)), re_._meridian_weights(m), p)
+        got = re_.lp_norm_on_curve(f, sub, p)
+        assert math.isclose(got, want, rel_tol=1e-11), degree
+        assert got > 0.0
+
+
+@pytest.mark.parametrize("label", sorted(_CIRCLES))
+@pytest.mark.parametrize("degree", [16, 181, 1024])
+@pytest.mark.parametrize("p", [2.0, 3.0, 6.0, math.inf])
+def test_highest_weight_circle_norm_matches_direct_values(label, degree, p):
+    # |f| = c sin(theta0)^n is constant on the circle: the closed form against
+    # f itself at 2N uniform nodes.  At n = 1024 on 0.785 the sup is ~1e-153,
+    # whose sixth power underflowed to a norm of 0 before the kernel scaled
+    curve = _CIRCLES[label]
+    f = ha.HighestWeight(2, degree)
+    m = 2 * re_.required_curve_points(f.eigenvalue)
+    want = re_.lp_norm_weighted(f(_circle_nodes(curve, m)), curve.length / m, p)
+    got = re_.lp_norm_on_curve(f, curve, p)
+    assert math.isclose(got, want, rel_tol=1e-12)
+    assert got > 0.0
 
 
 @pytest.mark.parametrize("m", [8, 10, 12, 64, 4098, 10368])
@@ -381,7 +398,8 @@ def test_meridian_weights_integrate_even_powers_of_cos(m):
 
 
 def test_subsphere_norm_needs_an_axis():
-    with pytest.raises(ValueError, match="subsphere_axis"):
+    # only a zonal harmonic with its pole on the subsphere has a meridian
+    with pytest.raises(ValueError, match="x4 = 0"):
         re_.lp_norm_on_curve(_Const(), geo.GreatSubsphere(), 2)
     with pytest.raises(ValueError, match="S\\^3"):
         re_.lp_norm_on_curve(ha.HighestWeight(2, 8), geo.GreatSubsphere(), 2)
@@ -389,14 +407,15 @@ def test_subsphere_norm_needs_an_axis():
 
 @pytest.mark.parametrize("degree", [16, 45, 256])
 def test_subsphere_sup_is_the_closed_form(degree):
-    # zonal-s3 peaks at its pole, (n+1)/sqrt(2 pi^2); highest-weight-s3 on the
-    # circle x3 = 0 of the subsphere, where |x1 + i x2| = 1.  The 2N meridian
-    # points hold both poles and, with N even, that circle too.
+    # zonal-s3 peaks at its pole, (n+1)/sqrt(2 pi^2), which the 2N meridian
+    # points hold; highest-weight-s3 on the circle x3 = 0 of the subsphere,
+    # where |x1 + i x2| = 1: its value at e1
     sub = geo.GreatSubsphere()
     zonal = re_.lp_norm_on_curve(ha.Zonal(3, degree, _E1), sub, math.inf)
     assert math.isclose(zonal, (degree + 1) / math.sqrt(2 * math.pi**2), rel_tol=1e-12)
-    hw = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), sub, math.inf)
-    assert math.isclose(hw, math.exp(ha.highest_weight_log_const(3, degree)), rel_tol=1e-12)
+    f = ha.HighestWeight(3, degree)
+    hw = re_.lp_norm_on_curve(f, sub, math.inf)
+    assert math.isclose(hw, abs(complex(f(_E1))), rel_tol=1e-12)
 
 
 def test_subsphere_sup_runs_through_the_pole():
