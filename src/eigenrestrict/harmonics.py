@@ -1,9 +1,9 @@
 """Explicit Laplace eigenfunction families on S^2, S^3 and the flat torus.
 
 All sphere families are L^2-normalized: zonal and associated harmonics by
-closed-form constants, highest-weight vectors by log-Gamma evaluation of the
-Beta integral, and window-averaged combinations by the closed-form Gram
-matrix of their tilted beams.
+closed-form constants, highest-weight vectors by a cancellation-free log
+Gamma ratio (`log_gamma_half_ratio`), and window-averaged combinations by
+the closed-form Gram matrix of their tilted beams.
 Evaluation is vectorized over point arrays and stays finite up to degree
 several thousand.  The polynomials come from one place each: a zonal
 harmonic on S^2 or S^3 from its Gegenbauer series in the angle from its
@@ -120,16 +120,40 @@ def _points2d(points):
     return pts, single
 
 
+# (2^-k - 2) B_{k+1} / (k (k + 1)) for odd k = 1, 3, ..., 15, from B_2, ..., B_16
+_HALF_RATIO_SERIES = tuple((2.0**-k - 2.0) * b / (k * (k + 1)) for k, b in zip(
+    range(1, 17, 2), (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)))
+
+
+def log_gamma_half_ratio(x):
+    """log Gamma(x + 1/2) - log Gamma(x) for x > 0, to a few ulps of the result.
+
+    Two lgamma calls near x log x cancel to about (1/2) log x and lose
+    log10(x) digits.  For x >= 8 the difference of the Bernoulli-polynomial
+    expansions of log Gamma(x + a) at a = 1/2 and a = 0, with
+    B_{k+1}(1/2) = (2^-k - 1) B_{k+1}, is
+    (1/2) log x + sum over odd k of (2^-k - 2) B_{k+1} / (k (k + 1) x^k);
+    its first omitted term is below 2e-16 at x = 8.  Below 8 both lgamma
+    values are small and their difference is taken directly.
+    """
+    if x < 8.0:
+        return math.lgamma(x + 0.5) - math.lgamma(x)
+    y, acc = 1.0 / (x * x), 0.0
+    for c in reversed(_HALF_RATIO_SERIES):
+        acc = acc * y + c
+    return 0.5 * math.log(x) + acc / x
+
+
 def highest_weight_log_const(dim, degree):
     """log of c_{n,d} with ||c (x1+i x2)^n||_{L^2(S^d)} = 1, via log-Gamma.
 
-    int_{S^d} |x1+i x2|^{2n} dsigma = 2 pi^{(d+1)/2} n! / Gamma(n + (d+1)/2);
-    for d=2 this is the Beta integral 2 pi 2^{2n+1} (n!)^2 / (2n+1)!.
+    int_{S^d} |x1+i x2|^{2n} dsigma = 2 pi^{(d+1)/2} n! / Gamma(n + (d+1)/2):
+    2 pi^{3/2} / exp(log_gamma_half_ratio(n + 1)) for d=2, 2 pi^2 / (n + 1)
+    for d=3.
     """
     n = degree
     if dim == 2:
-        log_integral = (math.log(2.0 * math.pi) + (2 * n + 1) * math.log(2.0)
-                        + 2.0 * math.lgamma(n + 1) - math.lgamma(2 * n + 2))
+        log_integral = math.log(2.0 * math.pi**1.5) - log_gamma_half_ratio(n + 1.0)
     elif dim == 3:
         log_integral = math.log(2.0 * math.pi**2) - math.log(n + 1.0)
     else:

@@ -134,8 +134,8 @@ def _highest_weight_norm(f, curve, p):
                         + math.log(curve.length) / p)
     if math.isinf(p):
         return math.exp(log_norm)
-    a = 0.5 * p * f.degree
-    log_beta = math.lgamma(0.5) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5)
+    # log B(1/2, a + 1) = log Gamma(1/2) - log(Gamma(a + 3/2) / Gamma(a + 1))
+    log_beta = 0.5 * math.log(math.pi) - harmonics.log_gamma_half_ratio(0.5 * p * f.degree + 1.0)
     return math.exp(log_norm + (math.log(2.0 * math.pi) + log_beta) / p)
 
 

@@ -179,9 +179,10 @@ def equal_coefficient_witness(N):
 class SupEnclosure:
     """Certified interval lo <= sup |f| <= hi, and how it was reached.
 
-    `m` is the side of the starting grid, `depth` the number of 4 x 4
-    refinements after it and `cells` the cells still able to hold the max
-    at the end.
+    `m` is the side of the starting grid, of which the (m // 2 + 1) x m
+    rows with x1 <= pi are evaluated (f(x + (pi, pi)) = +-f(x) on a lattice
+    circle), `depth` the number of 4 x 4 refinements after it and `cells`
+    the cells of that half still able to hold the max at the end.
     """
 
     lo: float
@@ -239,8 +240,13 @@ def _too_flat(N, cells):
 
 
 def _grid_stage(f, m, rho):
-    """Largest computed |f| over the m x m grid, and the nodes that may hold the sup.
+    """Largest computed |f| over half the m x m grid, and the nodes that may hold the sup.
 
+    Every frequency on |k|^2 = N has k1 + k2 = k1^2 + k2^2 = N (mod 2), so
+    f(x + (pi, pi)) = (-1)^N f(x): some maximiser, or its shift, has
+    x1 in [0, pi).  The rows x_a = a h, a = 0..m // 2, carry the cells of
+    side h that cover x1 in [-h/2, (m // 2 + 1/2) h), which contains
+    [0, pi), so the (m // 2 + 1) x m grid certifies what the full one did.
     f is separable: f(x_a, y_b) = sum_u e^{i u x_a} G[u, b], where G[u, :]
     sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  Grouping by
     distinct k1 about halves the inner dimension (about r_2/2) of this GEMM,
@@ -261,8 +267,9 @@ def _grid_stage(f, m, rho):
     g = np.concatenate([g.real, g.imag])
     rows = max(1, BLOCK_BYTES // (16 * m))
     best, kept = 0.0, np.zeros((0, 3))  # columns x, y, computed |f|^2
-    for a0 in range(0, m, rows):
-        phase = np.outer(x[a0:a0 + rows], k1)
+    half = x[:m // 2 + 1]
+    for a0 in range(0, len(half), rows):
+        phase = np.outer(half[a0:a0 + rows], k1)
         cos, sin = np.cos(phase), np.sin(phase)
         reim = np.block([[cos, -sin], [sin, cos]]) @ g  # [Re f; Im f] on the block
         n = len(phase)
@@ -322,6 +329,9 @@ def grid_sup_norm(f):
     The grid comes from a blocked separable GEMM (`_grid_stage`), after the
     frequencies are divided by their gcd g (which leaves the sup unchanged
     and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block.
+    Only its (m // 2 + 1) x m rows with x1 <= pi are evaluated: each k has
+    k1 + k2 = N (mod 2), so f(x + (pi, pi)) = (-1)^N f(x), and the cells on
+    those rows hold a maximiser or its shift.
     Cells that can still hold the max are split 4 x 4 until
     hi / lo - 1 <= SUP_RTOL, which takes 7 splits; the 16 children of each
     cell cost one exponential per term and one product with the level's

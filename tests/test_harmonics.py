@@ -311,6 +311,38 @@ def test_highest_weight_norms_and_values():
                         rel_tol=1e-12)
 
 
+# log Gamma(x + 1/2) - log Gamma(x) and log c_{n,2} = -(1/2) log(2 pi^{3/2}
+# n! / Gamma(n + 3/2)) to 30 digits (mpmath at 40 digits); hard-coded so that
+# the check needs no arbitrary-precision library
+HALF_RATIO_30 = {0.5: -0.572364942924700087071713675677,
+                 3.0: 0.507826421787128915398789759993,
+                 7.5: 0.99079712430668134500716340391,
+                 8.0: 1.02410589623558341157160904478,
+                 100.5: 2.30383508778586858882808066713,
+                 4097.0: 4.15897462864414832509880827548,
+                 12289.0: 4.70821974444403467671033312405,
+                 1e6: 6.90775515398213705205918269739}
+HW2_LOG_CONST_30 = {0: -1.26551212348464539648894579713,
+                    5: -0.767585846129475018178980885341,
+                    4096: 0.874366309655051377233217563497,
+                    8192: 1.04763021940511327650382495807}
+
+
+@pytest.mark.parametrize("x", sorted(HALF_RATIO_30))
+def test_log_gamma_half_ratio_matches_30_digit_values(x):
+    # on both sides of the switch to the series at x = 8; two lgamma calls
+    # at x = 12289 (each near 1.0e5) leave about 1e-11 of the difference
+    assert math.isclose(ha.log_gamma_half_ratio(x), HALF_RATIO_30[x],
+                        rel_tol=4e-15, abs_tol=4e-15)
+
+
+@pytest.mark.parametrize("n", sorted(HW2_LOG_CONST_30))
+def test_highest_weight_s2_const_matches_30_digit_values(n):
+    # 2 lgamma(n + 1) - lgamma(2n + 2) would cancel to about 1.6e-12 at n = 4096
+    assert math.isclose(ha.highest_weight_log_const(2, n), HW2_LOG_CONST_30[n],
+                        rel_tol=4e-15, abs_tol=4e-15)
+
+
 def test_highest_weight_vanishes_off_torus_axis():
     e5 = ha.HighestWeight(2, 5)
     assert abs(complex(e5(np.array([0.0, 0.0, 1.0])))) == 0.0

@@ -364,6 +364,23 @@ def test_highest_weight_subsphere_norm_is_the_beta_integral(p):
         assert got > 0.0
 
 
+# (2 pi c^p B(1/2, pn/2 + 1))^{1/p}, c^2 = (n + 1) / (2 pi^2), to 30 digits
+# (mpmath at 40 digits), hard-coded so that the check needs no
+# arbitrary-precision library
+HW3_SUBSPHERE_30 = {(2.0, 4096): 6.00946275670972934493494430222,
+                    (6.0, 4096): 9.8227917424893449708300140147,
+                    (2.5, 1024): 4.51758267792809847881638476405,
+                    (3.0, 8192): 9.47087832047610303357722326062}
+
+
+@pytest.mark.parametrize("p, degree", sorted(HW3_SUBSPHERE_30))
+def test_highest_weight_subsphere_norm_matches_30_digit_values(p, degree):
+    # lgamma(pn/2 + 1) - lgamma(pn/2 + 3/2) would cancel to about 2.5e-12 at
+    # p = 6, n = 4096; the log Gamma ratio keeps the norm to a few ulps
+    got = re_.lp_norm_on_curve(ha.HighestWeight(3, degree), geo.GreatSubsphere(), p)
+    assert math.isclose(got, HW3_SUBSPHERE_30[p, degree], rel_tol=4e-15)
+
+
 @pytest.mark.parametrize("label", sorted(_CIRCLES))
 @pytest.mark.parametrize("degree", [16, 181, 1024])
 @pytest.mark.parametrize("p", [2.0, 3.0, 6.0, math.inf])

@@ -186,15 +186,52 @@ def test_grid_sup_exact_for_aligned_phases():
         assert sup.width <= torus.SUP_RTOL
 
 
+@pytest.mark.parametrize("N", [25, 50, 65, 130, 4225])
+def test_shift_by_pi_pi_flips_f_by_the_parity_of_n(N):
+    # k1 + k2 = k1^2 + k2^2 = N (mod 2) on the circle, so
+    # f(x + (pi, pi)) = (-1)^N f(x), and |f| repeats on the second half of
+    # the grid.  N = 50 and 130 are even, the rest odd.  It holds after the
+    # gcd is divided out, as grid_sup_norm does, and on a scaled circle too
+    raw = torus.random_eigenfunction(N, 1)
+    g = int(np.gcd.reduce(np.abs(raw.freqs).ravel()))
+    x = np.random.default_rng(N).uniform(0.0, 2.0 * math.pi, size=(200, 2))
+    for f in (TorusSum(raw.freqs // g, raw.coeffs), TorusSum(3 * raw.freqs, raw.coeffs)):
+        sign = (-1) ** (f.circle_number % 2)
+        # within the roundoff bound, which then bounds | |f(x + pi)| - |f(x)| | too
+        assert np.max(np.abs(f(x + math.pi) - sign * f(x))) <= torus._roundoff(f), N
+
+
+@pytest.mark.parametrize("shift1", [math.pi + 0.01, 4.0, 2.0 * math.pi - 0.3,
+                                    2.0 * math.pi - 1e-3])
+def test_peak_in_the_skipped_half_is_enclosed(shift1):
+    # phases aligned at a point with x1 in (pi, 2 pi), which the grid rows
+    # x_a = a h, a <= m // 2, do not reach: its shift by (pi, pi) peaks as
+    # high and lies in the evaluated half, so sqrt(r_2) stays enclosed.
+    # At 2 pi - 0.3 the shift lies 0.3 below pi, where only the last rows
+    # of the half reach it
+    shift = np.array([shift1, 2.3456789])
+    for N in (25, 50, 65, 169, 4225):
+        points = torus.representations(N)
+        f = TorusSum(points, np.exp(-1j * points @ shift) / math.sqrt(len(points)))
+        sup = torus.grid_sup_norm(f)
+        assert sup.lo <= math.sqrt(len(points)) <= sup.hi, N
+        assert sup.width <= torus.SUP_RTOL
+        h = 2.0 * math.pi / sup.m
+        _, kept = torus._grid_stage(f, sup.m, torus._roundoff(f))
+        assert np.all(kept[:, 0] <= h * (sup.m // 2)), N
+
+
 def test_grid_sup_base_is_the_coarse_grid():
-    # the starting grid is ceil(20 sqrt(N / 2)) a side; the blocked GEMM over it
-    # matches a direct evaluation, and lo is at least its max
+    # the starting grid is ceil(20 sqrt(N / 2)) a side, of which the rows
+    # a = 0..m // 2 are evaluated; the blocked GEMM over them matches a direct
+    # evaluation, and lo is at least its max
     f = torus.random_eigenfunction(325, 3)
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
     sup = torus.grid_sup_norm(f)
     assert (sup.m, sup.depth) == (m, 7) and sup.cells >= 1
     x = 2.0 * math.pi * np.arange(m) / m
-    xy = np.column_stack([np.repeat(x, m), np.tile(x, m)])
+    rows = m // 2 + 1
+    xy = np.column_stack([np.repeat(x[:rows], m), np.tile(x, rows)])
     base = float(np.max(np.abs(f(xy))))
     best, kept = torus._grid_stage(f, m, torus._roundoff(f))
     assert math.isclose(best, base, rel_tol=1e-12)
@@ -226,7 +263,7 @@ def test_grid_stage_is_independent_of_block_size(f, monkeypatch):
         assert b == best
         np.testing.assert_array_equal(k, kept)
     if len(f.coeffs) == 1:
-        assert len(kept) == m * m
+        assert len(kept) == (m // 2 + 1) * m
 
 
 @pytest.mark.parametrize("N", [25, 4225])
@@ -258,10 +295,11 @@ def test_flat_prime_circle_certifies(seed):
     assert 0.0 < sup.lo <= sup.hi <= math.sqrt(8)
 
 
-@pytest.mark.parametrize("N, seed", [(60013, 0), (60013, 1), (100049, 0)])
+@pytest.mark.parametrize("N, seed", [(60013, 0), (60013, 1), (100049, 0), (300017, 0)])
 def test_flatter_prime_circles_certify(N, seed):
-    # two more primes with r_2 = 8, flatter still than 30013: only the
-    # one-sided bound's floor keeps their cells under MAX_CELLS
+    # three more primes with r_2 = 8, flatter still than 30013: only the
+    # one-sided bound's floor keeps their cells under MAX_CELLS.  300017 at
+    # seed 0 needs the half grid too: the full one keeps 1.77M cells
     sup = torus.grid_sup_norm(torus.random_eigenfunction(N, seed))
     assert sup.width <= torus.SUP_RTOL
     assert 0.0 < sup.lo <= sup.hi <= math.sqrt(8)
