@@ -2,9 +2,9 @@
 """Standard experiment battery: one output directory per experiment.
 
 Runs the full set of headline experiments through the CLI runner and prints
-a verdict table.  The whole battery takes under a second (0.6-0.9 s on 2
-cores); the airy and torus rows dominate.  Exit code is nonzero if any
-experiment fails its contract.
+a verdict table.  The whole battery takes about a second (1.1 s on 2
+cores); the airy rows dominate, the variable kernel most.  Exit code is
+nonzero if any experiment fails its contract.
 """
 
 import argparse
@@ -33,6 +33,8 @@ BATTERY = (
       "0.7853981633974483,1.0471975511965976,1.5707963267948966"]),
     ("airy-model",
      ["airy", "--lambda-list", "200,400,800", "--case", "model"]),
+    ("airy-variable",
+     ["airy", "--lambda-list", "200,400,800", "--case", "variable"]),
     ("torus",
      ["torus", "--n-list", "25,169,625,4225", "--seeds", "12",
       "--seed", "0", "--n-max", "1000000"]),

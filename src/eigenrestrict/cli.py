@@ -534,6 +534,13 @@ def main(argv=None):
     for key in FLAG_KEYS:
         runp.add_argument(f"--{key}", default=None)
     sub.add_parser("list", help="list the experiment catalog")
+    # argparse takes "-5,10" or "-inf" for a flag, not a value: join it to its key
+    keyed = {f"--{key}" for key in FLAG_KEYS}
+    flags = keyed | {"-h", "--help", "--config", "--plot"}
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in keyed and argv[i + 1][:1] == "-" and argv[i + 1].split("=")[0] not in flags:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
 
     if args.command == "list":

@@ -18,10 +18,10 @@ Three numerical experiments live here:
   factors (on the 2n-1 offsets i - j) and column factors (on the n nodes).
   With c and d at their defaults it is a Toeplitz matrix times a column
   scale, applied by FFT on a circulant embedding and never formed; otherwise
-  it is assembled densely, in row panels on a thread pool.  Its top
-  singular value comes from Hermitian Lanczos on A^H A with full
-  reorthogonalization against one basis, stopped by the Ritz residual
-  bound, with no dense SVD.
+  its offset part is assembled densely, in row panels on a thread pool, from
+  one half-angle tangent per entry, and the column scale enters the products.
+  Its top singular value comes from Hermitian Lanczos on A^H A with full
+  reorthogonalization against one basis, stopped by the Ritz residual bound.
 
 psi_r(x, w) = -d(x, exp_center(r w)) throughout, with r the polar radius.
 """
@@ -314,12 +314,12 @@ def _airy_kernel(spec, step, n):
     Returns the two products the Lanczos loop composes.  Each factor is
     evaluated at the shape it depends on: the cutoff 1 - chi(lambda^{1/3} D),
     (lambda |D|)^{-1/2} and bump(D/s) on the 2n-1 offsets D = (i - j) step,
-    read through the Toeplitz index i - j + n - 1; c(tau) and bump(tau/s) on
-    the n column nodes; only d(tau, D) and the exponential on the n^2
-    entries, one row panel at a time (_dense_kernel).  With c and d at their
-    defaults the phase depends on D alone, so the kernel is one Toeplitz
-    vector times a column scale, applied by circulant FFT
-    (_toeplitz_products) with no n^2 array.
+    read through the Toeplitz index i - j + n - 1; c(tau) and step bump(tau/s)
+    on the n column nodes, scaling the products K (column v) and column K^H u;
+    only d(tau, D) and the exponential on the n^2 entries of K, one row panel
+    at a time (_dense_kernel).  With c and d at their defaults the phase
+    depends on D alone, so the kernel is one Toeplitz vector times a column
+    scale, applied by circulant FFT (_toeplitz_products) with no n^2 array.
     """
     tau = -AIRY_DOMAIN + step * np.arange(n)
     offsets = step * np.arange(1 - n, n)
@@ -333,8 +333,8 @@ def _airy_kernel(spec, step, n):
     if spec.toeplitz:
         phase = -dist * (1.0 - offsets**2)
         return _toeplitz_products(np.exp(1j * spec.lam * phase) * weight, column)
-    kernel = _dense_kernel(spec, tau, offsets, weight, column)
-    return (lambda v: kernel @ v), (lambda u: (u.conj() @ kernel).conj())
+    kernel = _dense_kernel(spec, tau, offsets, weight)
+    return (lambda v: kernel @ (column * v)), (lambda u: column * (u.conj() @ kernel).conj())
 
 
 def _usable_cores():
@@ -345,23 +345,23 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _dense_kernel(spec, tau, offsets, weight, column):
-    """The n x n kernel for c or d set, filled in row panels of _PANEL_ROWS rows.
+def _dense_kernel(spec, tau, offsets, weight):
+    """The n x n kernel for c or d set, without its column factor, in _PANEL_ROWS-row panels.
 
-    Each panel evaluates lambda gamma = -lambda |D| (1 - c D^2 + d D^3) in
-    place on one panel-sized array, writes its cosine and sine straight into
-    the kernel's real and imaginary parts, then scales by the offset weight
-    and the column factor; no n^2 float array is ever live.  Panels write
-    disjoint rows with elementwise operations, so the kernel has the same
-    bits for any panel height and thread count.  They run on a thread pool
-    of _usable_cores() workers (numpy's ufuncs release the GIL); c(tau) is
+    Each panel evaluates the half phase -lambda |D| (1 - c D^2 + d D^3) / 2
+    in place on one panel-sized array and writes its tangent t into the
+    imaginary part: w cos = w 2/(1 + t^2) - w, w sin = t w 2/(1 + t^2), with w
+    the offset weight, take one tan per entry and no n^2 float array.  Panels
+    write disjoint rows elementwise, so the kernel has the same bits for any
+    panel height and thread count.  They run on a thread pool of
+    _usable_cores() workers (numpy's ufuncs release the GIL); c(tau) is
     evaluated once, here, and the workers call only numpy and spec.d.
     """
     from concurrent.futures import ThreadPoolExecutor  # on first use, like numpy.fft
 
     n = tau.size
     delta = _toeplitz(offsets)
-    scale = _toeplitz(-spec.lam * np.abs(offsets))
+    scale = _toeplitz(-0.5 * spec.lam * np.abs(offsets))
     spread = _toeplitz(weight)
     c = spec.c_values(tau)
     kernel = np.empty((n, n), dtype=complex)
@@ -376,10 +376,13 @@ def _dense_kernel(spec, tau, offsets, weight, column):
         gamma += 1.0
         gamma *= scale[rows]
         panel = kernel[rows]
-        np.cos(gamma, out=panel.real)
-        np.sin(gamma, out=panel.imag)
-        panel *= spread[rows]
-        panel *= column
+        t = np.tan(gamma, out=panel.imag)
+        np.multiply(t, t, out=gamma)
+        gamma += 1.0
+        np.divide(2.0, gamma, out=gamma)
+        gamma *= spread[rows]
+        np.subtract(gamma, spread[rows], out=panel.real)
+        t *= gamma
 
     starts = range(0, n, _PANEL_ROWS)
     with ThreadPoolExecutor(min(_usable_cores(), len(starts))) as pool:

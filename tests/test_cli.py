@@ -388,11 +388,13 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("tolerance", SWEEP_ZONAL + ["--tolerance", "nan"]),
     ("tolerance", SWEEP_ZONAL + ["--tolerance", "-1"]),
     ("p", SWEEP_ZONAL + ["--p", "nan"]),
+    ("p", SWEEP_ZONAL + ["--p", "-inf"]),
     ("degrees", SWEEP_ZONAL + ["--degrees", "16,8,32,45"]),
     ("degrees", SWEEP_ZONAL + ["--degrees", "16,23,32"]),
     ("family", SWEEP_ZONAL + ["--family", "averaged:6", "--degrees", "4,6,8,11"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "200,nan,800"]),
     ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "-5,10"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),

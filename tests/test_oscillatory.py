@@ -286,12 +286,64 @@ def test_airy_variable_products_match_dense_kernel(lam):
     assert _relative_gap(apply_adjoint(u), kernel.conj().T @ u) <= 1e-12
 
 
-def _variable_kernel(lam):
+def _variable_kernel(lam, case=_AIRY_CASES["variable"]):
     """The dense variable kernel, read back exactly: K e_j = K[:, j] with no roundoff."""
-    spec = osc.AirySpec(lam, **_AIRY_CASES["variable"])
+    spec = osc.AirySpec(lam, **case)
     n = osc.airy_matrix_dim(spec)
     apply, _ = osc._airy_kernel(spec, osc.airy_step_floor(lam), n)
     return apply(np.eye(n, dtype=complex))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _half_phase(lam, c, d, delta):
+    """-lambda |D| (1 - c D^2 + d D^3) / 2 in the kernel panels' arithmetic and order."""
+    half = d * delta
+    half -= c
+    half *= delta
+    half *= delta
+    half += 1.0
+    half *= -0.5 * lam * np.abs(delta)
+    return half
+
+
+@pytest.mark.parametrize("lam", [200.0, 628.0])  # n = 638, 2000
+def test_airy_half_angle_entries_match_cos_and_sin(lam):
+    spec = osc.AirySpec(lam, **_AIRY_CASES["variable"])
+    kernel = _variable_kernel(lam)
+    n = kernel.shape[0]
+    step = osc.airy_step_floor(lam)
+    tau = -osc.AIRY_DOMAIN + step * np.arange(n)
+    delta = osc._toeplitz(step * np.arange(1 - n, n))  # the panels' offsets, bit for bit
+    phase = 2.0 * _half_phase(lam, spec.c(tau), spec.d(tau, delta), delta)
+    cut = 1.0 - cutoff_chi(lam ** (1.0 / 3.0) * delta)
+    gap = np.where(cut > 0.0, np.abs(delta), 1.0)
+    amplitude = step * bump(tau) * bump(delta) * cut / np.sqrt(lam * gap)
+    want = amplitude * (np.cos(phase) + 1j * np.sin(phase))
+    assert np.max(np.abs(kernel - want)) <= 8 * _EPS * np.max(amplitude)
+
+
+def test_airy_half_angle_holds_at_odd_multiples_of_pi():
+    # d on the diagonals D = +-step m sets the phase to -2 fl(pi/2), so
+    # t = tan(-fl(pi/2)) is about 1.6e16 and 1 + t^2 about 2.7e32.  At this
+    # lambda 1 - c D^2 + d D^3 is near 0.83, whose ulp moves the half phase
+    # by less than its own ulp, so some d lands on fl(pi/2) exactly
+    lam, m = 14.0, 12  # n = 46, D near 0.27: cut 0.13, bump(D) 0.92
+    n = osc.airy_matrix_dim(osc.AirySpec(lam))
+    target = osc.airy_step_floor(lam) * m
+    guess = (math.pi / (lam * target) - 1.0 + target**2) / target**3
+    tries = guess + np.spacing(guess) * np.arange(-2000, 2001)
+    hits = tries[_half_phase(lam, 1.0, tries, target) == -math.pi / 2]
+    assert hits.size > 0
+    case = {"c": lambda tau: 1.0,
+            "d": lambda tau, delta: np.where(np.abs(delta) == target, hits[0], 0.0) * np.sign(delta)}
+    kernel = _variable_kernel(lam, case)
+    for diagonal in (np.diagonal(kernel, m), np.diagonal(kernel, -m)):
+        assert diagonal.size == n - m
+        unit = diagonal / np.abs(diagonal)
+        assert np.all(np.abs(unit.real + 1.0) <= _EPS)
+        assert np.all(np.abs(unit.imag) <= _EPS)
 
 
 def test_airy_panel_build_is_independent_of_panels_and_threads(monkeypatch):
