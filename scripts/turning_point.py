@@ -1,31 +1,48 @@
 #!/usr/bin/env python3
 """Turning-point experiment: caustic mass of associated harmonics on a latitude.
 
-For each degree n, scans orders m in [n/2, n] for the largest restricted L^2
-norm on the latitude circle at the given colatitude, then fits the growth of
-that maximum against lambda.  The winning orders track m ~ n sin(theta0) (the
-circle sits at the turning latitude of the winner) and the mass grows at the
-Airy scale lambda^(1/6).
+For each degree n, reads the restricted L^2 norm of every order m in [0, n]
+on the latitude circle at the given colatitude from one zonal FFT per degree
+(`circle_spectrum`), takes the argmax over all m, then fits the growth of
+that maximum against lambda.  The winning orders track m ~ n sin(theta0)
+(the circle sits at the turning latitude of the winner) and the mass grows
+at the Airy scale lambda^(1/6).  A colatitude outside (0, pi/2] or a
+--degrees that is not a ladder lo:hi with 4 <= lo <= hi exits 2.
 """
 
 import argparse
 import math
 import sys
 
+from eigenrestrict.geometry import LatitudeCircle
 from eigenrestrict.restriction import (fit_exponent, geometric_degrees,
                                        turning_point_sweep)
 
 
+def _colatitude(text):
+    try:
+        return LatitudeCircle(float(text)).colatitude
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _degrees(text):
+    lo, _, hi = text.partition(":")
+    try:
+        return geometric_degrees(int(lo), int(hi))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a degree ladder lo:hi: {exc}") from None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--colatitude", type=float, default=math.pi / 4)
-    parser.add_argument("--degrees", default="32:512",
+    parser.add_argument("--colatitude", type=_colatitude, default=math.pi / 4)
+    parser.add_argument("--degrees", type=_degrees, default="32:512",
                         help="geometric degree ladder lo:hi")
     args = parser.parse_args()
 
-    lo, _, hi = args.degrees.partition(":")
-    degrees = geometric_degrees(int(lo), int(hi))
-    result = turning_point_sweep(args.colatitude, degrees)
+    result = turning_point_sweep(args.colatitude, args.degrees)
 
     print(f"colatitude theta0 = {args.colatitude:.6f}  (sin theta0 = "
           f"{math.sin(args.colatitude):.4f})")

@@ -19,6 +19,9 @@ The highest-weight beam needs no values: its modulus is constant on a
 latitude circle and a power of 1 - x3^2 on the subsphere, so its norms are
 closed form (`_highest_weight_norm`).  The grid size is always derived from
 the family's eigenvalue (`required_curve_points`); no caller picks it.  The
+turning-point scan needs no grid either: every order's restricted L^2 norm
+on a latitude circle comes from one zonal FFT per degree
+(`circle_spectrum`), and the scan takes the argmax over all m.  The
 theoretical_exponent oracle carries the sharp growth rates of the fits.
 """
 
@@ -343,28 +346,49 @@ class TurningPointResult:
     orders: list  # maximizing order m per degree
 
 
+def circle_spectrum(colatitude, n):
+    """|P-hat_n^m(cos theta0)|^2 for m = 0..n on the latitude circle at
+    theta0, clipped at 0: one zonal FFT, no Legendre recurrence.
+
+    On the circle the zonal f = Zonal(2, n, pole) with its pole on the circle
+    at phi = 0 is, by the addition theorem, sum_m |P-hat_n^m|^2 e^{i m phi} /
+    (2 pi f(pole)), with f(pole) = sqrt((2n + 1) / 4 pi).  So |P-hat_n^m|^2 =
+    2 pi f(pole) c_m, c_m its Fourier coefficients in phi.  f is even in phi:
+    its values at the M/2 + 1 angles 2 pi j / M in [0, pi], M the smallest
+    even 5-smooth size >= 2n + 1, are mirrored to all M and take one real
+    FFT.  The series is accurate to ~ n eps of the pole value, so entries in
+    the forbidden zone m > n sin(theta0), exponentially small, come out as
+    noise of either sign; the clip keeps them >= 0.
+    """
+    curve = geometry.LatitudeCircle(colatitude)
+    size = 2 * _smooth_size(n + 1)  # M
+    pts = curve.points(curve.length * np.arange(size // 2 + 1) / size)
+    half = harmonics.Zonal(2, n, pts[0])(pts)
+    coeffs = np.fft.rfft(np.concatenate([half, half[-2:0:-1]]))[:n + 1].real
+    pole_value = math.sqrt((2 * n + 1) / (4.0 * math.pi))
+    return np.maximum(coeffs * (2.0 * math.pi * pole_value / size), 0.0)
+
+
 def turning_point_sweep(colatitude, degrees):
-    """Max restricted L^2 norm over orders m in [ceil(n/2), n] on one latitude circle.
+    """Max restricted L^2 norm over all orders m in [0, n] on one latitude
+    circle: one zonal FFT per degree, argmax over all m.
 
     For each degree the scan finds the order whose oscillation turns exactly
     at the circle's colatitude (the restricted norm peaks there, at the Airy
-    scale lambda^{1/6}).  On a latitude circle |Y_n^m| is constant, equal to
-    |P-hat_n^m(cos theta0)| / sqrt(2 pi), and the circle has length
-    2 pi sin(theta0); so the scan row itself gives the winner's restricted
-    norm |P-hat_n^m*(cos theta0)| sqrt(sin theta0), with no curve quadrature.
+    scale lambda^{1/6}), m* ~ n sin(theta0).  On a latitude circle |Y_n^m|
+    is constant, equal to |P-hat_n^m(cos theta0)| / sqrt(2 pi), and the
+    circle has length 2 pi sin(theta0); so `circle_spectrum` gives every
+    order's restricted norm |P-hat_n^m(cos theta0)| sqrt(sin theta0) at
+    once, with no curve quadrature.  The winner Y_n^m* has ambient norm 1.
     """
     _validate_degrees(degrees)
-    curve = geometry.LatitudeCircle(colatitude)
-    t0 = math.cos(colatitude)
-    scale = math.sqrt(curve.length / (2.0 * math.pi))
+    scale = math.sqrt(geometry.LatitudeCircle(colatitude).length / (2.0 * math.pi))
     samples, orders = [], []
     for n in degrees:
-        m_lo = (n + 1) // 2
-        row = np.abs(harmonics.assoc_legendre_norm(n, np.arange(m_lo, n + 1), t0))
-        m_star = m_lo + int(np.argmax(row))
-        fam = harmonics.AssocHarmonic(n, m_star)
-        samples.append(NormSample(n, fam.eigenvalue, 2.0, float(row[m_star - m_lo]) * scale,
-                                  fam.l2_norm))
+        spectrum = circle_spectrum(colatitude, n)
+        m_star = int(np.argmax(spectrum))
+        samples.append(NormSample(n, harmonics.eigenvalue(2, n), 2.0,
+                                  math.sqrt(spectrum[m_star]) * scale, 1.0))
         orders.append(m_star)
     return TurningPointResult(samples, orders)
 

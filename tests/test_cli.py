@@ -493,3 +493,17 @@ def test_cli_import_leaves_thread_pool_and_fft_unloaded():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--colatitude", "0"], ["--colatitude", "nan"], ["--colatitude", "2.0"],
+    ["--degrees", "32"], ["--degrees", "2:10"], ["--degrees", "32:a"],
+])
+def test_turning_point_script_rejects_bad_input_with_exit_two(argv):
+    script = Path(__file__).parents[1] / "scripts" / "turning_point.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, str(script), *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert f"argument {argv[0]}:" in run.stderr and "Traceback" not in run.stderr

@@ -22,6 +22,9 @@ from eigenrestrict import cli, restriction
 ALLOWED = {
     "harmonics.AssocHarmonic.__call__":
         "the benchmark wraps it by name (perfbench/layers.py FAMILIES)",
+    "harmonics.assoc_legendre_norm":
+        "AssocHarmonic.__call__'s recurrence; the benchmark wraps that class by name; "
+        "both go with ROADMAP items 1 and 16",
 }
 
 _SWEEPS = (

@@ -616,10 +616,37 @@ def test_turning_point_scan_matches_direct_argmax():
     # winning orders track the turning latitude: m*/n below but near sin(theta0)
     for m, s in zip(result.orders, result.samples):
         assert 0.5 <= m / s.degree <= math.sin(theta0) + 0.02
-    # the norm read from the scan row against the curve quadrature
+    # the norm read from the circle spectrum against the curve quadrature
     circle = geo.LatitudeCircle(theta0)
     for m, s in zip(result.orders, result.samples):
         quad = re_.lp_norm_on_curve(ha.AssocHarmonic(s.degree, m), circle, 2)
         assert math.isclose(s.restricted_norm, quad, rel_tol=1e-12)
     fit = re_.fit_exponent(result.samples)
     assert fit.slope > 0.1  # caustic growth clearly visible already
+
+
+@pytest.mark.parametrize("theta0", [0.4, math.pi / 4, 1.2, math.pi / 2])
+@pytest.mark.parametrize("n", [16, 181, 1024, 4096])
+def test_circle_spectrum_matches_recurrence_row(n, theta0):
+    eps = np.finfo(float).eps
+    spectrum = re_.circle_spectrum(theta0, n)
+    row = ha.assoc_legendre_norm(n, np.arange(n + 1), math.cos(theta0)) ** 2
+    assert spectrum.shape == (n + 1,) and np.all(spectrum >= 0.0)
+    assert np.argmax(spectrum) == np.argmax(row)
+    assert np.max(np.abs(spectrum - row)) <= 8 * n * eps * row.max()
+    # addition theorem: sum over m = -n..n of |P-hat_n^m|^2 is (2n + 1) / 2
+    total = spectrum[0] + 2.0 * spectrum[1:].sum()
+    assert math.isclose(total, (2 * n + 1) / 2, rel_tol=4 * n * eps)
+
+
+@pytest.mark.parametrize("theta0", [0.4, 0.6])
+def test_turning_point_scan_reaches_orders_below_half_the_degree(theta0):
+    # n sin(theta0) < n / 2 here: a scan of m in [n/2, n] returned its edge
+    result = re_.turning_point_sweep(theta0, re_.geometric_degrees(32, 512))
+    for m, s in zip(result.orders, result.samples):
+        # the Airy peak sits ~ n^{1/3} orders below n sin(theta0); at n = 32,
+        # theta0 = 0.6 that is m* = 16, so the band starts at n = 45
+        if s.degree >= 45:
+            assert math.sin(theta0) - 0.05 <= m / s.degree <= math.sin(theta0)
+    fit = re_.fit_exponent(result.samples, 1.0 / 6.0, 0.03)
+    assert fit.verdict == "pass", fit.slope
