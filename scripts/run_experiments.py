@@ -2,9 +2,9 @@
 """Standard experiment battery: one output directory per experiment.
 
 Runs the full set of headline experiments through the CLI runner and prints
-a verdict table.  The whole battery takes about a second (1.1 s on 2
-cores); the airy rows dominate, the variable kernel most.  Exit code is
-nonzero if any experiment fails its contract.
+a verdict table.  The whole battery takes about a second (1.0-1.1 s on 2
+cores, interpreter start included); the airy rows dominate, the variable
+kernel most.  Exit code is nonzero if any experiment fails its contract.
 """
 
 import argparse
@@ -26,6 +26,9 @@ BATTERY = (
     ("sweep-s3-hypersurface-p4",
      ["sweep", "--family", "zonal-s3", "--curve", "subsphere",
       "--p", "4", "--degrees", "16:128"]),
+    ("turning-point",
+     ["turning-point", "--curve", "latitude:0.7853981633974483",
+      "--degrees", "32:512"]),
     ("kernel-decay",
      ["kernel", "--lambda-list", "50,100,200,400"]),
     ("phase-expansion",

@@ -158,9 +158,7 @@ def _family(text):
     if name == "averaged":
         if not arg:
             raise ValueError("averaged needs a width factor, e.g. averaged:0.9")
-        delta = float(arg)
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"averaged width must be finite and positive, got {arg!r}")
+        delta = float(arg)  # its range is Averaged's own check (_run_sweep)
         return (lambda n: Averaged(n, delta), 2)
     raise ValueError(f"unknown family {text!r} "
                      "(zonal | zonal-off | zonal-s3 | highest-weight | "
@@ -212,20 +210,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _run_sweep(cfg):
-    (factory, dim), curve, degrees = cfg["family"], cfg["curve"], cfg["degrees"]
-    if curve.ambient_dim != dim:
-        raise ConfigError("curve: curve and family live on different spheres")
-    try:
-        factory(degrees[0])  # the averaged window is widest at the lowest degree
-    except ValueError as exc:
-        raise ConfigError(f"family: {exc}") from None
-
-    samples = restriction.sweep(factory, curve, cfg["p"], degrees)
-    oracle = restriction.theoretical_exponent(curve.ambient_dim, curve.dim, cfg["p"],
+def _sweep_report(samples, curve, p, tolerance):
+    """CSV rows, results, verdicts and plot series of a sweep's samples, fitted
+    against the sharp exponent of `curve` at `p` (log endpoints: no contract)."""
+    oracle = restriction.theoretical_exponent(curve.ambient_dim, curve.dim, p,
                                               curved=curve.curved)
     contract = None if oracle.log_endpoint else oracle.value
-    fit = restriction.fit_exponent(samples, contract, cfg["tolerance"])
+    fit = restriction.fit_exponent(samples, contract, tolerance)
     rows = [(str(s.degree), _fmt(s.lam), _fmt(s.p), _fmt(s.restricted_norm),
              _fmt(s.ambient_norm), _fmt(s.ratio)) for s in samples]
     results = {
@@ -249,15 +240,40 @@ def _run_sweep(cfg):
     return rows, results, verdicts, series
 
 
+def _run_sweep(cfg):
+    (factory, dim), curve, degrees = cfg["family"], cfg["curve"], cfg["degrees"]
+    if curve.ambient_dim != dim:
+        raise ConfigError("curve: curve and family live on different spheres")
+    try:
+        factory(degrees[0])  # the averaged window is widest at the lowest degree
+    except ValueError as exc:
+        raise ConfigError(f"family: {exc}") from None
+    samples = restriction.sweep(factory, curve, cfg["p"], degrees)
+    return _sweep_report(samples, curve, cfg["p"], cfg["tolerance"])
+
+
+# the scan's fit tolerance: under half the 1/12 gap between the geodesic (1/4)
+# and curved (1/6) rates at p = 2, so a fit cannot pass on the wrong branch
+TURNING_POINT_TOLERANCE = 0.03
+
+
+def _run_turning_point(cfg):
+    curve = cfg["curve"]
+    if not isinstance(curve, geometry.LatitudeCircle):
+        raise ConfigError("curve: the turning-point scan runs on a latitude circle "
+                          "(equator | latitude:<colatitude>)")
+    scan = restriction.turning_point_sweep(curve.colatitude, cfg["degrees"])
+    rows, results, verdicts, series = _sweep_report(scan.samples, curve, 2.0,
+                                                    TURNING_POINT_TOLERANCE)
+    results["orders"] = {str(s.degree): m for s, m in zip(scan.samples, scan.orders)}
+    return rows, results, verdicts, series
+
+
 def _run_kernel(cfg):
-    if len(cfg["lambda-list"]) < 2:  # the only product is the successive ratios
-        raise ConfigError("lambda-list: kernel decay compares successive lambdas; "
-                          "need at least two")
-    try:  # the library's default window and radius, before any kernel
-        oscillatory.kernel_pair_masks(cfg["lambda-list"])
+    try:  # every lambda is checked before the first kernel is built
+        report = oscillatory.verify_kernel_bound(cfg["lambda-list"])
     except ValueError as exc:
         raise ConfigError(f"lambda-list: {exc}") from None
-    report = oscillatory.verify_kernel_bound(cfg["lambda-list"])
     rows = [(_fmt(l), _fmt(s)) for l, s in zip(report.lams, report.sups)]
     results = {"sups": list(report.sups), "ratios": list(report.ratios),
                "ok": report.ok}
@@ -383,6 +399,7 @@ def _run_oracle_table(cfg):
 # ----------------------------------------------------------------- experiments
 
 REQUIRED = object()  # default of a key the config must set
+_SWEEP_CSV = "n,lambda,p,restricted_norm,ambient_norm,ratio"
 
 
 @dataclass(frozen=True)
@@ -401,7 +418,14 @@ EXPERIMENTS = {
         _run_sweep,
         {"family": REQUIRED, "curve": REQUIRED, "p": REQUIRED,
          "degrees": REQUIRED, "tolerance": "0.05"},
-        "n,lambda,p,restricted_norm,ambient_norm,ratio"),
+        _SWEEP_CSV),
+    "turning-point": Experiment(
+        "restricted L^2 maximum over all orders m of Y_n^m on a latitude "
+        "circle (the exact p = 2 eigenspace maximum there); fits its growth "
+        "against 1/6 off the equator and 1/4 on it, and reports each "
+        "degree's winning order",
+        _run_turning_point, {"curve": REQUIRED, "degrees": REQUIRED},
+        _SWEEP_CSV),
     "kernel": Experiment(
         "oscillatory kernel decay: sup of |K(t,tau)| sqrt(1+lambda|t-tau|) "
         "stays within a fixed band across frequencies",

@@ -99,7 +99,7 @@ class KernelDecayReport:
     ok: bool
 
 
-def kernel_pair_masks(lams):
+def _kernel_pair_masks(lams):
     """The sample grid on [-KERNEL_WINDOW, KERNEL_WINDOW] and, per lambda, its admissible pairs.
 
     Returns (ts, gaps, masks): a pair (t, tau) is admissible when
@@ -123,7 +123,7 @@ def verify_kernel_bound(lams):
     Pairs with |t - tau| < 2/lambda (no oscillation to average) or
     |t - tau| > 0.9 r (outside the polar patch) are excluded from the sup.
     Every lambda is checked for an admissible pair before any kernel is
-    computed (`kernel_pair_masks`); one without raises ValueError naming it.
+    computed (`_kernel_pair_masks`); one without raises ValueError naming it.
     Fewer than two lambdas raise ValueError too: there is no ratio to hold
     in the band, as does a lambda that is not finite and positive, also
     before any kernel.
@@ -132,7 +132,7 @@ def verify_kernel_bound(lams):
         raise ValueError("kernel decay compares successive lambdas; need at least two")
     for lam in lams:
         _check_positive("lambda", lam)
-    ts, gaps, masks = kernel_pair_masks(lams)
+    ts, gaps, masks = _kernel_pair_masks(lams)
     sups = []
     for lam, admissible in zip(lams, masks):
         scaled = np.abs(kernel_matrix(lam, ts)) * np.sqrt(1.0 + lam * gaps)

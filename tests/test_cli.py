@@ -95,7 +95,7 @@ def test_key_table_covers_every_experiment_key():
     assert set(_TYPES) == set(cli.KEYS)
     keys = {k for e in cli.EXPERIMENTS.values() for k in e.keys}
     assert keys | {"out", "plot"} == set(cli.KEYS)
-    assert sum(len(e.keys) for e in cli.EXPERIMENTS.values()) == 19
+    assert sum(len(e.keys) for e in cli.EXPERIMENTS.values()) == 21
 
 
 @given(st.sampled_from(sorted(cli.KEYS)), _TEXT)
@@ -163,6 +163,37 @@ def test_equator_as_a_latitude_circle_writes_the_same_bytes(tmp_path):
                          "--p", "2", "--degrees", "16:45", "--out", str(out)]) == 0
         csv[curve] = (out / "sweep.csv").read_bytes()
     assert csv["equator"] == csv["latitude:1.5707963267948966"]
+
+
+@pytest.mark.parametrize("curve, oracle", [
+    ("latitude:0.7853981633974483", 1.0 / 6.0),  # the curved rate at p = 2
+    ("equator", 0.25),                           # the geodesic rate
+])
+def test_turning_point_scan_holds_its_oracle(tmp_path, curve, oracle):
+    out = tmp_path / "tp"
+    assert cli.main(["run", "turning-point", "--curve", curve, "--degrees", "32:512",
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    results = summary["results"]
+    assert summary["verdicts"] == {"exponent_fit": "pass", "envelope": "pass"}
+    assert math.isclose(results["oracle"]["value"], oracle, rel_tol=1e-15)
+    assert results["fit"]["tolerance"] == cli.TURNING_POINT_TOLERANCE
+    target = cli.parse_value("curve", curve)
+    degrees = restriction.geometric_degrees(32, 512)
+    scan = restriction.turning_point_sweep(target.colatitude, degrees)
+    assert results["orders"] == {str(n): m for n, m in zip(degrees, scan.orders)}
+    rows = [line.split(",") for line in (out / "turning-point.csv").read_text().splitlines()]
+    assert ",".join(rows[0]) == "n,lambda,p,restricted_norm,ambient_norm,ratio"
+    if curve == "equator":
+        # the sectoral winner m = n is the highest-weight beam
+        assert scan.orders == degrees
+        hw = tmp_path / "hw"
+        assert cli.main(["run", "sweep", "--family", "highest-weight", "--curve", "equator",
+                         "--p", "2", "--degrees", "32:512", "--out", str(hw)]) == 0
+        beams = [line.split(",") for line in (hw / "sweep.csv").read_text().splitlines()]
+        assert len(beams) == len(rows)
+        for row, beam in zip(rows[1:], beams[1:]):
+            assert math.isclose(float(row[-1]), float(beam[-1]), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family, curve, key", [
@@ -273,7 +304,7 @@ def test_averaged_width_must_be_finite_and_positive(tmp_path, capsys, delta):
     argv = ["run", "sweep", "--family", f"averaged:{delta}", "--curve", "equator",
             "--p", "2", "--degrees", "16:45", "--out", str(out)]
     assert cli.main(argv) == 2
-    assert "family: averaged width must be finite and positive" in capsys.readouterr().err
+    assert "family: averaging width delta must be finite and positive" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 
@@ -392,6 +423,10 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("degrees", SWEEP_ZONAL + ["--degrees", "16,8,32,45"]),
     ("degrees", SWEEP_ZONAL + ["--degrees", "16,23,32"]),
     ("family", SWEEP_ZONAL + ["--family", "averaged:6", "--degrees", "4,6,8,11"]),
+    *(("curve", ["run", "turning-point", "--curve", curve, "--degrees", "32:512"])
+      for curve in ("subsphere", "latitude:0", "latitude:nan", "latitude:2")),
+    *(("degrees", ["run", "turning-point", "--degrees", degrees, "--curve", "equator"])
+      for degrees in ("32", "2:10", "32:a", "32:64")),
     ("lambda-list", ["run", "kernel", "--lambda-list", "200,nan,800"]),
     ("lambda-list", ["run", "airy", "--lambda-list=-5,10"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "-5,10"]),
@@ -493,17 +528,3 @@ def test_cli_import_leaves_thread_pool_and_fft_unloaded():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
-
-
-@pytest.mark.parametrize("argv", [
-    ["--colatitude", "0"], ["--colatitude", "nan"], ["--colatitude", "2.0"],
-    ["--degrees", "32"], ["--degrees", "2:10"], ["--degrees", "32:a"],
-])
-def test_turning_point_script_rejects_bad_input_with_exit_two(argv):
-    script = Path(__file__).parents[1] / "scripts" / "turning_point.py"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, str(script), *argv], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 2
-    assert f"argument {argv[0]}:" in run.stderr and "Traceback" not in run.stderr

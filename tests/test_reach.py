@@ -2,21 +2,20 @@
 
 A tiny battery runs under a profile hook: every CLI experiment (the sweeps
 on 16:45 cover every family and both p = inf targets), `list`, a `--config`
-file, `--plot`, and turning_point_sweep.  Every public function, method and
+file and `--plot`.  Every public function, method and
 property defined in the package must be called at least once.  A helper
 that only tests call belongs in tests/ (oracles.py), not in src/.
 """
 
 import importlib
 import inspect
-import math
 import pkgutil
 import sys
 import threading
 from functools import cached_property
 
 import eigenrestrict
-from eigenrestrict import cli, restriction
+from eigenrestrict import cli
 
 # name -> why it may stay unreached
 ALLOWED = {
@@ -38,6 +37,7 @@ _SWEEPS = (
 _RUNS = (
     *(["sweep", "--family", family, "--curve", curve, "--p", p, "--degrees", "16:45"]
       for family, curve, p in _SWEEPS),
+    ["turning-point", "--curve", "latitude:0.785", "--degrees", "16:45"],
     ["kernel", "--lambda-list", "50,100"],
     ["phase", "--theta0-list", "0.785,1.5707963267948966"],
     ["airy", "--lambda-list", "200,400", "--case", "model"],
@@ -88,7 +88,6 @@ def _battery(tmp_path):
     config.write_text("experiment = oracle-table\nd = 2\nk = 1\ncurved = true\n")
     codes.append(cli.main(["run", "--config", str(config), "--out", str(tmp_path / "cfg")]))
     codes.append(cli.main(["list"]))
-    restriction.turning_point_sweep(math.pi / 4, [32, 45, 64, 91])
     return codes
 
 
