@@ -10,7 +10,9 @@ N, which is what the sup-norm and curve-restriction experiments probe.
 Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
 provably contains sup |f| (a one-sided Bernstein bound on the second
 derivative of |f|^2 along lines turns grid values into an upper bound), so
-the ceiling check hi <= sqrt(r_2) can fail.  Norms along closed geodesics
+the ceiling check hi <= sqrt(r_2) can fail.  The starting grid is a float32
+prune with a proved error margin, and its float64 survivors are what the
+enclosure is built from.  Norms along closed geodesics
 are exact finite sums; round circles take a certified trapezoid rule.
 """
 
@@ -28,13 +30,14 @@ POINTS_PER_AXIS_WAVELENGTH = 20 / math.sqrt(2)
 SUP_RTOL = 1e-9                  # sup enclosures are refined to hi / lo - 1 <= this
 MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are needed)
 MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
-BLOCK_BYTES = 1 << 22            # working set of one grid row block or point chunk
+BLOCK_BYTES = 1 << 22            # working set of one float32 grid row block or point chunk
 R2_BLOCK = 256                   # rows of m that r2_table takes at once
 CIRCLE_RADIUS = 1.0
 GEODESIC_RTOL = 1e-12
 # closed geodesics t -> t w, t in [0, 2 pi), by label and integer direction w
 GEODESICS = (("slope0", (1, 0)), ("slope1", (1, 1)), ("slope1/2", (2, 1)))
 _EPS = float(np.finfo(float).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
 
 
 def representations(N):
@@ -200,10 +203,12 @@ class SupEnclosure:
 # sub-cell centres of a 4 x 4 split, in units of the sub-cell side
 _SPLIT = np.stack(np.meshgrid(np.arange(4) - 1.5, np.arange(4) - 1.5,
                               indexing="ij"), axis=-1).reshape(16, 2)
+_CENTRE = np.zeros((1, 2))  # the one offset that evaluates f at the centre itself
 
 
 def _roundoff(f):
-    # bound on |computed f(g) - f(g)| at every node g the enclosure visits:
+    # bound on |computed f(g) - f(g)| at every node g whose float64 value
+    # the enclosure uses (the float32 grid pass adds _slack32 on top):
     # each phase, at most 2 pi sqrt(2 N) in size, carries the rounding of its
     # node's coordinates (a few eps per refinement) and of its products.  A
     # refined node g + h s splits its phase into the parent's <k_j, g> and
@@ -213,6 +218,21 @@ def _roundoff(f):
     # with sum |c_j|.  The constants are generous on purpose.
     return (_EPS * float(np.sum(np.abs(f.coeffs)))
             * (64.0 * math.pi * f.eigenvalue + 4.0 * len(f.coeffs) + 32.0))
+
+
+def _slack32(f):
+    # bound on | |f| from _half_grid32 - |f| from the same float64 operands |,
+    # with eps32 = 2u and S = sum |c_j|.  A row of [Re f; Im f] sums 2K
+    # products a b of float64 operands, K the distinct k1, and
+    # sum |a| |b| <= sum_u |G[u, b]| <= S.  Rounding a and b to float32
+    # moves each product by (2u + u^2) |a b|, the float32 sum by
+    # gamma_2K sum |a| |b| (Higham, Accuracy and Stability, 3.5), so Re f
+    # and Im f move by (K + 1) eps32 S each and |f| by sqrt(2) times that.
+    # The squares and their sum cost eps32 relative in |f|^2, the floor
+    # rounded to float32 by the comparison u more: eps32 S / 2 and
+    # eps32 S / 4 in |f|.  (4 K + 8) eps32 S covers all of it with room.
+    K = len(np.unique(f.freqs[:, 0]))
+    return (4.0 * K + 8.0) * _EPS32 * float(np.sum(np.abs(f.coeffs)))
 
 
 def _bounds(best, level_max, h, N, rho, hi):
@@ -239,6 +259,48 @@ def _too_flat(N, cells):
         f"(cap {MAX_CELLS}); |f| is too flat to certify")
 
 
+def _row_bytes(m):
+    # a grid row's share of BLOCK_BYTES: twice its float32 [Re f; Im f], so
+    # a block's GEMM output fills half the budget; blocks that fill all of
+    # it ran 10-20% slower on a 2-core machine with 2 MiB of L2 per core
+    return 4 * m * np.dtype(np.float32).itemsize
+
+
+def _half_grid32(f, m):
+    """float32 |f|^2 on the rows x1 = a h, a = 0..m // 2, of the m x m grid.
+
+    Yields (a0, sq), sq the float32 |f(x_a, y_b)|^2 of rows a0, a0 + 1, ...
+    by columns b, in blocks of BLOCK_BYTES // _row_bytes(m) rows.
+    f is separable: f(x_a, y_b) = sum_u e^{i u x_a} G[u, b], where G[u, :]
+    sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  G is one
+    complex GEMM of the (distinct k1) x r_2 weights with e^{i k2 y}, read
+    off the m-th roots of unity since k2 y_b = 2 pi k2 b / m, and grouping
+    by k1 about halves the inner dimension 2K of the real GEMM
+    [cos, -sin; sin, cos] [Re G; Im G] = [Re f; Im f].  Both operands are
+    built in float64 and rounded once to float32; the GEMM, the squares and
+    the sum of the Re and Im halves run in float32, within _slack32 of the
+    float64 values of the same operands.
+    """
+    h, b = 2.0 * math.pi / m, np.arange(m)
+    k1, group = np.unique(f.freqs[:, 0], return_inverse=True)
+    weights = np.zeros((len(k1), len(f.coeffs)), dtype=complex)
+    weights[group, np.arange(len(group))] = f.coeffs
+    roots = np.exp(1j * h * b)  # e^{i k2 y_b} = roots[k2 b mod m]
+    g = weights @ roots[np.outer(f.freqs[:, 1], b) % m]
+    g = np.concatenate([g.real, g.imag]).astype(np.float32)
+    rows = max(1, BLOCK_BYTES // _row_bytes(m))
+    half = h * b[:m // 2 + 1]
+    for a0 in range(0, len(half), rows):
+        phase = np.outer(half[a0:a0 + rows], k1)
+        cos, sin = np.cos(phase), np.sin(phase)
+        reim = np.block([[cos, -sin], [sin, cos]]).astype(np.float32) @ g  # [Re f; Im f]
+        n = len(phase)
+        np.square(reim, out=reim)
+        sq = reim[:n]
+        sq += reim[n:]  # |f|^2 on the block
+        yield a0, sq
+
+
 def _grid_stage(f, m, rho):
     """Largest computed |f| over half the m x m grid, and the nodes that may hold the sup.
 
@@ -247,62 +309,61 @@ def _grid_stage(f, m, rho):
     x1 in [0, pi).  The rows x_a = a h, a = 0..m // 2, carry the cells of
     side h that cover x1 in [-h/2, (m // 2 + 1/2) h), which contains
     [0, pi), so the (m // 2 + 1) x m grid certifies what the full one did.
-    f is separable: f(x_a, y_b) = sum_u e^{i u x_a} G[u, b], where G[u, :]
-    sums c_j e^{i k2_j y} over the frequencies with k1_j = u.  Grouping by
-    distinct k1 about halves the inner dimension (about r_2/2) of this GEMM,
-    which runs in real arithmetic on row blocks of BLOCK_BYTES (4 MiB: small
-    enough to stay near the cache and off the peak RSS).  Each block
-    is squared in place and its Im half added into its Re half; its row
-    maxima give the running max and the floor, and only rows whose maximum
-    reaches the floor are searched for nodes to keep.  The floor only rises
-    with the running max, so no node that the final floor keeps is lost.
+
+    Float32 prune, float64 survivors.  The half grid comes in float32 row
+    blocks (`_half_grid32`) within BLOCK_BYTES (4 MiB: small enough to stay
+    near the cache and off the peak RSS), whose values are within
+    rho32 = rho + _slack32(f) of |f|.  Their row maxima give the running
+    max and, through `_bounds` with rho32, a floor below which no node can
+    hold the sup; only rows whose maximum reaches it are searched for nodes
+    to keep.  The floor only rises with the running max, so no node that
+    the final floor keeps is lost, and the nodes it has risen past are
+    dropped only when more than MAX_CELLS are held: the kept set is not
+    copied on every block.  The survivors are evaluated again in float64
+    (`_abs2` with a zero offset), and the largest of those values and the
+    float64 floor with rho decide what is returned, as if the whole half
+    grid had been evaluated in float64.
     """
     N = f.circle_number
     h = 2.0 * math.pi / m
-    x = h * np.arange(m)
-    k1, group = np.unique(f.freqs[:, 0], return_inverse=True)
-    g = np.zeros((len(k1), m), dtype=complex)
-    for row, k2, c in zip(group, f.freqs[:, 1], f.coeffs):
-        g[row] += c * np.exp(1j * k2 * x)
-    g = np.concatenate([g.real, g.imag])
-    rows = max(1, BLOCK_BYTES // (16 * m))
-    best, kept = 0.0, np.zeros((0, 3))  # columns x, y, computed |f|^2
-    half = x[:m // 2 + 1]
-    for a0 in range(0, len(half), rows):
-        phase = np.outer(half[a0:a0 + rows], k1)
-        cos, sin = np.cos(phase), np.sin(phase)
-        reim = np.block([[cos, -sin], [sin, cos]]) @ g  # [Re f; Im f] on the block
-        n = len(phase)
-        np.square(reim, out=reim)
-        sq = reim[:n]
-        sq += reim[n:]  # |f|^2 on the block
+    rho32 = rho + _slack32(f)
+    best, count, nodes, vals = 0.0, 0, [], []
+    for a0, sq in _half_grid32(f, m):
         row_max = sq.max(axis=1)
         best = max(best, math.sqrt(float(row_max.max())))
-        floor = _bounds(best, best, h, N, rho, math.inf)[2]
+        floor = _bounds(best, best, h, N, rho32, math.inf)[2]
         hit = np.flatnonzero(row_max >= floor)
         a, b = np.nonzero(sq[hit] >= floor)
         a = hit[a]
-        kept = np.concatenate([kept[kept[:, 2] >= floor],
-                               np.column_stack([x[a0 + a], x[b], sq[a, b]])])
-        if len(kept) > MAX_CELLS:
-            raise _too_flat(N, len(kept))
-    return best, kept[:, :2]
+        nodes.append(np.column_stack([a0 + a, b]))
+        vals.append(sq[a, b])
+        count += len(a)
+        if count > MAX_CELLS:  # drop the nodes the floor has risen past
+            nodes, vals = np.concatenate(nodes), np.concatenate(vals)
+            keep = vals >= floor
+            nodes, vals, count = [nodes[keep]], [vals[keep]], int(np.count_nonzero(keep))
+            if count > MAX_CELLS:
+                raise _too_flat(N, count)
+    pts = h * np.concatenate(nodes)[np.concatenate(vals) >= floor]
+    sq = _abs2(f, pts, 0.0, _CENTRE)
+    best = math.sqrt(float(sq.max()))
+    return best, pts[sq >= _bounds(best, best, h, N, rho, math.inf)[2]]
 
 
-def _abs2(f, pts, h):
-    """Computed |f|^2 at the 16 sub-cell centres of each cell centred at pts.
+def _abs2(f, pts, h, split=_SPLIT):
+    """Computed |f|^2 at the sub-cell centres g + h s, s in split, of each centre g in pts.
 
-    The children of a centre g are g + h s, s in _SPLIT, and
+    With the default split these are the 16 children of a 4 x 4 split, and
     f(g + h s) = sum_j (c_j e^{i <k_j, g>}) e^{i h <k_j, s>}: one
-    exponential per parent and term, then one product with the 16 x r_2
-    offset matrix, taken once per level.  Parents go in chunks whose
-    phase factors and children fit in BLOCK_BYTES; the result is
-    parent-major, children in _SPLIT order.
+    exponential per parent and term, then one product with the
+    r_2 x len(split) offset matrix, taken once per level (with _CENTRE it
+    is f(g) itself).  Parents go in chunks whose phase factors and children
+    fit in BLOCK_BYTES; the result is parent-major, children in split order.
     """
     freqs = f.freqs.T.astype(float)
-    offsets = (np.exp(1j * h * (_SPLIT @ freqs)) * f.coeffs).T  # r_2 x 16
-    chunk = max(1, BLOCK_BYTES // (16 * (len(f.coeffs) + len(_SPLIT))))
-    out = np.empty((len(pts), len(_SPLIT)))
+    offsets = (np.exp(1j * h * (split @ freqs)) * f.coeffs).T  # r_2 x len(split)
+    chunk = max(1, BLOCK_BYTES // (16 * (len(f.coeffs) + len(split))))
+    out = np.empty((len(pts), len(split)))
     for i in range(0, len(pts), chunk):
         vals = np.exp(1j * (pts[i:i + chunk] @ freqs)) @ offsets
         out[i:i + chunk] = vals.real ** 2 + vals.imag ** 2
@@ -328,10 +389,14 @@ def grid_sup_norm(f):
 
     The grid comes from a blocked separable GEMM (`_grid_stage`), after the
     frequencies are divided by their gcd g (which leaves the sup unchanged
-    and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block.
-    Only its (m // 2 + 1) x m rows with x1 <= pi are evaluated: each k has
-    k1 + k2 = N (mod 2), so f(x + (pi, pi)) = (-1)^N f(x), and the cells on
-    those rows hold a maximiser or its shift.
+    and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block:
+    float32 prune, float64 survivors.  The float32 values only prune, with
+    a floor that carries their proved error bound (`_slack32`); the nodes
+    left are evaluated again in float64, and only those values reach lo,
+    hi and the refinement.  Only the grid's (m // 2 + 1) x m rows with
+    x1 <= pi are evaluated: each k has k1 + k2 = N (mod 2), so
+    f(x + (pi, pi)) = (-1)^N f(x), and the cells on those rows hold a
+    maximiser or its shift.
     Cells that can still hold the max are split 4 x 4 until
     hi / lo - 1 <= SUP_RTOL, which takes 7 splits; the 16 children of each
     cell cost one exponential per term and one product with the level's

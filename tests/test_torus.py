@@ -251,19 +251,101 @@ def test_grid_sup_base_is_the_coarse_grid():
     TorusSum(np.array([[3, 4]]), np.array([1.0 + 0j])),  # |f| = 1: every node is kept
 ], ids=["325", "4225", "one-frequency"])
 def test_grid_stage_is_independent_of_block_size(f, monkeypatch):
-    # the running max and floor only rise block by block, so blocks of one
-    # row or a few rows give the default blocks' max and kept set, bit for bit
+    # the running max and floor only rise block by block, so float32 blocks
+    # of one row or a few rows give the default blocks' max and kept set,
+    # bit for bit
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
     rho = torus._roundoff(f)
     best, kept = torus._grid_stage(f, m, rho)
-    assert torus.BLOCK_BYTES // (16 * m) > 3
+    assert torus.BLOCK_BYTES // torus._row_bytes(m) > 3
     for rows in (1, 3):
-        monkeypatch.setattr(torus, "BLOCK_BYTES", 16 * m * rows)
+        monkeypatch.setattr(torus, "BLOCK_BYTES", rows * torus._row_bytes(m))
+        _, sq = next(torus._half_grid32(f, m))
+        assert sq.shape == (rows, m) and sq.dtype == np.float32
         b, k = torus._grid_stage(f, m, rho)
         assert b == best
         np.testing.assert_array_equal(k, kept)
     if len(f.coeffs) == 1:
         assert len(kept) == (m // 2 + 1) * m
+
+
+def _running_counts(f, m, rho):
+    # nodes at or above the running float32 floor after each row block, with
+    # the kept values filtered again on every block, and how many nodes
+    # reached the floor of the block they arrived in
+    h = 2.0 * math.pi / m
+    rho32 = rho + torus._slack32(f)
+    best, vals, counts, arrived = 0.0, np.zeros(0, dtype=np.float32), [], 0
+    for _, sq in torus._half_grid32(f, m):
+        best = max(best, math.sqrt(float(sq.max())))
+        floor = torus._bounds(best, best, h, f.circle_number, rho32, math.inf)[2]
+        arrived += int(np.count_nonzero(sq >= floor))
+        vals = np.concatenate([vals, sq.ravel()])
+        vals = vals[vals >= floor]
+        counts.append(len(vals))
+    return counts, arrived
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_grid_stage_refuses_at_the_first_block_over_the_cap(rows, monkeypatch):
+    # nodes the floor has risen past are dropped only once more than
+    # MAX_CELLS are held, yet the refusal comes at the first block where
+    # more than MAX_CELLS nodes reach the running floor, with that count,
+    # and a cap no block exceeds leaves the result unchanged
+    f = torus.random_eigenfunction(4225, 0)
+    m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    rho = torus._roundoff(f)
+    best, kept = torus._grid_stage(f, m, rho)
+    monkeypatch.setattr(torus, "BLOCK_BYTES", rows * torus._row_bytes(m))
+    counts, arrived = _running_counts(f, m, rho)
+    # more nodes arrive than the largest cap below holds, so it drops some
+    assert arrived > max(counts) >= counts[-1] >= len(kept)
+    for cap in sorted({1, len(kept), max(counts) - 1, max(counts)}):
+        monkeypatch.setattr(torus, "MAX_CELLS", cap)
+        over = [c for c in counts if c > cap]
+        if over:
+            with pytest.raises(ArithmeticError, match=f"N=4225: {over[0]} cells"):
+                torus._grid_stage(f, m, rho)
+        else:
+            b, k = torus._grid_stage(f, m, rho)
+            assert b == best
+            np.testing.assert_array_equal(k, kept)
+
+
+@pytest.mark.parametrize("f", [
+    torus.random_eigenfunction(25, 0),
+    torus.random_eigenfunction(325, 0),
+    torus.random_eigenfunction(1105, 0),
+    torus.random_eigenfunction(5525, 1),
+    torus.random_eigenfunction(30013, 0),  # a prime, r_2 = 8: flat, many nodes near the max
+    torus.equal_coefficient_witness(4225),  # phases aligned at the origin, a grid node
+], ids=["25", "325", "1105", "5525", "30013", "witness-4225"])
+def test_float32_prune_is_a_certificate(f):
+    # _grid_stage prunes on float32 values; against the float64 floor of a
+    # direct evaluation of every half-grid node, it keeps every node clear
+    # of that floor by twice the float32 slack, keeps none that the float64
+    # roundoff puts below it, and the float32 values it prunes on stay
+    # within the slack (1-6% of it on these circles)
+    N = f.circle_number
+    m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
+    h = 2.0 * math.pi / m
+    rho, slack = torus._roundoff(f), torus._slack32(f)
+    x = h * np.arange(m)
+    direct = np.array([np.abs(f(np.column_stack([np.full(m, xa), x])))
+                       for xa in x[:m // 2 + 1]])
+    gap = 0.0
+    for a0, sq in torus._half_grid32(f, m):
+        assert sq.dtype == np.float32
+        gap = max(gap, float(np.max(np.abs(np.sqrt(sq) - direct[a0:a0 + len(sq)]))))
+    assert 0.0 < gap <= slack, f"gap / slack = {gap / slack:.3g}"
+    top = float(direct.max())
+    floor = math.sqrt(torus._bounds(top, top, h, N, rho, math.inf)[2])
+    best, kept = torus._grid_stage(f, m, rho)
+    assert abs(best - top) <= 2.0 * rho
+    a, b = np.rint(kept / h).astype(np.int64).T
+    np.testing.assert_array_equal(kept, h * np.column_stack([a, b]))
+    assert {tuple(p) for p in np.argwhere(direct >= floor + 2.0 * slack)} <= set(zip(a, b))
+    assert np.all(direct[a, b] >= floor - 2.0 * rho)
 
 
 @pytest.mark.parametrize("N", [25, 4225])
