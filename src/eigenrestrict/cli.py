@@ -370,11 +370,16 @@ def _run_torus(cfg):
                        list(report.max_lo.values()))]
     if cfg["n-max"] is not None:
         cutoffs = tuple(c for c in (10**3, 10**4, 10**5) if c < cfg["n-max"])
-        maxima, decreasing = torus.exponent_trend(cfg["n-max"], cutoffs)
+        maxima, argmax_N, decreasing = torus.exponent_trend(cfg["n-max"], cutoffs)
         results["divisor_growth"] = {"cutoffs": list(cutoffs),
                                      "max_exponent": maxima,
+                                     "argmax_N": argmax_N,
                                      "decreasing": decreasing}
-        verdicts["divisor_trend"] = "pass" if decreasing else "fail"
+        # one cutoff gives its maximum but no trend to hold to the contract
+        if decreasing is None:
+            verdicts["divisor_trend"] = "no_contract"
+        else:
+            verdicts["divisor_trend"] = "pass" if decreasing else "fail"
     return rows, results, verdicts, series
 
 

@@ -494,6 +494,21 @@ def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):
     assert "airy:airy_decay: no_contract" in capsys.readouterr().out
 
 
+def test_single_cutoff_divisor_trend_reports_its_maximum_without_contract(tmp_path, capsys):
+    # n-max = 5000 leaves only the cutoff 10^3: one maximum is no trend
+    out = tmp_path / "div"
+    assert cli.main(["run", "torus", "--n-max", "5000", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"divisor_trend": "no_contract"}
+    growth = summary["results"]["divisor_growth"]
+    assert growth["cutoffs"] == [1000] and growth["decreasing"] is None
+    # r_2(1105) = 32, and no N in [1000, 5000] has a larger log r_2 / log sqrt(N)
+    assert growth["argmax_N"] == [1105]
+    assert growth["max_exponent"] == [pytest.approx(math.log(32) / math.log(math.sqrt(1105)),
+                                                    rel=1e-14)]
+    assert "torus:divisor_trend: no_contract" in capsys.readouterr().out
+
+
 def test_airy_reports_its_fit_residual(tmp_path):
     out = tmp_path / "fit"
     assert cli.main(["run", "airy", "--lambda-list", "200,400,800", "--out", str(out)]) == 0

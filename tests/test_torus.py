@@ -62,23 +62,25 @@ def test_scan_matches_sieve():
         assert table[N] == len(torus.representations(N))
 
 
-def test_blocked_sieve_matches_scan_past_one_block(monkeypatch):
-    # isqrt(n_max / 2) = 547: the octant's 548 rows of m are two full blocks
-    # and a 36-row tail
+def test_blocked_sieve_matches_scan_past_one_block():
+    # n_max = 600000 spans nine full windows of 2^16 values of N and a tail
     n_max = 600000
     s = math.isqrt(n_max)
-    rows = math.isqrt(n_max // 2) + 1
-    assert rows % torus.R2_BLOCK != 0 and rows > 2 * torus.R2_BLOCK
+    assert n_max > 9 * torus.R2_WINDOW
     table = torus.r2_table(n_max)
     assert table.dtype == np.int64 and table.shape == (n_max + 1,)
     for N in [*range(2000), *range(n_max - 2000, n_max + 1)]:
         assert table[N] == len(torus.representations(N))
     # every lattice point of the disk is binned once
     assert table.sum() == sum(2 * math.isqrt(n_max - m * m) + 1 for m in range(-s, s + 1))
-    # blocks of one row or a few rows bin the same pairs
-    for block in (1, 7):
-        monkeypatch.setattr(torus, "R2_BLOCK", block)
-        np.testing.assert_array_equal(torus.r2_table(n_max), table)
+    # windows of one value, a few values or R2_WINDOW values bin the same pairs
+    for window in (1, 7, 1000, torus.R2_WINDOW):
+        # windows of fewer than 1000 values only near the ends, for fewer calls
+        for lo in range(0, n_max + 1, window):
+            if window < 1000 and 3000 < lo < n_max - 3000:
+                continue
+            hi = min(lo + window - 1, n_max)
+            np.testing.assert_array_equal(torus.r2_table(hi, lo), table[lo:hi + 1])
 
 
 def _full_square_r2(n_max):
@@ -96,6 +98,50 @@ def test_octant_sieve_matches_full_square(n_max):
     np.testing.assert_array_equal(table, _full_square_r2(n_max))
 
 
+# windows whose ends fall on 0 or 1, on a square n^2 (axis points), on a
+# diagonal value 2 m^2, or one off them: 841 = 29^2, 842 = 29^2 + 1,
+# 1681 = 41^2, 1682 = 2 * 29^2 = 41^2 + 1, 9800 = 2 * 70^2, 10^4 = 100^2
+@pytest.mark.parametrize("start, n_max", [
+    (0, 0), (0, 1), (1, 1), (1, 2), (0, 841), (1, 841), (841, 841), (841, 842),
+    (842, 842), (840, 1681), (841, 1682), (1682, 1682), (1681, 9800), (9799, 9801),
+    (9800, 10**4), (10**4, 10**4), (2, 10**4)])
+def test_windowed_sieve_matches_full_square(start, n_max):
+    table = torus.r2_table(n_max, start)
+    assert table.dtype == np.int64 and table.shape == (n_max - start + 1,)
+    np.testing.assert_array_equal(table, _full_square_r2(n_max)[start:])
+
+
+def test_windowed_sieve_rejects_a_start_outside_the_range():
+    with pytest.raises(ValueError, match="start"):
+        torus.r2_table(100, 101)
+    with pytest.raises(ValueError, match="start"):
+        torus.r2_table(100, -1)
+
+
+def _direct_trend(n_max, cutoffs):
+    # the maxima and their smallest N read off the whole full-square table
+    table = _full_square_r2(n_max)
+    N = np.flatnonzero(table[2:]) + 2
+    exponent = np.log(table[N].astype(float)) / np.log(np.sqrt(N.astype(float)))
+    first = [int(np.argmax(np.where(N >= c, exponent, -np.inf))) for c in cutoffs]
+    return [float(exponent[k]) for k in first], [int(N[k]) for k in first]
+
+
+@pytest.mark.parametrize("window, n_max", [(1, 3000), (7, 20001), (1000, 123457)])
+def test_streamed_trend_matches_the_full_table(monkeypatch, window, n_max):
+    # a window of one value, a few values, and a size that does not divide
+    # the n_max - 1 values of [2, n_max]
+    assert (n_max - 1) % window != 0 or window == 1
+    cutoffs = (10, 100, 1000)
+    expected = _direct_trend(n_max, cutoffs)
+    monkeypatch.setattr(torus, "R2_WINDOW", window)
+    maxima, argmax_N, decreasing = torus.exponent_trend(n_max, cutoffs)
+    assert (maxima, argmax_N) == expected
+    assert decreasing == all(a > b for a, b in zip(maxima, maxima[1:]))
+    growth = torus.divisor_growth(n_max)
+    np.testing.assert_array_equal(growth.N, np.flatnonzero(_full_square_r2(n_max)[2:]) + 2)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 10**6))
 def test_r2_multiple_of_four(N):
@@ -109,14 +155,29 @@ def test_divisor_growth_trend():
     assert np.all(growth.r2 > 0)
     assert np.all(growth.N >= 2)
     # r_2(2) = 4 gives the global max exponent 2 log 2 / log sqrt 2 = 4
-    assert math.isclose(growth.max_exponent(2, 3000), 4.0)
-    maxima, decreasing = torus.exponent_trend(10**5, cutoffs=(10**2, 10**3, 10**4))
+    exponent, N = growth.peak(2, 3000)
+    assert math.isclose(exponent, 4.0) and N == 2
+    maxima, argmax_N, decreasing = torus.exponent_trend(10**5, cutoffs=(10**2, 10**3, 10**4))
     assert decreasing
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
+    assert all(n >= c for n, c in zip(argmax_N, (10**2, 10**3, 10**4)))
     with pytest.raises(ValueError):
         torus.exponent_trend(10**4, cutoffs=(100, 100, 200))
     with pytest.raises(ValueError):
         torus.exponent_trend(10**3, cutoffs=(10, 10**4))
+    with pytest.raises(ValueError, match="no represented N"):
+        growth.peak(3, 3)
+    with pytest.raises(ValueError, match=r"no represented N in \[6, 7\]"):
+        torus.exponent_trend(7, cutoffs=(6,))
+
+
+def test_exponent_trend_needs_two_cutoffs_for_a_trend():
+    with pytest.raises(ValueError, match="cutoffs"):
+        torus.exponent_trend(10**4, cutoffs=())
+    # one maximum is kept, but it decreases vacuously: no verdict either way
+    maxima, argmax_N, decreasing = torus.exponent_trend(5000, cutoffs=(10**3,))
+    assert argmax_N == [1105] and decreasing is None
+    assert maxima == [pytest.approx(math.log(32) / math.log(math.sqrt(1105)), rel=1e-14)]
 
 
 def test_random_eigenfunction_seeded_and_normalized():
