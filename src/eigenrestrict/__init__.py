@@ -15,14 +15,14 @@ from .oscillatory import (AirySpec, airy_operator_norm, phase_expansion_fit,
 from .restriction import (ExponentFit, NormSample, envelope_check,
                           fit_exponent, geometric_degrees, lp_norm_on_curve,
                           sweep, theoretical_exponent, turning_point_sweep)
-from .torus import (divisor_growth, r2_table, random_eigenfunction,
-                    representations, verify_linfty_bound)
+from .torus import (r2_table, random_eigenfunction, representations,
+                    verify_linfty_bound)
 
 __all__ = [
     "AirySpec", "AssocHarmonic", "Averaged", "ExponentFit",
     "GreatSubsphere", "HighestWeight", "LatitudeCircle", "NormSample",
     "TorusSum", "Zonal", "airy_operator_norm",
-    "divisor_growth", "eigenvalue", "envelope_check", "equator",
+    "eigenvalue", "envelope_check", "equator",
     "fit_exponent", "geometric_degrees", "lp_norm_on_curve",
     "phase_expansion_fit", "r2_table", "random_eigenfunction",
     "representations", "sweep", "theoretical_exponent",

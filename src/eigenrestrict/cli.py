@@ -287,7 +287,10 @@ def _run_phase(cfg):
     rows, deviations, table = [], [], []
     for curve in cfg["theta0-list"]:
         theta0 = curve.colatitude
-        fit = oscillatory.phase_expansion_fit(curve)
+        try:
+            fit = oscillatory.phase_expansion_fit(curve)
+        except ValueError as exc:
+            raise ConfigError(f"theta0-list: theta0={theta0:g}: {exc}") from None
         rows.append((_fmt(theta0), _fmt(fit.c_hat), _fmt(fit.c_theory)))
         deviations.append(fit.deviation)
         table.append({"theta0": theta0, "c_hat": fit.c_hat,

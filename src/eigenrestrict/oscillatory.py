@@ -34,6 +34,7 @@ import numpy as np
 
 from . import geometry
 from .profiles import bump, cutoff_chi
+from .restriction import _smooth_size
 
 KERNEL_RADIUS = 0.4  # polar radius r, well inside the injectivity scale
 KERNEL_SUPPORT = 0.25  # half-width of the arc-length amplitude bump
@@ -162,9 +163,16 @@ def phase_expansion_fit(curve):
     Regresses (|h| - d) / |h|^3 on [1, h, h^2] over h in PHASE_STEPS so the
     cubic and quartic remainder terms are absorbed; the intercept estimates
     c.  Distances use the chordal form 2 arcsin(|x - y| / 2), which keeps the
-    h^3-scale cancellation fully accurate at step sizes down to 1e-3.
+    h^3-scale cancellation fully accurate at step sizes down to 1e-3.  The
+    distance grows with h only up to half the curve's length, so a curve
+    no longer than twice the largest step (a latitude circle with
+    pi sin(theta0) <= 0.05, theta0 below about 0.01592) raises ValueError.
     """
     h = np.array(PHASE_STEPS)
+    if not h[-1] < curve.length / 2.0:
+        raise ValueError(f"the largest step {h[-1]:g} is not below half the curve's "
+                         f"length {curve.length / 2.0:.6g}, past which the distance "
+                         f"falls as the step grows")
     base = curve.points(0.0)[0]
     pts = curve.points(h)
     chord = np.linalg.norm(pts - base[None, :], axis=1)
@@ -227,7 +235,7 @@ AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
 LANCZOS_MAX_STEPS = 200    # Lanczos step limit
 LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
 _LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms
-_FFT_BUFFERS = 5           # length-m complex arrays beside the basis: 4.86 traced at lambda 20000
+_FFT_BUFFERS = 5           # length-m complex arrays beside the basis: 4.91 traced at lambda 20000
 _PANEL_ROWS = 64           # dense-kernel rows built per thread-pool task
 
 
@@ -243,18 +251,22 @@ def airy_matrix_dim(spec):
     (LANCZOS_MAX_STEPS + 1) x n Lanczos basis plus the operator, which is
     the n x n kernel when c or d is set (n <= 8090, lambda <= 2541) and, for
     the Toeplitz model kernel, which is never formed, _FFT_BUFFERS circulant
-    arrays of length m = 2^ceil(log2(2n - 1)) (n <= 307788, lambda <= 96694):
-    its eigenvalues, one product buffer each for A and A^H, and the
-    length-n vectors around them, 4.86 such arrays at the peak tracemalloc
-    sees beyond the basis at lambda = 20000.  A larger one raises
-    ValueError.  The cap bounds this working set, not the process RSS: the
-    interpreter with numpy and the package (about 30 MiB) and the kernel's
-    row-panel temporaries come on top, so the variable case at
-    lambda = 2541 peaks near 1053 MiB.
+    arrays of length m = _smooth_size(2n - 1), the least 5-smooth size
+    (n <= 317952, lambda <= 99887): its eigenvalues, one product buffer
+    each for A and A^H, and the length-n vectors around them, 4.91 such
+    arrays at the peak tracemalloc sees beyond the basis at lambda = 20000
+    (4.51 at lambda = 50000).  A larger one raises ValueError.  The cap
+    bounds this working set, not the process RSS: the interpreter with
+    numpy and the package (about 30 MiB) and the kernel's row-panel
+    temporaries come on top, so the variable case at lambda = 2541 peaks
+    near 1053 MiB.  ValueError also if every offset weight
+    (1 - chi) bump is 0 on the grid (lambda below about 0.63 at s = 1): the
+    kernel is then zero, and its norm 0 says nothing about decay.
     """
-    n = int(math.ceil(2.0 * AIRY_DOMAIN / airy_step_floor(spec.lam))) + 1
+    step = airy_step_floor(spec.lam)
+    n = int(math.ceil(2.0 * AIRY_DOMAIN / step)) + 1
     if spec.toeplitz:
-        m = 1 << (2 * n - 2).bit_length()
+        m = _smooth_size(2 * n - 1)
         held, operator = f"{_FFT_BUFFERS} x {m} FFT buffers", _FFT_BUFFERS * m
     else:
         held, operator = f"a {n} x {n} kernel", n * n
@@ -264,6 +276,11 @@ def airy_matrix_dim(spec):
         raise ValueError(f"lambda={spec.lam:g} needs matrix dimension {n}: {held}, a complex "
                          f"working set of {nbytes} bytes, which exceeds the cap "
                          f"{AIRY_MAX_BYTES}")
+    # the weight is even in D and 0 at D = 0: the positive offsets decide
+    if not np.any(_offset_weight(spec, step * np.arange(1, n))):
+        raise ValueError(f"lambda={spec.lam:g} leaves every offset weight "
+                         f"(1 - chi) bump of its {n}-node grid at 0: the kernel "
+                         f"is zero and has no decay to measure")
     return n
 
 
@@ -277,7 +294,7 @@ def _toeplitz_products(offsets, column):
     """v -> T (column v) and u -> column T^H u for T[i, j] = offsets[i - j + n - 1].
 
     T is the leading n x n block of the circulant of side
-    m = 2^ceil(log2(2n - 1)) whose first column holds the offsets
+    m = _smooth_size(2n - 1) whose first column holds the offsets
     i - j = 0..n-1, zeros, then i - j = 1-n..-1; a circulant is diagonal in
     the Fourier basis, so both products cost O(m log m) (Chan & Ng, SIAM
     Rev. 38, 1996).  Its eigenvalues are one FFT, taken here; each product
@@ -285,7 +302,7 @@ def _toeplitz_products(offsets, column):
     around the multiply instead of holding the eigenvalues' conjugate.
     """
     n = column.size
-    m = 1 << (2 * n - 2).bit_length()
+    m = _smooth_size(2 * n - 1)
     first = np.zeros(m, dtype=complex)
     first[:n] = offsets[n - 1:]
     first[m - n + 1:] = offsets[:n - 1]
@@ -308,6 +325,16 @@ def _toeplitz_products(offsets, column):
     return apply, apply_adjoint
 
 
+def _offset_weight(spec, offsets):
+    """(1 - chi)(lambda^{1/3} D) bump(D/s) / (lambda |D|)^{1/2} on the offsets D."""
+    cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * offsets)
+    weight = np.zeros_like(offsets)
+    live = cut > 0.0
+    weight[live] = cut[live] / np.sqrt(spec.lam * np.abs(offsets[live]))
+    weight *= bump(offsets / spec.amplitude_support)
+    return weight
+
+
 def _airy_kernel(spec, step, n):
     """step * K(t_i, t_j) on the nodes t = -AIRY_DOMAIN + step * arange(n), as (A v, A^H u).
 
@@ -323,15 +350,10 @@ def _airy_kernel(spec, step, n):
     """
     tau = -AIRY_DOMAIN + step * np.arange(n)
     offsets = step * np.arange(1 - n, n)
-    dist = np.abs(offsets)
-    cut = 1.0 - cutoff_chi(spec.lam ** (1.0 / 3.0) * offsets)
-    weight = np.zeros_like(offsets)
-    live = cut > 0.0
-    weight[live] = cut[live] / np.sqrt(spec.lam * dist[live])
-    weight *= bump(offsets / spec.amplitude_support)
+    weight = _offset_weight(spec, offsets)
     column = step * bump(tau / spec.amplitude_support)
     if spec.toeplitz:
-        phase = -dist * (1.0 - offsets**2)
+        phase = -np.abs(offsets) * (1.0 - offsets**2)
         return _toeplitz_products(np.exp(1j * spec.lam * phase) * weight, column)
     kernel = _dense_kernel(spec, tau, offsets, weight)
     return (lambda v: kernel @ (column * v)), (lambda u: column * (u.conj() @ kernel).conj())

@@ -6,6 +6,9 @@ exactly the sums f = sum_j c_j e^{i<k_j, x>} over the lattice circle
 ways to write N as an ordered sum of two integer squares.  Cauchy-Schwarz
 gives sup |f| <= sqrt(r_2(N)) ||f||_2, and r_2 grows slower than any power of
 N, which is what the sup-norm and curve-restriction experiments probe.
+`exponent_trend` measures that growth directly: it reads r_2 from the
+lattice sieve `r2_table` in fixed windows of N and keeps only a running
+maximum of log r_2 / log sqrt(N) per cutoff.
 
 Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
 provably contains sup |f| (a one-sided Bernstein bound on the second
@@ -124,62 +127,21 @@ def r2_table(n_max, start=0):
     return table
 
 
-def _windows(start, n_max):
-    # (lo, hi) of consecutive windows of R2_WINDOW values covering [start, n_max]
-    for lo in range(start, n_max + 1, R2_WINDOW):
-        yield lo, min(lo + R2_WINDOW - 1, n_max)
-
-
-@dataclass(frozen=True, eq=False)
-class DivisorGrowthTable:
-    """Rows (N, r_2(N), log r_2 / log sqrt(N)) for represented N >= 2, N ascending."""
-
-    N: np.ndarray
-    r2: np.ndarray
-    exponent: np.ndarray
-
-    def peak(self, lo, hi):
-        """(max exponent over lo <= N <= hi, the smallest N attaining it)."""
-        i, j = np.searchsorted(self.N, lo), np.searchsorted(self.N, hi, side="right")
-        if i == j:
-            raise ValueError(f"no represented N in [{lo}, {hi}]")
-        k = i + int(np.argmax(self.exponent[i:j]))  # first of the ties
-        return float(self.exponent[k]), int(self.N[k])
-
-
-def divisor_growth(n_max, start=2):
-    """Normalized divisor-growth exponents log r_2(N) / log sqrt(N), start <= N <= n_max.
+def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
+    """Max divisor-growth exponent log r_2(N) / log sqrt(N) over [cutoff, n_max], per cutoff.
 
     The exponent quantifies r_2(N) = N^(eps/2) pointwise; the content of the
-    divisor bound is that the max exponent over [cutoff, n_max] decays as the
-    cutoff rises.  N in {0, 1} and unrepresented N are dropped (log sqrt(N)
-    vanishes or r_2 = 0).  The rows are joined from `r2_table` windows of
-    R2_WINDOW values of N, so no full-length table is held; at n_max = 10^7
-    the 1.99M represented N take 45 MiB.
-    """
-    n_max = _check_n_max(n_max)
-    N, r2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo, hi in _windows(max(int(start), 2), n_max):
-        table = r2_table(hi, lo)
-        hit = np.flatnonzero(table)
-        N.append(hit + lo)
-        r2.append(table[hit])
-    N, r2 = np.concatenate(N), np.concatenate(r2)
-    exponent = np.log(r2.astype(float)) / np.log(np.sqrt(N.astype(float)))
-    return DivisorGrowthTable(N, r2, exponent)
-
-
-def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
-    """Max divisor-growth exponent over [cutoff, n_max] for each rising cutoff.
-
-    Returns (maxima, argmax_N, strictly_decreasing): argmax_N is the
-    smallest N attaining each maximum.  Strict decrease is the desk-scale
-    expression of the eps-smallness trend; inclusion alone would only give
-    the non-strict version.  With one cutoff there is no trend to hold, and
-    strictly_decreasing is None.  [2, n_max] is walked in windows of
-    R2_WINDOW values of N (`divisor_growth` on each), keeping only a
-    running maximum per cutoff: n_max = 10^7 takes 0.12-0.15 s in process
-    on 2 cores, and `run torus --n-max 10000000` peaks near 32 MB.
+    divisor bound is that its max over [cutoff, n_max] decays as the cutoff
+    rises.  Returns (maxima, argmax_N, strictly_decreasing): argmax_N is
+    the smallest N attaining each maximum.  Strict decrease is the
+    desk-scale expression of the eps-smallness trend; inclusion alone would
+    only give the non-strict version.  With one cutoff there is no trend to
+    hold, and strictly_decreasing is None.  N in {0, 1} and unrepresented N
+    are skipped (log sqrt(N) vanishes or r_2 = 0).  [2, n_max] is read
+    from `r2_table` in windows of R2_WINDOW values of N, each reduced at
+    once to its first argmax per cutoff, so only a running maximum per
+    cutoff is held: n_max = 10^7 takes 0.12-0.15 s in process on 2 cores,
+    and `run torus --n-max 10000000` peaks near 32 MB.
     """
     n_max = _check_n_max(n_max)
     cutoffs = tuple(int(c) for c in cutoffs)
@@ -190,13 +152,17 @@ def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
     if cutoffs[-1] >= n_max:
         raise ValueError("largest cutoff must sit below n_max")
     best = [(-math.inf, None)] * len(cutoffs)
-    for lo, hi in _windows(2, n_max):
-        growth = divisor_growth(hi, lo)
+    for lo in range(2, n_max + 1, R2_WINDOW):
+        table = r2_table(min(lo + R2_WINDOW - 1, n_max), lo)
+        hit = np.flatnonzero(table)
+        N = hit + lo
+        exponent = np.log(table[hit].astype(float)) / np.log(np.sqrt(N.astype(float)))
         for i, c in enumerate(cutoffs):
-            if len(growth.N) and growth.N[-1] >= c:
-                peak = growth.peak(c, hi)
-                if peak[0] > best[i][0]:  # a tie keeps the earlier, smaller N
-                    best[i] = peak
+            j = int(np.searchsorted(N, c))
+            if j < len(N):
+                k = j + int(np.argmax(exponent[j:]))  # first of the ties
+                if exponent[k] > best[i][0]:  # a tie keeps the earlier, smaller N
+                    best[i] = (float(exponent[k]), int(N[k]))
     if best[-1][1] is None:  # a represented N above the last cutoff serves them all
         raise ValueError(f"no represented N in [{cutoffs[-1]}, {n_max}]")
     maxima, argmax_N = (list(v) for v in zip(*best))

@@ -435,8 +435,13 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,100000"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,5000", "--case", "variable"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "0.1,1"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "0.5"]),
+    ("lambda-list", ["run", "airy", "--lambda-list", "1e-300,1", "--case", "variable"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "0"]),
     ("theta0-list", ["run", "phase", "--theta0-list", "nan"]),
+    ("theta0-list", ["run", "phase", "--theta0-list", "1e-160"]),
+    ("theta0-list", ["run", "phase", "--theta0-list", "0.8,0.0159"]),
     ("n-list", ["run", "torus", "--n-list", "3"]),
     ("n-list", ["run", "torus", "--n-list", "20000000"]),
     ("n-max", ["run", "torus", "--n-max", "1000"]),
@@ -479,8 +484,12 @@ def test_airy_sizes_checked_before_any_norm(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "airy", "--lambda-list", "200,100000", "--out", str(out)]) == 2
     assert calls == []
     assert "lambda-list: lambda=100000 needs matrix dimension 318311: a 201 x 318311 " \
-        "Lanczos basis and 5 x 1048576 FFT buffers, a complex working set of 1107574256 " \
+        "Lanczos basis and 5 x 640000 FFT buffers, a complex working set of 1074888176 " \
         "bytes, which exceeds the cap 1073741824" in capsys.readouterr().err
+    # an all-zero kernel is refused in the same pass, not handed to the norm
+    assert cli.main(["run", "airy", "--lambda-list", "0.1,1", "--out", str(out)]) == 2
+    assert calls == []
+    assert "lambda-list: lambda=0.1 leaves every offset weight" in capsys.readouterr().err
 
 
 def test_single_lambda_airy_reports_its_norm_without_contract(tmp_path, capsys):

@@ -158,6 +158,19 @@ def test_phase_expansion_matches_curvature(theta0):
     assert fit.deviation < 1e-6
 
 
+@pytest.mark.parametrize("theta0", [1e-160, 0.0159])
+def test_phase_expansion_refuses_steps_past_half_the_circle(theta0):
+    # pi sin(theta0) <= 0.05: the largest step passes half the circle, where
+    # the distance turns back (at 1e-160, cot^2 / 24 would overflow)
+    with pytest.raises(ValueError, match="half the curve's length"):
+        osc.phase_expansion_fit(geo.LatitudeCircle(theta0))
+
+
+def test_phase_expansion_runs_just_inside_half_the_circle():
+    fit = osc.phase_expansion_fit(geo.LatitudeCircle(0.016))
+    assert math.isfinite(fit.c_hat) and math.isfinite(fit.residual)
+
+
 # ----------------------------------------------------------------- Airy model
 
 def test_airy_spec_validation():
@@ -204,7 +217,7 @@ def _first_refused_lambda(case):
 def test_airy_step_and_dim_guards():
     # the cap's first refused lambda is derived, not written down, so a
     # change to the working-set count cannot turn this into a cap-sized norm
-    for case, last_admitted in (("variable", 2541), ("model", 96694)):
+    for case, last_admitted in (("variable", 2541), ("model", 99887)):
         lam = _first_refused_lambda(_AIRY_CASES[case])
         osc.airy_matrix_dim(osc.AirySpec(float(lam - 1), **_AIRY_CASES[case]))
         tracemalloc.start()
@@ -217,6 +230,26 @@ def test_airy_step_and_dim_guards():
         assert peak < 1 << 20, case  # refused before any kernel or basis exists
         # the bounds the airy_matrix_dim docstring and README state
         assert lam - 1 == last_admitted, case
+
+
+@pytest.mark.parametrize("case", ["model", "variable"])
+@pytest.mark.parametrize("lam", [1e-300, 0.1, 0.2, 0.5, 0.628])
+def test_airy_all_zero_kernel_is_refused(case, lam):
+    # so coarse a grid that no offset is both past the cutoff chi and inside
+    # the bump: the kernel is zero and sigma_1 = 0 would read as a norm
+    spec = osc.AirySpec(lam, **_AIRY_CASES[case])
+    with pytest.raises(ValueError, match=f"lambda={lam:g} leaves every offset weight"):
+        osc.airy_matrix_dim(spec)
+    with pytest.raises(ValueError, match=f"lambda={lam:g} leaves every offset weight"):
+        osc.airy_operator_norm(spec)
+
+
+def test_airy_first_nonzero_kernels_are_admitted():
+    for lam in (0.63, 1.0):
+        spec = osc.AirySpec(lam)
+        n = osc.airy_matrix_dim(spec)
+        assert np.any(osc._offset_weight(spec, osc.airy_step_floor(lam) * np.arange(1, n)))
+        assert osc.airy_operator_norm(spec) > 0.0
 
 
 def test_airy_norm_decays_at_caustic_rate():
@@ -430,9 +463,11 @@ def test_airy_matrix_dim_cap():
     with pytest.raises(ValueError, match="lambda=2542 needs matrix dimension 8093: "
                        "a 201 x 8093 Lanczos basis and a 8093 x 8093 kernel"):
         osc.airy_matrix_dim(osc.AirySpec(2542.0, **variable))
-    assert osc.airy_matrix_dim(osc.AirySpec(96694.0)) == 307788
-    with pytest.raises(ValueError, match="lambda=96695 needs matrix dimension 307791"):
-        osc.airy_matrix_dim(osc.AirySpec(96695.0))
+    # the model's circulant has the least 5-smooth side >= 2n - 1: 640000 here
+    assert osc.airy_matrix_dim(osc.AirySpec(99887.0)) == 317952
+    with pytest.raises(ValueError, match="lambda=99888 needs matrix dimension 317955: "
+                       "a 201 x 317955 Lanczos basis and 5 x 640000 FFT buffers"):
+        osc.airy_matrix_dim(osc.AirySpec(99888.0))
 
 
 def test_kernel_bound_needs_two_lambdas():

@@ -138,8 +138,6 @@ def test_streamed_trend_matches_the_full_table(monkeypatch, window, n_max):
     maxima, argmax_N, decreasing = torus.exponent_trend(n_max, cutoffs)
     assert (maxima, argmax_N) == expected
     assert decreasing == all(a > b for a, b in zip(maxima, maxima[1:]))
-    growth = torus.divisor_growth(n_max)
-    np.testing.assert_array_equal(growth.N, np.flatnonzero(_full_square_r2(n_max)[2:]) + 2)
 
 
 @settings(deadline=None, max_examples=80)
@@ -151,12 +149,9 @@ def test_r2_multiple_of_four(N):
 
 
 def test_divisor_growth_trend():
-    growth = torus.divisor_growth(3000)
-    assert np.all(growth.r2 > 0)
-    assert np.all(growth.N >= 2)
     # r_2(2) = 4 gives the global max exponent 2 log 2 / log sqrt 2 = 4
-    exponent, N = growth.peak(2, 3000)
-    assert math.isclose(exponent, 4.0) and N == 2
+    maxima, argmax_N, decreasing = torus.exponent_trend(3000, cutoffs=(2,))
+    assert math.isclose(maxima[0], 4.0) and argmax_N == [2] and decreasing is None
     maxima, argmax_N, decreasing = torus.exponent_trend(10**5, cutoffs=(10**2, 10**3, 10**4))
     assert decreasing
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
@@ -165,8 +160,6 @@ def test_divisor_growth_trend():
         torus.exponent_trend(10**4, cutoffs=(100, 100, 200))
     with pytest.raises(ValueError):
         torus.exponent_trend(10**3, cutoffs=(10, 10**4))
-    with pytest.raises(ValueError, match="no represented N"):
-        growth.peak(3, 3)
     with pytest.raises(ValueError, match=r"no represented N in \[6, 7\]"):
         torus.exponent_trend(7, cutoffs=(6,))
 
