@@ -82,16 +82,6 @@ _boolean = _checked(lambda t: _BOOLEANS.get(t.strip().lower()),
 _p = _checked(float, lambda p: p >= 2.0, "need p in [2, inf]")  # NaN fails too
 
 
-def _tolerance(text):
-    """None (no contract) for `none`, else a finite number >= 0."""
-    if text.strip().lower() == "none":
-        return None
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"expected none or a finite number >= 0, got {text!r}")
-    return tol
-
-
 def _latitude(text):
     colatitude = float(text)
     try:
@@ -137,7 +127,7 @@ def _curve(text):
 
 
 def _family(text):
-    """Family name -> (factory(n), ambient dimension).
+    """Family name -> factory(n); each member carries its sphere's `.dim`.
 
     The zonal poles sit on the default curves (e1 lies on the equator and on
     the great subsphere), which is the sharp configuration for p >= 4;
@@ -147,11 +137,11 @@ def _family(text):
     name, _, arg = text.partition(":")
     off_pole = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
     plain = {
-        "zonal": (lambda n: Zonal(2, n, np.array([1.0, 0.0, 0.0])), 2),
-        "zonal-off": (lambda n: Zonal(2, n, off_pole), 2),
-        "zonal-s3": (lambda n: Zonal(3, n, np.array([1.0, 0.0, 0.0, 0.0])), 3),
-        "highest-weight": (lambda n: HighestWeight(2, n), 2),
-        "highest-weight-s3": (lambda n: HighestWeight(3, n), 3),
+        "zonal": lambda n: Zonal(2, n, np.array([1.0, 0.0, 0.0])),
+        "zonal-off": lambda n: Zonal(2, n, off_pole),
+        "zonal-s3": lambda n: Zonal(3, n, np.array([1.0, 0.0, 0.0, 0.0])),
+        "highest-weight": lambda n: HighestWeight(2, n),
+        "highest-weight-s3": lambda n: HighestWeight(3, n),
     }
     if name in plain and not arg:
         return plain[name]
@@ -159,7 +149,7 @@ def _family(text):
         if not arg:
             raise ValueError("averaged needs a width factor, e.g. averaged:0.9")
         delta = float(arg)  # its range is Averaged's own check (_run_sweep)
-        return (lambda n: Averaged(n, delta), 2)
+        return lambda n: Averaged(n, delta)
     raise ValueError(f"unknown family {text!r} "
                      "(zonal | zonal-off | zonal-s3 | highest-weight | "
                      "highest-weight-s3 | averaged:<delta>)")
@@ -170,7 +160,6 @@ KEYS = {
     "curve": _curve,
     "p": _p,
     "degrees": _degrees,
-    "tolerance": _tolerance,
     # a repeated lambda would leave the decay fit rank-deficient
     "lambda-list": _checked(
         _list(_checked(float, lambda x: math.isfinite(x) and x > 0.0,
@@ -204,19 +193,29 @@ def parse_value(key, text):
 
 # ----------------------------------------------------------------- runners
 # Each takes the typed config and returns (csv rows, results, verdicts,
-# plot series or None).
+# plot series or None).  Each verdict's bound is a constant, not a key, so
+# no run can widen it.
+
+# every exponent fit (sweep and turning-point): under half the 1/12 gap
+# between the geodesic (1/4) and curved (1/6) rates at p = 2, so a fit
+# cannot pass on the wrong branch
+EXPONENT_TOLERANCE = 0.03
+PHASE_TOLERANCE = 1e-6      # |c_hat - kappa^2/24|, absolute
+AIRY_TOLERANCE = 0.05       # |slope + 2/3| of the Airy operator norms
+SUP_SLOPE_BOUND = 0.15      # torus: slope of the max sup against log sqrt(N)
+
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _sweep_report(samples, curve, p, tolerance):
+def _sweep_report(samples, curve, p):
     """CSV rows, results, verdicts and plot series of a sweep's samples, fitted
     against the sharp exponent of `curve` at `p` (log endpoints: no contract)."""
     oracle = restriction.theoretical_exponent(curve.ambient_dim, curve.dim, p,
                                               curved=curve.curved)
     contract = None if oracle.log_endpoint else oracle.value
-    fit = restriction.fit_exponent(samples, contract, tolerance)
+    fit = restriction.fit_exponent(samples, contract, EXPONENT_TOLERANCE)
     rows = [(str(s.degree), _fmt(s.lam), _fmt(s.p), _fmt(s.restricted_norm),
              _fmt(s.ambient_norm), _fmt(s.ratio)) for s in samples]
     results = {
@@ -241,20 +240,15 @@ def _sweep_report(samples, curve, p, tolerance):
 
 
 def _run_sweep(cfg):
-    (factory, dim), curve, degrees = cfg["family"], cfg["curve"], cfg["degrees"]
-    if curve.ambient_dim != dim:
-        raise ConfigError("curve: curve and family live on different spheres")
+    factory, curve, degrees = cfg["family"], cfg["curve"], cfg["degrees"]
     try:
-        factory(degrees[0])  # the averaged window is widest at the lowest degree
+        member = factory(degrees[0])  # the averaged window is widest at the lowest degree
     except ValueError as exc:
         raise ConfigError(f"family: {exc}") from None
+    if curve.ambient_dim != member.dim:
+        raise ConfigError("curve: curve and family live on different spheres")
     samples = restriction.sweep(factory, curve, cfg["p"], degrees)
-    return _sweep_report(samples, curve, cfg["p"], cfg["tolerance"])
-
-
-# the scan's fit tolerance: under half the 1/12 gap between the geodesic (1/4)
-# and curved (1/6) rates at p = 2, so a fit cannot pass on the wrong branch
-TURNING_POINT_TOLERANCE = 0.03
+    return _sweep_report(samples, curve, cfg["p"])
 
 
 def _run_turning_point(cfg):
@@ -263,8 +257,7 @@ def _run_turning_point(cfg):
         raise ConfigError("curve: the turning-point scan runs on a latitude circle "
                           "(equator | latitude:<colatitude>)")
     scan = restriction.turning_point_sweep(curve.colatitude, cfg["degrees"])
-    rows, results, verdicts, series = _sweep_report(scan.samples, curve, 2.0,
-                                                    TURNING_POINT_TOLERANCE)
+    rows, results, verdicts, series = _sweep_report(scan.samples, curve, 2.0)
     results["orders"] = {str(s.degree): m for s, m in zip(scan.samples, scan.orders)}
     return rows, results, verdicts, series
 
@@ -283,7 +276,6 @@ def _run_kernel(cfg):
 
 
 def _run_phase(cfg):
-    tolerance = cfg["tolerance"]
     rows, deviations, table = [], [], []
     for curve in cfg["theta0-list"]:
         theta0 = curve.colatitude
@@ -296,16 +288,13 @@ def _run_phase(cfg):
         table.append({"theta0": theta0, "c_hat": fit.c_hat,
                       "c_theory": fit.c_theory, "deviation": fit.deviation})
     results = {"fits": table, "max_deviation": max(deviations),
-               "tolerance": tolerance}
-    if tolerance is None:
-        verdict = "no_contract"
-    else:
-        verdict = "pass" if max(deviations) <= tolerance else "fail"
+               "tolerance": PHASE_TOLERANCE}
+    verdict = "pass" if max(deviations) <= PHASE_TOLERANCE else "fail"
     return rows, results, {"phase_expansion": verdict}, None
 
 
 def _run_airy(cfg):
-    lams, tolerance, case = cfg["lambda-list"], cfg["tolerance"], cfg["case"]
+    lams, case = cfg["lambda-list"], cfg["case"]
     kwargs = {}
     if case == "variable":
         kwargs["c"] = lambda tau: 1.0 + 0.2 * np.sin(tau)
@@ -327,11 +316,11 @@ def _run_airy(cfg):
                "lanczos_steps": [v.steps for v in norms],
                "ritz_residuals": [v.residual for v in norms],
                "slope": slope, "fit_residual": fit_residual,
-               "theoretical": -2.0 / 3.0, "tolerance": tolerance}
-    if tolerance is None or slope is None:
+               "theoretical": -2.0 / 3.0, "tolerance": AIRY_TOLERANCE}
+    if slope is None:
         verdict = "no_contract"
     else:
-        verdict = "pass" if abs(slope + 2.0 / 3.0) <= tolerance else "fail"
+        verdict = "pass" if abs(slope + 2.0 / 3.0) <= AIRY_TOLERANCE else "fail"
     series = [("opnorm", lams, norms),
               ("slope -2/3 guide", lams,
                [norms[0] * (l / lams[0]) ** (-2.0 / 3.0) for l in lams])]
@@ -368,7 +357,8 @@ def _run_torus(cfg):
         verdicts["geodesic_l2"] = "pass" if report.geodesic_ok else "fail"
         if report.slope is not None:
             results["sup_slope"] = report.slope
-            verdicts["sup_slope"] = "pass" if report.slope <= 0.15 else "fail"
+            results["sup_slope_bound"] = SUP_SLOPE_BOUND
+            verdicts["sup_slope"] = "pass" if report.slope <= SUP_SLOPE_BOUND else "fail"
             series = [("max sup", [math.sqrt(n) for n in report.max_lo],
                        list(report.max_lo.values()))]
     if cfg["n-max"] is not None:
@@ -425,7 +415,7 @@ EXPERIMENTS = {
         "sharp theoretical value",
         _run_sweep,
         {"family": REQUIRED, "curve": REQUIRED, "p": REQUIRED,
-         "degrees": REQUIRED, "tolerance": "0.05"},
+         "degrees": REQUIRED},
         _SWEEP_CSV),
     "turning-point": Experiment(
         "restricted L^2 maximum over all orders m of Y_n^m on a latitude "
@@ -441,13 +431,13 @@ EXPERIMENTS = {
     "phase": Experiment(
         "arc-length expansion of the geodesic phase on a curve: fitted "
         "cubic coefficient against kappa^2/24",
-        _run_phase, {"theta0-list": REQUIRED, "tolerance": "1e-6"},
+        _run_phase, {"theta0-list": REQUIRED},
         "theta0,c_hat,c_theory"),
     "airy": Experiment(
         "caustic-regime model operator: largest singular value decays "
         "like lambda^(-2/3)",
         _run_airy,
-        {"lambda-list": REQUIRED, "case": "model", "tolerance": "0.05"},
+        {"lambda-list": REQUIRED, "case": "model"},
         "lambda,opnorm"),
     "torus": Experiment(
         "lattice circles m^2+n^2=N, divisor growth, sup-norm and "

@@ -235,7 +235,7 @@ AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
 LANCZOS_MAX_STEPS = 200    # Lanczos step limit
 LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
 _LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms
-_FFT_BUFFERS = 5           # length-m complex arrays beside the basis: 4.91 traced at lambda 20000
+_FFT_BUFFERS = 5           # length-m complex arrays beside the basis that scale with m
 _PANEL_ROWS = 64           # dense-kernel rows built per thread-pool task
 
 
@@ -253,14 +253,16 @@ def airy_matrix_dim(spec):
     the Toeplitz model kernel, which is never formed, _FFT_BUFFERS circulant
     arrays of length m = _smooth_size(2n - 1), the least 5-smooth size
     (n <= 317952, lambda <= 99887): its eigenvalues, one product buffer
-    each for A and A^H, and the length-n vectors around them, 4.91 such
-    arrays at the peak tracemalloc sees beyond the basis at lambda = 20000
-    (4.51 at lambda = 50000).  A larger one raises ValueError.  The cap
-    bounds this working set, not the process RSS: the interpreter with
-    numpy and the package (about 30 MiB) and the kernel's row-panel
-    temporaries come on top, so the variable case at lambda = 2541 peaks
-    near 1053 MiB.  ValueError also if every offset weight
-    (1 - chi) bump is 0 on the grid (lambda below about 0.63 at s = 1): the
+    each for A and A^H, and the length-n vectors around them.  It counts
+    the buffers that scale with m; about 0.32 MB more, mostly the
+    tridiagonal, is fixed, so a warm call's traced peak beyond the basis is
+    4.47 length-m buffers at lambda = 20000 but 8.88 at lambda = 800.  The
+    cap binds only near lambda = 99887, where that part is negligible.  A
+    larger one raises ValueError.  The cap bounds this working set, not the
+    process RSS: the interpreter with numpy and the package (about 30 MiB)
+    and the kernel's row-panel temporaries come on top, so the variable
+    case at lambda = 2541 peaks near 1053 MiB.  ValueError also if every
+    offset weight (1 - chi) bump is 0 on the grid (lambda below about 0.63 at s = 1): the
     kernel is then zero, and its norm 0 says nothing about decay.
     """
     step = airy_step_floor(spec.lam)

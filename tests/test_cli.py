@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -58,9 +59,9 @@ def test_validate_config_names_offending_field():
 
 def test_validate_config_fills_defaults():
     experiment, cfg = cli.validate_config(
-        {"experiment": "phase", "theta0-list": "0.8"})
-    assert experiment == "phase"
-    assert cfg["tolerance"] == "1e-6"
+        {"experiment": "airy", "lambda-list": "200,400"})
+    assert experiment == "airy"
+    assert cfg["case"] == "model"
     assert cfg["out"] == "."
 
 
@@ -68,20 +69,22 @@ def test_unused_tuning_keys_are_rejected():
     for experiment, key in (("sweep", "num-points"), ("kernel", "radius"),
                             ("kernel", "window"), ("kernel", "grid-points"),
                             ("kernel", "amplitude-support"), ("airy", "domain"),
-                            ("airy", "amplitude-support"), ("torus", "grid-m")):
+                            ("airy", "amplitude-support"), ("torus", "grid-m"),
+                            ("sweep", "tolerance"), ("phase", "tolerance"),
+                            ("airy", "tolerance")):
         with pytest.raises(cli.ConfigError, match=f"unknown config key: {key}"):
             cli.validate_config({"experiment": experiment, key: "1"})
 
 
 # every key's parser: a typed value, or a ConfigError that names the key
-_TYPES = {"family": tuple, "curve": (geometry.LatitudeCircle, geometry.GreatSubsphere),
-          "p": float,
-          "degrees": list, "tolerance": (float, type(None)), "lambda-list": list,
+_TYPES = {"family": types.FunctionType,
+          "curve": (geometry.LatitudeCircle, geometry.GreatSubsphere), "p": float,
+          "degrees": list, "lambda-list": list,
           "theta0-list": list, "case": str, "n-list": list, "n-max": int,
           "seeds": int, "seed": int, "d": int, "k": int, "p-list": list,
           "curved": bool, "plot": bool, "out": Path}
 _TOKENS = ["4", "16", "45", "25", "3", "0", "-1", "0.5", "2", "nan", "inf",
-           "critical", "none", "true", "model", "equator", "latitude",
+           "critical", "true", "model", "equator", "latitude",
            "averaged", "zonal", "1e400", "9" * 30, "1" + "0" * 400]
 _TEXT = st.one_of(
     st.text(max_size=16),
@@ -95,7 +98,7 @@ def test_key_table_covers_every_experiment_key():
     assert set(_TYPES) == set(cli.KEYS)
     keys = {k for e in cli.EXPERIMENTS.values() for k in e.keys}
     assert keys | {"out", "plot"} == set(cli.KEYS)
-    assert sum(len(e.keys) for e in cli.EXPERIMENTS.values()) == 21
+    assert sum(len(e.keys) for e in cli.EXPERIMENTS.values()) == 18
 
 
 @given(st.sampled_from(sorted(cli.KEYS)), _TEXT)
@@ -125,20 +128,22 @@ SWEEP_ARGS = ["run", "sweep", "--family", "highest-weight", "--curve", "equator"
 
 def test_sweep_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "a"
-    code = cli.main(SWEEP_ARGS + ["--tolerance", "none", "--out", str(out)])
+    code = cli.main(SWEEP_ARGS + ["--out", str(out)])
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "n,lambda,p,restricted_norm,ambient_norm,ratio"
     assert len(lines) == 1 + 4
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["verdicts"]["exponent_fit"] == "no_contract"
-    assert summary["verdicts"]["envelope"] == "pass"
+    assert summary["verdicts"] == {"exponent_fit": "pass", "envelope": "pass"}
     assert summary["exit_code"] == 0
+    fit = summary["results"]["fit"]
+    assert math.isclose(fit["slope"], 0.2475, abs_tol=5e-5)
+    assert fit["tolerance"] == cli.EXPONENT_TOLERANCE
     assert math.isclose(summary["results"]["oracle"]["value"], 0.25)
     assert "out" not in summary["config"] and "plot" not in summary["config"]
     stdout = capsys.readouterr().out
     assert "sweep:envelope: pass" in stdout
-    assert "sweep:exponent_fit: no_contract" in stdout
+    assert "sweep:exponent_fit: pass" in stdout
 
 
 @pytest.mark.parametrize("curve, oracle", [
@@ -177,7 +182,7 @@ def test_turning_point_scan_holds_its_oracle(tmp_path, curve, oracle):
     results = summary["results"]
     assert summary["verdicts"] == {"exponent_fit": "pass", "envelope": "pass"}
     assert math.isclose(results["oracle"]["value"], oracle, rel_tol=1e-15)
-    assert results["fit"]["tolerance"] == cli.TURNING_POINT_TOLERANCE
+    assert results["fit"]["tolerance"] == cli.EXPONENT_TOLERANCE
     target = cli.parse_value("curve", curve)
     degrees = restriction.geometric_degrees(32, 512)
     scan = restriction.turning_point_sweep(target.colatitude, degrees)
@@ -243,16 +248,14 @@ def test_subsphere_sup_sweep_fits_slope_one(tmp_path):
 def test_runs_are_byte_deterministic(tmp_path):
     outs = [tmp_path / "run1", tmp_path / "nested" / "run2"]
     for out in outs:
-        assert cli.main(SWEEP_ARGS + ["--tolerance", "none", "--out",
-                                      str(out)]) == 0
+        assert cli.main(SWEEP_ARGS + ["--out", str(out)]) == 0
     assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
     assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
 
 
 def test_plot_flag_writes_svg(tmp_path):
     out = tmp_path / "p"
-    code = cli.main(SWEEP_ARGS + ["--tolerance", "none", "--out", str(out),
-                                  "--plot"])
+    code = cli.main(SWEEP_ARGS + ["--out", str(out), "--plot"])
     assert code == 0
     svg = (out / "sweep.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
@@ -261,10 +264,14 @@ def test_plot_flag_writes_svg(tmp_path):
 
 
 def test_failed_contract_exits_one(tmp_path, capsys):
+    # the zonal at p = 6 on latitude pi/4 grows with slope -0.008, not 1/3
     out = tmp_path / "f"
-    code = cli.main(SWEEP_ARGS + ["--tolerance", "1e-6", "--out", str(out)])
+    code = cli.main(["run", "sweep", "--family", "zonal", "--curve",
+                     "latitude:0.7853981633974483", "--p", "6", "--degrees", "16:512",
+                     "--out", str(out)])
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
+    assert math.isclose(summary["results"]["fit"]["slope"], -0.008, abs_tol=5e-4)
     assert summary["verdicts"]["exponent_fit"] == "fail"
     assert summary["exit_code"] == 1
     assert "sweep:exponent_fit: fail" in capsys.readouterr().out
@@ -329,15 +336,38 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
 
 def test_flag_overrides_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("experiment = phase\ntheta0-list = 0.8\n"
-                       "tolerance = 1e-12\n")
+    # theta0 = 0.01 puts the largest phase step past half the circle
+    cfgfile.write_text("experiment = phase\ntheta0-list = 0.01\n")
+    assert cli.main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "x")]) == 2
     out = tmp_path / "o"
-    # the file tolerance would fail; the flag relaxes it and must win
-    code = cli.main(["run", "--config", str(cfgfile), "--tolerance", "1e-4",
+    # the flag's theta0 replaces the file's and must win
+    code = cli.main(["run", "--config", str(cfgfile), "--theta0-list", "0.8",
                      "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["tolerance"] == "1e-4"
+    assert summary["config"]["theta0-list"] == "0.8"
+
+
+def test_verdict_bounds_are_not_keys(tmp_path, capsys):
+    # no flag or config line can widen or switch off a verdict's bound
+    out = tmp_path / "tol"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SWEEP_ARGS + ["--tolerance", "none", "--out", str(out)])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("experiment = sweep\nfamily = zonal\ncurve = equator\n"
+                       "p = 2\ndegrees = 16:45\ntolerance = 0.05\n")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "unknown config key: tolerance" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_exponent_tolerance_separates_the_p2_branches():
+    # a fit within the bound of one branch's rate lies outside the other's
+    curved = restriction.theoretical_exponent(2, 1, 2, curved=True).value
+    geodesic = restriction.theoretical_exponent(2, 1, 2, curved=False).value
+    assert cli.EXPONENT_TOLERANCE < abs(curved - geodesic) / 2
 
 
 def test_phase_run(tmp_path, capsys):
@@ -348,7 +378,8 @@ def test_phase_run(tmp_path, capsys):
     lines = (out / "phase.csv").read_text().splitlines()
     assert lines[0] == "theta0,c_hat,c_theory"
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"]["max_deviation"] < 1e-6
+    assert summary["results"]["max_deviation"] <= cli.PHASE_TOLERANCE
+    assert summary["results"]["tolerance"] == cli.PHASE_TOLERANCE
     assert "phase:phase_expansion: pass" in capsys.readouterr().out
 
 
@@ -360,6 +391,9 @@ def test_torus_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"]["sup_bound"] == "pass"
     assert summary["verdicts"]["sup_slope"] == "pass"
+    # the slope stays a plain number, with its bound beside it
+    assert isinstance(summary["results"]["sup_slope"], float)
+    assert summary["results"]["sup_slope_bound"] == cli.SUP_SLOPE_BOUND
     assert summary["verdicts"]["geodesic_l2"] == "pass"
     lines = (out / "torus.csv").read_text().splitlines()
     assert lines[0] == "N,r2,sup,curve_l2,seed"
@@ -416,8 +450,6 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
 
 
 @pytest.mark.parametrize("field,argv", [
-    ("tolerance", SWEEP_ZONAL + ["--tolerance", "nan"]),
-    ("tolerance", SWEEP_ZONAL + ["--tolerance", "-1"]),
     ("p", SWEEP_ZONAL + ["--p", "nan"]),
     ("p", SWEEP_ZONAL + ["--p", "-inf"]),
     ("degrees", SWEEP_ZONAL + ["--degrees", "16,8,32,45"]),
@@ -525,6 +557,8 @@ def test_airy_reports_its_fit_residual(tmp_path):
     slope, _, residual = restriction.loglog_fit([200.0, 400.0, 800.0], results["opnorms"])
     assert (results["slope"], results["fit_residual"]) == (slope, residual)
     assert 0.0 < residual < 0.05
+    assert results["tolerance"] == cli.AIRY_TOLERANCE
+    assert abs(slope + 2.0 / 3.0) <= cli.AIRY_TOLERANCE
 
 
 # the Golub-Kahan bidiagonalization from the same start stops at these steps:

@@ -232,6 +232,23 @@ def test_airy_step_and_dim_guards():
         assert lam - 1 == last_admitted, case
 
 
+def test_model_fft_buffers_bound_the_traced_peak():
+    # _FFT_BUFFERS counts the length-m buffers beside the Lanczos basis; the
+    # fixed part on top (the tridiagonal) is small against them at m = 128000
+    osc.airy_operator_norm(osc.AirySpec(200.0))  # first-call costs stay out
+    spec = osc.AirySpec(20000.0)
+    n = osc.airy_matrix_dim(spec)
+    m = osc._smooth_size(2 * n - 1)
+    tracemalloc.start()
+    try:
+        osc.airy_operator_norm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beyond_basis = peak - 16 * (osc.LANCZOS_MAX_STEPS + 1) * n
+    assert beyond_basis <= 16 * osc._FFT_BUFFERS * m
+
+
 @pytest.mark.parametrize("case", ["model", "variable"])
 @pytest.mark.parametrize("lam", [1e-300, 0.1, 0.2, 0.5, 0.628])
 def test_airy_all_zero_kernel_is_refused(case, lam):
