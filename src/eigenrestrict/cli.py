@@ -167,8 +167,8 @@ KEYS = {
         lambda lams: all(a < b for a, b in zip(lams, lams[1:])),
         "need strictly increasing values"),
     "theta0-list": _list(_latitude),
-    "case": _checked(str, lambda c: c in ("model", "variable"),
-                     "expected model or variable"),
+    "case": _checked(str, lambda c: c in oscillatory.AIRY_CASES,
+                     "expected " + " or ".join(oscillatory.AIRY_CASES)),
     "n-list": _list(_circle_number),
     "n-max": _checked(int, lambda n: 1000 < n <= torus.DESK_N_MAX,
                       f"need 1000 < n-max <= {torus.DESK_N_MAX}"),
@@ -295,11 +295,7 @@ def _run_phase(cfg):
 
 def _run_airy(cfg):
     lams, case = cfg["lambda-list"], cfg["case"]
-    kwargs = {}
-    if case == "variable":
-        kwargs["c"] = lambda tau: 1.0 + 0.2 * np.sin(tau)
-        kwargs["d"] = lambda tau, delta: 0.1 * np.cos(tau)
-    specs = [oscillatory.AirySpec(lam, **kwargs) for lam in lams]
+    specs = [oscillatory.AirySpec(lam, **oscillatory.AIRY_CASES[case]) for lam in lams]
     for spec in specs:  # every size before the first norm
         try:
             oscillatory.airy_matrix_dim(spec)

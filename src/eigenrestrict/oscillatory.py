@@ -105,7 +105,9 @@ def _kernel_pair_masks(lams):
 
     Returns (ts, gaps, masks): a pair (t, tau) is admissible when
     2/lambda <= |t - tau| <= 0.9 r.  A lambda without any raises ValueError
-    naming it, before any kernel is computed.
+    naming it, before any kernel is computed, and so does one whose kernel
+    needs more than AIRY_MAX_BYTES: `kernel_matrix` holds a float angle and
+    two complex temporaries, 40 bytes, per node and direction at its peak.
     """
     ts = np.linspace(-KERNEL_WINDOW, KERNEL_WINDOW, KERNEL_GRID_POINTS)
     gaps = np.abs(ts[:, None] - ts[None, :])
@@ -115,6 +117,11 @@ def _kernel_pair_masks(lams):
             raise ValueError(
                 f"lambda={lam:g} leaves no admissible pair: need 2/lambda <= |t - tau| "
                 f"<= 0.9 r on the window [-{KERNEL_WINDOW:g}, {KERNEL_WINDOW:g}]")
+        m = kernel_node_floor(lam, float(gaps.max()))  # kernel_matrix's direction count
+        nbytes = 40 * ts.size * m
+        if nbytes > AIRY_MAX_BYTES:
+            raise ValueError(f"lambda={lam:g} needs {m} directions: a working set of "
+                             f"{nbytes} bytes, which exceeds the cap {AIRY_MAX_BYTES}")
     return ts, gaps, masks
 
 
@@ -230,8 +237,11 @@ class AirySpec:
         return vals
 
 
+# the `case` values of the airy experiment: AirySpec's c and d for each
+AIRY_CASES = {"model": {}, "variable": {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
+                                        "d": lambda tau, delta: 0.1 * np.cos(tau)}}
 AIRY_DOMAIN = 0.5          # half-width of the kernel's tau and D range
-AIRY_MAX_BYTES = 16 * 8192**2  # cap on the complex working set: 1 GiB
+AIRY_MAX_BYTES = 16 * 8192**2  # cap on the Airy and kernel working sets: 1 GiB
 LANCZOS_MAX_STEPS = 200    # Lanczos step limit
 LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
 _LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms

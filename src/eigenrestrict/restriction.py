@@ -6,21 +6,20 @@ the restricted L^p norm, divide by the family's closed-form ambient L^2 norm
 (`l2_norm`), and regress the log of that ratio against log(lambda) across a
 geometric ladder of degrees.  Along a latitude circle, and along a great
 circle of the subsphere, a degree-n member is a trigonometric polynomial of
-degree n, so its grid values come from its 2n + 1 Fourier coefficients and
-one zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
-every node.  A zonal harmonic read along a great circle through its pole
-(the equator of S^2, a meridian of the subsphere of S^3) has them in closed
-form (`Zonal.circle_coefficients`); other families on a latitude circle
-take them from >= 2n + 1 samples and one FFT (`_circle_values`).  On the
-great 2-subsphere of S^3 only such zonal harmonics are read: every norm
-reads uniform values along a meridian through the pole, the sup is their
-max and the surface integral one |sin s|-weighted rule (`_meridian_weights`).
-The highest-weight beam needs no values: its modulus is constant on a
-latitude circle and a power of 1 - x3^2 on the subsphere, so its norms are
-closed form (`_highest_weight_norm`).  The grid size is always derived from
-the family's eigenvalue (`required_curve_points`); no caller picks it.  The
-turning-point scan needs no grid either: every order's restricted L^2 norm
-on a latitude circle comes from one zonal FFT per degree
+degree n, so its grid values come from its 2n + 1 Fourier coefficients
+(`_circle_coefficients`: closed form for a zonal harmonic read along a
+great circle through its pole, one FFT of samples otherwise) and one
+zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
+every node.  On the great 2-subsphere of S^3 only such zonal harmonics are
+read: every norm reads uniform values along a meridian through the pole,
+the sup is their max and the surface integral one |sin s|-weighted rule
+(`_meridian_weights`).  The highest-weight beam needs no values: its
+modulus is constant on a latitude circle and a power of 1 - x3^2 on the
+subsphere, so its norms are closed form (`_highest_weight_norm`).  The
+grid size is always derived from the family's eigenvalue
+(`required_curve_points`); no caller picks it.  The turning-point scan
+needs no grid either: every order's restricted L^2 norm on a latitude
+circle comes from one zonal harmonic's coefficients on it per degree
 (`circle_spectrum`), and the scan takes the argmax over all m.  The
 theoretical_exponent oracle carries the sharp growth rates of the fits.
 """
@@ -91,16 +90,9 @@ def lp_norm_on_curve(f, curve, p):
     meridian through it, both poles included: p = inf takes their max, and
     a finite p weighs |f|^p there by `_meridian_weights(2N)`, which is exact
     when |f|^p is a trigonometric polynomial of degree < N in the meridian's
-    angle (every even p <= 20).
-
-    Either way the values lie on a circle along which f of degree n is a
-    trigonometric polynomial of degree <= n, fixed by its 2n + 1 Fourier
-    coefficients.  A zonal harmonic whose pole lies on the great sphere it
-    is read on (the equator, or the subsphere) is read along a great circle
-    through that pole, where they are closed-form
-    (`Zonal.circle_coefficients`): no samples, and its sup reads the pole
-    value to rounding.  Every other f takes them from samples of the
-    latitude circle's own points (`_circle_values`, which reads f.degree).
+    angle (every even p <= 20).  Either way the values come from f's
+    coefficients along that circle (`_circle_coefficients`), and a zonal
+    harmonic read from its pole has a sup of its pole value to rounding.
     """
     if isinstance(f, harmonics.HighestWeight):
         return _highest_weight_norm(f, curve, p)
@@ -110,14 +102,7 @@ def lp_norm_on_curve(f, curve, p):
     n = required_curve_points(float(f.eigenvalue))
     if math.isinf(p) or curve.dim == 2:
         n *= 2
-    if (isinstance(f, harmonics.Zonal) and f.dim == curve.ambient_dim
-            and not curve.curved and f.pole[-1] == 0.0):
-        values = _fourier_values(f.circle_coefficients(), f.degree, n, n)
-    elif curve.dim == 1:
-        values = _circle_values(f, lambda m: curve.points(curve.length * np.arange(m) / m), n)
-    else:
-        raise ValueError("the great subsphere reads only a zonal harmonic of S^3 "
-                         "whose pole lies on it, {x4 = 0}")
+    values = _fourier_values(_circle_coefficients(f, curve), f.degree, n)
     if curve.dim == 1:
         return lp_norm_weighted(values, curve.length / n, p)
     return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(n), p)
@@ -160,36 +145,47 @@ def _meridian_weights(m):
     return math.pi * np.fft.irfft(coeffs, m)
 
 
-def _circle_values(f, sample, n):
-    """f at the n nodes sample(n) of a closed circle, uniform in its angle,
-    along which f is a trigonometric polynomial of degree deg = f.degree.
-
-    From M = _smooth_size(2 deg + 1) samples f(sample(M)): one FFT gives the
-    coefficients, and `_fourier_values` the n values.  Needs n >= 2 deg + 1,
-    which the 20-lambda grid gives any family with lambda > deg.
+def _circle_coefficients(f, curve):
+    """f's Fourier coefficients c_j, in FFT order, along the circle its norm
+    reads: closed form (`Zonal.circle_coefficients`) for a `harmonics.Zonal`
+    read from its pole along a great circle, the equator or the subsphere,
+    which reads no other f (ValueError).  On a latitude circle of length L a
+    zonal harmonic with pole[1] == 0.0 is even about s = 0: its values at
+    s = L j / M, j = 0..M/2, M = 2 _smooth_size(n + 1), are mirrored to all
+    M and take one real FFT.  Any other f of degree n takes M =
+    _smooth_size(2n + 1) samples (at least 4) and one FFT.
     """
+    if isinstance(f, harmonics.Zonal) and f.dim == curve.ambient_dim and not curve.curved \
+            and f.pole[-1] == 0.0:
+        return f.circle_coefficients()
+    if curve.dim != 1:
+        raise ValueError("the great subsphere reads only a zonal harmonic of S^3 "
+                         "whose pole lies on it, {x4 = 0}")
     if getattr(f, "degree", None) is None:
         raise ValueError("f has no degree attribute, so its restriction "
                          "cannot be sampled as a trigonometric polynomial")
-    deg = int(f.degree)
-    if n < 2 * deg + 1:
-        raise ValueError(f"{n} curve nodes cannot resolve degree {deg}")
-    m = _smooth_size(max(4, 2 * deg + 1))
-    return _fourier_values(np.fft.fft(f(sample(m))), deg, n, n / m)
+    if isinstance(f, harmonics.Zonal) and f.pole[1] == 0.0:
+        m = 2 * _smooth_size(f.degree + 1)
+        half = f(curve.points(curve.length * np.arange(m // 2 + 1) / m))
+        c = np.fft.rfft(np.concatenate([half, half[-2:0:-1]])).real / m
+        return np.concatenate([c, c[-2:0:-1]])
+    m = _smooth_size(max(4, 2 * f.degree + 1))
+    return np.fft.fft(f(curve.points(curve.length * np.arange(m) / m))) / m
 
 
-def _fourier_values(coeffs, deg, n, scale):
+def _fourier_values(coeffs, deg, n):
     """sum_{|j| <= deg} c_j e^{2 pi i j l / n} at l = 0..n-1, for n >= 2 deg + 1.
 
-    coeffs holds n c_j / scale in FFT order (c_j at index j mod its length,
-    which is >= 2 deg + 1): the FFT of M samples with scale n / M, or the c_j
-    themselves with scale n.  The 2 deg + 1 of them, zero-padded to n and
-    scaled, take one inverse FFT.
+    coeffs holds the c_j in FFT order (c_j at index j mod its length, which
+    is >= 2 deg + 1).  The 2 deg + 1 of them, zero-padded to n and scaled
+    by n, take one inverse FFT.
     """
+    if n < 2 * deg + 1:
+        raise ValueError(f"{n} curve nodes cannot resolve degree {deg}")
     buf = np.zeros(n, dtype=complex)
     buf[:deg + 1] = coeffs[:deg + 1]
     buf[n - deg:] = coeffs[coeffs.size - deg:]  # empty at deg = 0
-    buf *= scale
+    buf *= n
     return np.fft.ifft(buf, out=buf)
 
 
@@ -348,30 +344,26 @@ class TurningPointResult:
 
 def circle_spectrum(colatitude, n):
     """|P-hat_n^m(cos theta0)|^2 for m = 0..n on the latitude circle at
-    theta0, clipped at 0: one zonal FFT, no Legendre recurrence.
+    theta0, clipped at 0: no Legendre recurrence.
 
     On the circle the zonal f = Zonal(2, n, pole) with its pole on the circle
     at phi = 0 is, by the addition theorem, sum_m |P-hat_n^m|^2 e^{i m phi} /
     (2 pi f(pole)), with f(pole) = sqrt((2n + 1) / 4 pi).  So |P-hat_n^m|^2 =
-    2 pi f(pole) c_m, c_m its Fourier coefficients in phi.  f is even in phi:
-    its values at the M/2 + 1 angles 2 pi j / M in [0, pi], M the smallest
-    even 5-smooth size >= 2n + 1, are mirrored to all M and take one real
-    FFT.  The series is accurate to ~ n eps of the pole value, so entries in
-    the forbidden zone m > n sin(theta0), exponentially small, come out as
-    noise of either sign; the clip keeps them >= 0.
+    2 pi f(pole) c_m, c_m its Fourier coefficients in phi
+    (`_circle_coefficients`: closed form on the equator, one real FFT off
+    it).  Those are accurate to ~ n eps of the pole value, so entries in the
+    forbidden zone m > n sin(theta0), exponentially small, come out as noise
+    of either sign; the clip keeps them >= 0.
     """
     curve = geometry.LatitudeCircle(colatitude)
-    size = 2 * _smooth_size(n + 1)  # M
-    pts = curve.points(curve.length * np.arange(size // 2 + 1) / size)
-    half = harmonics.Zonal(2, n, pts[0])(pts)
-    coeffs = np.fft.rfft(np.concatenate([half, half[-2:0:-1]]))[:n + 1].real
+    coeffs = _circle_coefficients(harmonics.Zonal(2, n, curve.points(0.0)[0]), curve)
     pole_value = math.sqrt((2 * n + 1) / (4.0 * math.pi))
-    return np.maximum(coeffs * (2.0 * math.pi * pole_value / size), 0.0)
+    return np.maximum(2.0 * math.pi * pole_value * coeffs[:n + 1], 0.0)
 
 
 def turning_point_sweep(colatitude, degrees):
     """Max restricted L^2 norm over all orders m in [0, n] on one latitude
-    circle: one zonal FFT per degree, argmax over all m.
+    circle: one zonal harmonic's coefficients per degree, argmax over all m.
 
     For each degree the scan finds the order whose oscillation turns exactly
     at the circle's colatitude (the restricted norm peaks there, at the Airy

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from eigenrestrict import cli
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict import oscillatory as osc
@@ -22,6 +23,7 @@ SUB = geo.GreatSubsphere()
 POLE3 = np.array([1.0, 0.0, 0.0])
 POLE4 = np.array([1.0, 0.0, 0.0, 0.0])
 OFF_POLE = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
+TOL = cli.EXPONENT_TOLERANCE  # the bound every CLI exponent fit is held to
 
 
 def _report(num, label, ok, detail, elapsed, budget):
@@ -48,23 +50,23 @@ def test_a02_zonal_sharpness_large_p():
     degrees = re_.geometric_degrees(16, 256)
     fit_inf = re_.fit_exponent(
         re_.sweep(lambda n: ha.Zonal(2, n, POLE3), EQ, math.inf, degrees),
-        0.5, 0.03)
+        0.5, TOL)
     fit_6 = re_.fit_exponent(
         re_.sweep(lambda n: ha.Zonal(2, n, POLE3), EQ, 6.0, degrees),
-        1.0 / 3.0, 0.03)
+        1.0 / 3.0, TOL)
     ok = fit_inf.verdict == "pass" and fit_6.verdict == "pass"
     _report(2, "zonal sharpness p=inf,6", ok,
-            f"slope(inf)={fit_inf.slope:.4f} target 0.50+/-0.03, "
-            f"slope(6)={fit_6.slope:.4f} target 0.3333+/-0.03",
+            f"slope(inf)={fit_inf.slope:.4f} target 0.50+/-{TOL}, "
+            f"slope(6)={fit_6.slope:.4f} target 0.3333+/-{TOL}",
             time.monotonic() - t0, 120.0)
 
 
 def test_a03_turning_point_improvement():
     t0 = time.monotonic()
     result = re_.turning_point_sweep(math.pi / 4, re_.geometric_degrees(32, 512))
-    fit = re_.fit_exponent(result.samples, 1.0 / 6.0, 0.03)
+    fit = re_.fit_exponent(result.samples, 1.0 / 6.0, TOL)
     _report(3, "turning-point slope", fit.verdict == "pass",
-            f"slope={fit.slope:.4f} target 0.1667+/-0.03",
+            f"slope={fit.slope:.4f} target 0.1667+/-{TOL}",
             time.monotonic() - t0, 600.0)
 
 
@@ -158,10 +160,7 @@ def test_a08_airy_operator_decay():
     x = np.log(lams)
     design = np.column_stack([np.ones_like(x), x])
     slopes = {}
-    for label, kwargs in (
-            ("model", {}),
-            ("variable", {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
-                          "d": lambda tau, delta: 0.1 * np.cos(tau)})):
+    for label, kwargs in osc.AIRY_CASES.items():
         norms = [osc.airy_operator_norm(osc.AirySpec(lam, **kwargs))
                  for lam in lams]
         coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
@@ -268,7 +267,7 @@ def test_a12_s3_hypersurface_sharpness():
     samples = re_.sweep(lambda n: ha.Zonal(3, n, POLE4), SUB, 4.0,
                         re_.geometric_degrees(16, 256))
     oracle = re_.theoretical_exponent(3, 2, 4.0)
-    fit = re_.fit_exponent(samples, oracle.value, 0.04)
+    fit = re_.fit_exponent(samples, oracle.value, TOL)
     _report(12, "S^3 great-subsphere sharpness p=4", fit.verdict == "pass",
-            f"slope={fit.slope:.4f} target {oracle.value:.2f}+/-0.04",
+            f"slope={fit.slope:.4f} target {oracle.value:.2f}+/-{TOL}",
             time.monotonic() - t0, 600.0)

@@ -465,6 +465,7 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("lambda-list", ["run", "airy", "--lambda-list", "200,200"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "100"]),
     ("lambda-list", ["run", "kernel", "--lambda-list", "0.5,1"]),
+    ("lambda-list", ["run", "kernel", "--lambda-list", "1e6,1e7"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,100000"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "200,5000", "--case", "variable"]),
     ("lambda-list", ["run", "airy", "--lambda-list", "0.1,1"]),

@@ -99,6 +99,32 @@ def test_kernel_bound_rejects_lambda_without_admissible_pair(monkeypatch):
     assert calls == []
 
 
+def test_kernel_bound_refuses_a_working_set_past_the_cap(monkeypatch):
+    # every lambda is checked before the first kernel; 10^6 needs 1.9 GB
+    lam = _first_refused_lambda(lambda lam: osc._kernel_pair_masks([lam]))
+    osc._kernel_pair_masks([float(lam - 1)])
+    calls = []
+    monkeypatch.setattr(osc, "kernel_matrix", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=rf"lambda={lam} needs \d+ directions: .* exceeds the cap"):
+        osc.verify_kernel_bound(lams=(100.0, float(lam)))
+    assert calls == []
+    assert lam - 1 == 562175  # the bound the README states
+
+
+def test_kernel_working_set_bounds_the_traced_peak():
+    # 40 bytes per node and direction: the angle matrix and two complex temporaries
+    lam = 1e4
+    ts, gaps, _ = osc._kernel_pair_masks([lam])
+    count = 40 * ts.size * osc.kernel_node_floor(lam, float(gaps.max()))
+    tracemalloc.start()
+    try:
+        osc.kernel_matrix(lam, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * count <= peak <= 1.05 * count
+
+
 # ----------------------------------------------------------- critical points
 
 def _psi(x, center, r, w_angles, u1, u2):
@@ -193,12 +219,12 @@ def test_airy_zero_amplitude_kills_operator():
     assert osc._lanczos_sigma1(lambda v: zero.conj().T @ (zero @ v), 64) == (0.0, 1, 0.0)
 
 
-def _first_refused_lambda(case):
-    """Least integer lambda whose working set airy_matrix_dim refuses: the
-    dimension grows with lambda, so double from an admissible 100, then bisect."""
+def _first_refused_lambda(preflight):
+    """Least integer lambda whose working set preflight(lambda) refuses: the
+    working set grows with lambda, so double from an admissible 100, then bisect."""
     def refused(lam):
         try:
-            osc.airy_matrix_dim(osc.AirySpec(float(lam), **case))
+            preflight(float(lam))
         except ValueError as err:
             assert "exceeds the cap" in str(err)
             return True
@@ -218,7 +244,8 @@ def test_airy_step_and_dim_guards():
     # the cap's first refused lambda is derived, not written down, so a
     # change to the working-set count cannot turn this into a cap-sized norm
     for case, last_admitted in (("variable", 2541), ("model", 99887)):
-        lam = _first_refused_lambda(_AIRY_CASES[case])
+        lam = _first_refused_lambda(
+            lambda lam: osc.airy_matrix_dim(osc.AirySpec(lam, **_AIRY_CASES[case])))
         osc.airy_matrix_dim(osc.AirySpec(float(lam - 1), **_AIRY_CASES[case]))
         tracemalloc.start()
         try:
@@ -299,12 +326,7 @@ def _dense_airy_norm(spec):
     return float(np.linalg.svd(_dense_airy_kernel(spec), compute_uv=False)[0])
 
 
-_AIRY_CASES = {
-    "model": {},
-    "narrow": {"amplitude_support": 0.25},
-    "variable": {"c": lambda tau: 1.0 + 0.2 * np.sin(tau),
-                 "d": lambda tau, delta: 0.1 * np.cos(tau)},
-}
+_AIRY_CASES = {**osc.AIRY_CASES, "narrow": {"amplitude_support": 0.25}}
 
 
 def _relative_gap(got, want):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenrestrict import cli
 from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict import restriction as re_
@@ -141,44 +142,55 @@ _FAMILIES = {
     "assoc-half": lambda n: ha.AssocHarmonic(n, n // 2),
     "averaged": lambda n: ha.Averaged(n, 0.9),
 }
-# on the subsphere the p = inf norm reads the meridian through the axis
-_S3_FAMILIES = {
-    "zonal-s3-e1": lambda n: ha.Zonal(3, n, _E1),
-    "zonal-s3-half": lambda n: ha.Zonal(3, n, _HALF),
-    "highest-weight-s3": lambda n: ha.HighestWeight(3, n),
-}
 _CIRCLE_CASES = [
-    *(pytest.param(_FAMILIES[family], degree, curve, id=f"{family}-{degree}-{label}")
-      for family in sorted(_FAMILIES) for degree in (4, 37, 300)
-      for label, curve in _CIRCLES.items()),
-    *(pytest.param(_S3_FAMILIES[family], degree, geo.GreatSubsphere(),
-                   id=f"{family}-{degree}-subsphere")
-      for family in sorted(_S3_FAMILIES) for degree in (4, 37, 300)),
-]
+    pytest.param(_FAMILIES[family], degree, curve, id=f"{family}-{degree}-{label}")
+    for family in sorted(_FAMILIES) for degree in (4, 37, 300)
+    for label, curve in _CIRCLES.items()]
 
 
 @pytest.mark.parametrize("family, degree, curve", _CIRCLE_CASES)
 def test_interpolated_circle_values_match_direct_evaluation(family, degree, curve):
     f = family(degree)
-    if curve.dim == 1:
-        n = re_.required_curve_points(f.eigenvalue)
-
-        def nodes(m):
-            return _circle_nodes(curve, m)
-    else:  # the subsphere's norms read 2N meridian points
-        n = 2 * re_.required_curve_points(f.eigenvalue)
-        axis = f.pole[:3] if isinstance(f, ha.Zonal) else _E3
-
-        def nodes(m):
-            return _meridian_nodes(axis / np.linalg.norm(axis), m)
-    direct = f(nodes(n))
+    n = re_.required_curve_points(f.eigenvalue)
+    direct = f(_circle_nodes(curve, n))
     scale = float(np.max(np.abs(direct)))
     if scale == 0.0:  # e.g. P-hat_37^18 is odd in cos(theta): 0 on the equator
         # so the values must be 0 to 1e-12 of the degree's scale sqrt((2n + 1) / 4 pi)
         scale = 1e-2 * math.sqrt((2 * degree + 1) / (4 * math.pi))
-    got = re_._circle_values(f, nodes, n)
+    got = re_._fourier_values(re_._circle_coefficients(f, curve), degree, n)
     assert got.shape == (n,)
     assert np.max(np.abs(got - direct)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("degree", [4, 37, 300])
+@pytest.mark.parametrize("theta0", [0.4, 1.0])
+@pytest.mark.parametrize("pole", [(math.sin(1.0), 0.0, math.cos(1.0)), (0.6, 0.0, 0.8)],
+                         ids=["off", "tilted"])
+def test_mirrored_half_circle_matches_the_full_circle(monkeypatch, pole, theta0, degree):
+    # pole[1] == 0.0: f is even about the circle's start, so half the samples do
+    f, curve = ha.Zonal(2, degree, np.array(pole)), geo.LatitudeCircle(theta0)
+    m = re_._smooth_size(max(4, 2 * degree + 1))
+    full = np.fft.fft(f(_circle_nodes(curve, m))) / m
+    counted, call = [], ha.Zonal.__call__
+
+    def counting(self, pts):
+        counted.append(len(pts))
+        return call(self, pts)
+
+    monkeypatch.setattr(ha.Zonal, "__call__", counting)
+    mirrored = re_._circle_coefficients(f, curve)
+    assert counted == [re_._smooth_size(degree + 1) + 1]  # M/2 + 1
+    # both sum the series, accurate to ~ n eps of the pole value (not of the
+    # circle's max, which is far smaller off the pole)
+    n, pole_value = 2 * degree + 1, math.sqrt((2 * degree + 1) / (4 * math.pi))
+    got, want = (re_._fourier_values(c, degree, n) for c in (mirrored, full))
+    assert np.max(np.abs(got - want)) <= 1e-13 * pole_value
+
+
+def test_fourier_values_need_2_deg_plus_1_nodes():
+    re_._fourier_values(np.ones(21), 10, 21)
+    with pytest.raises(ValueError, match="20 curve nodes cannot resolve degree 10"):
+        re_._fourier_values(np.ones(21), 10, 20)
 
 
 _ROTATED = np.array([math.cos(0.3), math.sin(0.3), 0.0])  # at angle 0.3 on the equator
@@ -193,8 +205,10 @@ def test_equator_zonal_closed_form_matches_the_sampler(pole, degree, p):
     eq = geo.equator()
     n = re_.required_curve_points(f.eigenvalue) * (2 if math.isinf(p) else 1)
     s0 = math.atan2(pole[1], pole[0])
-    sampled = re_._circle_values(f, lambda m: eq.points(s0 + eq.length * np.arange(m) / m), n)
-    closed = re_._fourier_values(f.circle_coefficients(), degree, n, n)
+    m = re_._smooth_size(2 * degree + 1)  # one FFT of f at the rotated nodes
+    sampled = re_._fourier_values(
+        np.fft.fft(f(eq.points(s0 + eq.length * np.arange(m) / m))) / m, degree, n)
+    closed = re_._fourier_values(f.circle_coefficients(), degree, n)
     assert np.max(np.abs(closed - sampled)) <= 1e-12 * np.max(np.abs(sampled))
     want = re_.lp_norm_weighted(sampled, eq.length / n, p)
     assert math.isclose(re_.lp_norm_on_curve(f, eq, p), want, rel_tol=1e-12)
@@ -220,7 +234,7 @@ def test_circle_coefficients_are_the_zonal_along_a_great_circle(label, degree):
     n = re_.required_curve_points(f.eigenvalue)
     s = 2 * math.pi * np.arange(n) / n
     direct = f(meridian(f.pole, np.cos(s), np.sin(s)))
-    closed = re_._fourier_values(f.circle_coefficients(), degree, n, n)
+    closed = re_._fourier_values(f.circle_coefficients(), degree, n)
     assert np.max(np.abs(closed - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -639,6 +653,15 @@ def test_circle_spectrum_matches_recurrence_row(n, theta0):
     assert math.isclose(total, (2 * n + 1) / 2, rel_tol=4 * n * eps)
 
 
+@pytest.mark.parametrize("n", [16, 181, 4096])
+def test_equator_spectrum_is_the_closed_form(monkeypatch, n):
+    # the zonal's pole e1 lies on the equator: its coefficients, no samples
+    monkeypatch.setattr(ha.Zonal, "__call__", lambda *a: pytest.fail("sampled"))
+    f = ha.Zonal(2, n, np.array([1.0, 0.0, 0.0]))
+    want = 2 * math.pi * math.sqrt((2 * n + 1) / (4 * math.pi)) * f.circle_coefficients()
+    assert np.array_equal(re_.circle_spectrum(math.pi / 2, n), want[:n + 1])
+
+
 @pytest.mark.parametrize("theta0", [0.4, 0.6])
 def test_turning_point_scan_reaches_orders_below_half_the_degree(theta0):
     # n sin(theta0) < n / 2 here: a scan of m in [n/2, n] returned its edge
@@ -648,5 +671,5 @@ def test_turning_point_scan_reaches_orders_below_half_the_degree(theta0):
         # theta0 = 0.6 that is m* = 16, so the band starts at n = 45
         if s.degree >= 45:
             assert math.sin(theta0) - 0.05 <= m / s.degree <= math.sin(theta0)
-    fit = re_.fit_exponent(result.samples, 1.0 / 6.0, 0.03)
+    fit = re_.fit_exponent(result.samples, 1.0 / 6.0, cli.EXPONENT_TOLERANCE)
     assert fit.verdict == "pass", fit.slope
