@@ -358,7 +358,7 @@ def _run_torus(cfg):
             series = [("max sup", [math.sqrt(n) for n in report.max_lo],
                        list(report.max_lo.values()))]
     if cfg["n-max"] is not None:
-        cutoffs = tuple(c for c in (10**3, 10**4, 10**5) if c < cfg["n-max"])
+        cutoffs = tuple(c for c in torus.TREND_CUTOFFS if c < cfg["n-max"])
         maxima, argmax_N, decreasing = torus.exponent_trend(cfg["n-max"], cutoffs)
         results["divisor_growth"] = {"cutoffs": list(cutoffs),
                                      "max_exponent": maxima,

@@ -93,7 +93,10 @@ def lp_norm_on_curve(f, curve, p):
     angle (every even p <= 20).  Either way the values come from f's
     coefficients along that circle (`_circle_coefficients`), and a zonal
     harmonic read from its pole has a sup of its pole value to rounding.
+    An f with a `dim` must live on the target's sphere: ValueError otherwise.
     """
+    if getattr(f, "dim", curve.ambient_dim) != curve.ambient_dim:
+        raise ValueError(f"the target lies in S^{curve.ambient_dim}, not S^{f.dim}")
     if isinstance(f, harmonics.HighestWeight):
         return _highest_weight_norm(f, curve, p)
     if getattr(f, "eigenvalue", None) is None:
@@ -114,8 +117,6 @@ def _highest_weight_norm(f, curve, p):
     int |f|^p = 2 pi c^p B(1/2, pn/2 + 1)."""
     if not p > 0:  # NaN too
         raise ValueError(f"p must be positive or inf, got {p!r}")
-    if f.dim != curve.ambient_dim:
-        raise ValueError(f"the target lies in S^{curve.ambient_dim}, not S^{f.dim}")
     log_norm = harmonics.highest_weight_log_const(f.dim, f.degree)
     if curve.dim == 1:  # x / inf is 0.0: p = inf drops the measure term
         return math.exp(log_norm + f.degree * math.log(math.sin(curve.colatitude))

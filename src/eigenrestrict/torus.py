@@ -14,9 +14,10 @@ Sup norms are certified: `grid_sup_norm` returns an interval [lo, hi] that
 provably contains sup |f| (a one-sided Bernstein bound on the second
 derivative of |f|^2 along lines turns grid values into an upper bound), so
 the ceiling check hi <= sqrt(r_2) can fail.  The starting grid is a float32
-prune with a proved error margin, and its float64 survivors are what the
-enclosure is built from.  Norms along closed geodesics
-are exact finite sums; round circles take a certified trapezoid rule.
+prune with a proved error margin; level 0 of the refinement is the float64
+evaluation of its survivors, and only float64 values reach the enclosure.
+Norms along closed geodesics are exact finite sums; round circles take a
+certified trapezoid rule.
 """
 
 import math
@@ -35,6 +36,7 @@ MAX_DEPTH = 12                   # 4 x 4 splits allowed after the grid (7 are ne
 MAX_CELLS = 1 << 20              # cells one sup enclosure level may keep or split into
 BLOCK_BYTES = 1 << 22            # working set of one float32 grid row block or point chunk
 R2_WINDOW = 1 << 16              # values of N that exponent_trend sieves at once
+TREND_CUTOFFS = (10**3, 10**4, 10**5)  # lower ends of exponent_trend's ranges [cutoff, n_max]
 CIRCLE_RADIUS = 1.0
 GEODESIC_RTOL = 1e-12
 # closed geodesics t -> t w, t in [0, 2 pi), by label and integer direction w
@@ -127,7 +129,7 @@ def r2_table(n_max, start=0):
     return table
 
 
-def exponent_trend(n_max, cutoffs=(10**3, 10**4, 10**5)):
+def exponent_trend(n_max, cutoffs=TREND_CUTOFFS):
     """Max divisor-growth exponent log r_2(N) / log sqrt(N) over [cutoff, n_max], per cutoff.
 
     The exponent quantifies r_2(N) = N^(eps/2) pointwise; the content of the
@@ -327,7 +329,7 @@ def _half_grid32(f, m):
 
 
 def _grid_stage(f, m, rho):
-    """Largest computed |f| over half the m x m grid, and the nodes that may hold the sup.
+    """Centres h (a, b) of the nodes of half the m x m grid that may hold the sup.
 
     Every frequency on |k|^2 = N has k1 + k2 = k1^2 + k2^2 = N (mod 2), so
     f(x + (pi, pi)) = (-1)^N f(x): some maximiser, or its shift, has
@@ -335,19 +337,18 @@ def _grid_stage(f, m, rho):
     side h that cover x1 in [-h/2, (m // 2 + 1/2) h), which contains
     [0, pi), so the (m // 2 + 1) x m grid certifies what the full one did.
 
-    Float32 prune, float64 survivors.  The half grid comes in float32 row
-    blocks (`_half_grid32`) within BLOCK_BYTES (4 MiB: small enough to stay
-    near the cache and off the peak RSS), whose values are within
+    A float32 prune only.  The half grid comes in float32 row blocks
+    (`_half_grid32`) within BLOCK_BYTES (4 MiB: small enough to stay near
+    the cache and off the peak RSS), whose values are within
     rho32 = rho + _slack32(f) of |f|.  Their row maxima give the running
     max and, through `_bounds` with rho32, a floor below which no node can
     hold the sup; only rows whose maximum reaches it are searched for nodes
     to keep.  The floor only rises with the running max, so no node that
     the final floor keeps is lost, and the nodes it has risen past are
     dropped only when more than MAX_CELLS are held: the kept set is not
-    copied on every block.  The survivors are evaluated again in float64
-    (`_abs2` with a zero offset), and the largest of those values and the
-    float64 floor with rho decide what is returned, as if the whole half
-    grid had been evaluated in float64.
+    copied on every block.  The nodes at or above the last floor are
+    returned; level 0 of `grid_sup_norm` evaluates them again in float64,
+    as if the whole half grid had been evaluated in float64.
     """
     N = f.circle_number
     h = 2.0 * math.pi / m
@@ -369,10 +370,7 @@ def _grid_stage(f, m, rho):
             nodes, vals, count = [nodes[keep]], [vals[keep]], int(np.count_nonzero(keep))
             if count > MAX_CELLS:
                 raise _too_flat(N, count)
-    pts = h * np.concatenate(nodes)[np.concatenate(vals) >= floor]
-    sq = _abs2(f, pts, 0.0, _CENTRE)
-    best = math.sqrt(float(sq.max()))
-    return best, pts[sq >= _bounds(best, best, h, N, rho, math.inf)[2]]
+    return h * np.concatenate(nodes)[np.concatenate(vals) >= floor]
 
 
 def _abs2(f, pts, h, split=_SPLIT):
@@ -414,20 +412,22 @@ def grid_sup_norm(f):
 
     The grid comes from a blocked separable GEMM (`_grid_stage`), after the
     frequencies are divided by their gcd g (which leaves the sup unchanged
-    and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block:
-    float32 prune, float64 survivors.  The float32 values only prune, with
-    a floor that carries their proved error bound (`_slack32`); the nodes
-    left are evaluated again in float64, and only those values reach lo,
-    hi and the refinement.  Only the grid's (m // 2 + 1) x m rows with
+    and makes m = ceil(20 sqrt(N / 2) / g)), squared in place block by block.
+    Its float32 values only prune, with a floor that carries their proved
+    error bound (`_slack32`).  Only the grid's (m // 2 + 1) x m rows with
     x1 <= pi are evaluated: each k has k1 + k2 = N (mod 2), so
     f(x + (pi, pi)) = (-1)^N f(x), and the cells on those rows hold a
     maximiser or its shift.
-    Cells that can still hold the max are split 4 x 4 until
-    hi / lo - 1 <= SUP_RTOL, which takes 7 splits; the 16 children of each
-    cell cost one exponential per term and one product with the level's
-    offset phases (`_abs2`).  lo is the best node value; both ends carry an
-    explicit bound on the roundoff of the computed values.  ArithmeticError
-    if more than MAX_CELLS cells survive (|f| nearly flat) or MAX_DEPTH splits
+    Every level then takes the same float64 step: `_abs2` evaluates |f|^2
+    at the level's nodes, `_bounds` turns them into lo, hi and a floor, and
+    the cells below the floor are dropped.  Level 0 evaluates the float32
+    survivors themselves, cells of side h = 2 pi / m; each later level
+    splits the cells left 4 x 4, side h / 4, whose 16 children cost one
+    exponential per term and one product with the level's offset phases.
+    The loop stops once hi / lo - 1 <= SUP_RTOL, which takes 7 splits.  lo
+    is the best node value; both ends carry an explicit bound on the
+    roundoff of the computed values.  ArithmeticError if a level would
+    evaluate more than MAX_CELLS cells (|f| nearly flat) or MAX_DEPTH splits
     do not reach the tolerance.
     """
     # with g the gcd of every frequency component, f(x) = f~(g x): the same
@@ -436,26 +436,22 @@ def grid_sup_norm(f):
     f = TorusSum(f.freqs // g, f.coeffs)
     N = f.circle_number
     m = math.ceil(POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
-    h = 2.0 * math.pi / m
     rho = _roundoff(f)
-    best, pts = _grid_stage(f, m, rho)
-    lo, hi, _ = _bounds(best, best, h, N, rho, math.inf)
-    depth = 0
-    while hi > lo * (1.0 + SUP_RTOL):
-        if depth == MAX_DEPTH:
-            raise ArithmeticError(
-                f"sup enclosure of N={N}: width {hi / lo - 1.0:.3g} after "
-                f"{depth} splits, above {SUP_RTOL:g}")
-        if 16 * len(pts) > MAX_CELLS:
-            raise _too_flat(N, 16 * len(pts))
-        depth += 1
-        h /= 4.0
-        sq = _abs2(f, pts, h)
+    pts = _grid_stage(f, m, rho)
+    h, split, best, hi = 2.0 * math.pi / m, _CENTRE, 0.0, math.inf
+    for depth in range(MAX_DEPTH + 1):
+        if len(split) * len(pts) > MAX_CELLS:
+            raise _too_flat(N, len(split) * len(pts))
+        sq = _abs2(f, pts, h, split)
         level_max = math.sqrt(float(sq.max()))
         best = max(best, level_max)
         lo, hi, floor = _bounds(best, level_max, h, N, rho, hi)
-        pts = (pts[:, None, :] + h * _SPLIT).reshape(-1, 2)[sq >= floor]
-    return SupEnclosure(lo, hi, m, depth, len(pts))
+        pts = (pts[:, None, :] + h * split).reshape(-1, 2)[sq >= floor]
+        if not hi > lo * (1.0 + SUP_RTOL):  # a NaN stops here too
+            return SupEnclosure(lo, hi, m, depth, len(pts))
+        h, split = h / 4.0, _SPLIT
+    raise ArithmeticError(f"sup enclosure of N={N}: width {hi / lo - 1.0:.3g} after "
+                          f"{MAX_DEPTH} splits, above {SUP_RTOL:g}")
 
 
 def geodesic_l2_norm(f, w):

@@ -437,6 +437,19 @@ def test_subsphere_norm_needs_an_axis():
         re_.lp_norm_on_curve(ha.HighestWeight(2, 8), geo.GreatSubsphere(), 2)
 
 
+@pytest.mark.parametrize("f, curve, spheres", [
+    (ha.Zonal(3, 16, np.array([1.0, 0.0, 0.0, 0.0])), geo.equator(), ("2", "3")),
+    (ha.Zonal(3, 16, np.array([1.0, 0.0, 0.0, 0.0])), geo.LatitudeCircle(1.0), ("2", "3")),
+    (ha.Zonal(2, 16, np.array([1.0, 0.0, 0.0])), geo.GreatSubsphere(), ("3", "2")),
+], ids=["zonal-s3-equator", "zonal-s3-latitude-1.0", "zonal-s2-subsphere"])
+def test_family_on_another_sphere_is_refused_by_name(f, curve, spheres):
+    # every family is checked against the target's sphere before any
+    # coefficient is read, not only the closed-form highest-weight beam
+    target, own = spheres
+    with pytest.raises(ValueError, match=rf"the target lies in S\^{target}, not S\^{own}$"):
+        re_.lp_norm_on_curve(f, curve, 2)
+
+
 @pytest.mark.parametrize("degree", [16, 45, 256])
 def test_subsphere_sup_is_the_closed_form(degree):
     # zonal-s3 peaks at its pole, (n+1)/sqrt(2 pi^2), which the 2N meridian

@@ -202,6 +202,33 @@ def test_grid_sup_respects_cauchy_schwarz():
         assert sup.width <= torus.SUP_RTOL
 
 
+# (lo.hex(), hi.hex(), m, depth, cells) of grid_sup_norm, by (N, seed) of
+# random_eigenfunction and for the witness on 4225
+PINNED_ENCLOSURES = {
+    (25, 0): ("0x1.29619da0c8d0ap+1", "0x1.29619da1b2a0ep+1", 71, 7, 4),
+    (25, 1): ("0x1.12fe9ff23d6ddp+1", "0x1.12fe9ff315b5dp+1", 71, 7, 3),
+    (4225, 0): ("0x1.8976fa0c3cb1fp+1", "0x1.8976fa0d8640ep+1", 920, 7, 4),
+    (4225, 1): ("0x1.cb4fec381a994p+1", "0x1.cb4fec3998100p+1", 920, 7, 4),
+    (34225, 0): ("0x1.9b7c975de03f0p+1", "0x1.9b7c975f5bb74p+1", 2617, 7, 4),
+    (34225, 1): ("0x1.f01cef0a49a9ap+1", "0x1.f01cef0c07ea5p+1", 2617, 7, 4),
+    (30013, 0): ("0x1.2044c0a131476p+1", "0x1.2044c0a22ccddp+1", 2451, 7, 4),
+    (30013, 1): ("0x1.05392c74bdd35p+1", "0x1.05392c75a4037p+1", 2451, 7, 4),
+    "witness-4225": ("0x1.7ffffffffb262p+2", "0x1.800000009c334p+2", 920, 7, 8),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_ENCLOSURES), ids=str)
+def test_enclosure_bits_are_pinned(key):
+    # the enclosure's every bit, so a restructured refinement that reorders
+    # or skips any float64 step shows here before it moves a written output
+    if key == "witness-4225":
+        f = torus.equal_coefficient_witness(4225)
+    else:
+        f = torus.random_eigenfunction(*key)
+    sup = torus.grid_sup_norm(f)
+    assert (sup.lo.hex(), sup.hi.hex(), sup.m, sup.depth, sup.cells) == PINNED_ENCLOSURES[key]
+
+
 @pytest.mark.parametrize("N", [25, 65, 169])
 def test_enclosure_contains_fine_grid_max(N):
     # an m = 3000 grid is 16 to 42 times finer than the starting grid.  Its
@@ -271,8 +298,17 @@ def test_peak_in_the_skipped_half_is_enclosed(shift1):
         assert sup.lo <= math.sqrt(len(points)) <= sup.hi, N
         assert sup.width <= torus.SUP_RTOL
         h = 2.0 * math.pi / sup.m
-        _, kept = torus._grid_stage(f, sup.m, torus._roundoff(f))
+        kept = torus._grid_stage(f, sup.m, torus._roundoff(f))
         assert np.all(kept[:, 0] <= h * (sup.m // 2)), N
+
+
+def _float64_level(f, kept, m, rho):
+    # level 0 of grid_sup_norm written out: the float32 survivors evaluated
+    # again in float64, their max, and those at or above the float64 floor
+    h = 2.0 * math.pi / m
+    sq = torus._abs2(f, kept, h, torus._CENTRE)
+    best = math.sqrt(float(sq.max()))
+    return best, kept[sq >= torus._bounds(best, best, h, f.circle_number, rho, math.inf)[2]]
 
 
 def test_grid_sup_base_is_the_coarse_grid():
@@ -287,7 +323,8 @@ def test_grid_sup_base_is_the_coarse_grid():
     rows = m // 2 + 1
     xy = np.column_stack([np.repeat(x[:rows], m), np.tile(x, rows)])
     base = float(np.max(np.abs(f(xy))))
-    best, kept = torus._grid_stage(f, m, torus._roundoff(f))
+    rho = torus._roundoff(f)
+    best, kept = _float64_level(f, torus._grid_stage(f, m, rho), m, rho)
     assert math.isclose(best, base, rel_tol=1e-12)
     assert sup.lo >= base - 1e-12
     # the kept nodes include the grid argmax, and the starting factor bounds hi
@@ -306,19 +343,16 @@ def test_grid_sup_base_is_the_coarse_grid():
 ], ids=["325", "4225", "one-frequency"])
 def test_grid_stage_is_independent_of_block_size(f, monkeypatch):
     # the running max and floor only rise block by block, so float32 blocks
-    # of one row or a few rows give the default blocks' max and kept set,
-    # bit for bit
+    # of one row or a few rows give the default blocks' kept set, bit for bit
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
     rho = torus._roundoff(f)
-    best, kept = torus._grid_stage(f, m, rho)
+    kept = torus._grid_stage(f, m, rho)
     assert torus.BLOCK_BYTES // torus._row_bytes(m) > 3
     for rows in (1, 3):
         monkeypatch.setattr(torus, "BLOCK_BYTES", rows * torus._row_bytes(m))
         _, sq = next(torus._half_grid32(f, m))
         assert sq.shape == (rows, m) and sq.dtype == np.float32
-        b, k = torus._grid_stage(f, m, rho)
-        assert b == best
-        np.testing.assert_array_equal(k, kept)
+        np.testing.assert_array_equal(torus._grid_stage(f, m, rho), kept)
     if len(f.coeffs) == 1:
         assert len(kept) == (m // 2 + 1) * m
 
@@ -349,7 +383,7 @@ def test_grid_stage_refuses_at_the_first_block_over_the_cap(rows, monkeypatch):
     f = torus.random_eigenfunction(4225, 0)
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
     rho = torus._roundoff(f)
-    best, kept = torus._grid_stage(f, m, rho)
+    kept = torus._grid_stage(f, m, rho)
     monkeypatch.setattr(torus, "BLOCK_BYTES", rows * torus._row_bytes(m))
     counts, arrived = _running_counts(f, m, rho)
     # more nodes arrive than the largest cap below holds, so it drops some
@@ -361,9 +395,7 @@ def test_grid_stage_refuses_at_the_first_block_over_the_cap(rows, monkeypatch):
             with pytest.raises(ArithmeticError, match=f"N=4225: {over[0]} cells"):
                 torus._grid_stage(f, m, rho)
         else:
-            b, k = torus._grid_stage(f, m, rho)
-            assert b == best
-            np.testing.assert_array_equal(k, kept)
+            np.testing.assert_array_equal(torus._grid_stage(f, m, rho), kept)
 
 
 @pytest.mark.parametrize("f", [
@@ -375,11 +407,12 @@ def test_grid_stage_refuses_at_the_first_block_over_the_cap(rows, monkeypatch):
     torus.equal_coefficient_witness(4225),  # phases aligned at the origin, a grid node
 ], ids=["25", "325", "1105", "5525", "30013", "witness-4225"])
 def test_float32_prune_is_a_certificate(f):
-    # _grid_stage prunes on float32 values; against the float64 floor of a
-    # direct evaluation of every half-grid node, it keeps every node clear
-    # of that floor by twice the float32 slack, keeps none that the float64
-    # roundoff puts below it, and the float32 values it prunes on stay
-    # within the slack (1-6% of it on these circles)
+    # _grid_stage prunes on float32 values, and the enclosure's level 0
+    # evaluates its survivors again in float64; against the float64 floor of
+    # a direct evaluation of every half-grid node, the two keep every node
+    # clear of that floor by twice the float32 slack and none that the
+    # float64 roundoff puts below it, and the float32 values the prune reads
+    # stay within the slack (1-6% of it on these circles)
     N = f.circle_number
     m = math.ceil(torus.POINTS_PER_AXIS_WAVELENGTH * f.eigenvalue)
     h = 2.0 * math.pi / m
@@ -394,7 +427,7 @@ def test_float32_prune_is_a_certificate(f):
     assert 0.0 < gap <= slack, f"gap / slack = {gap / slack:.3g}"
     top = float(direct.max())
     floor = math.sqrt(torus._bounds(top, top, h, N, rho, math.inf)[2])
-    best, kept = torus._grid_stage(f, m, rho)
+    best, kept = _float64_level(f, torus._grid_stage(f, m, rho), m, rho)
     assert abs(best - top) <= 2.0 * rho
     a, b = np.rint(kept / h).astype(np.int64).T
     np.testing.assert_array_equal(kept, h * np.column_stack([a, b]))
@@ -458,6 +491,27 @@ def test_one_sided_bound_is_sharp():
         lo, hi, floor = torus._bounds(val, val, h, N, 0.0, math.inf)
         assert lo == val and hi >= 1.0, m
         assert val * val >= floor
+
+
+def test_refinement_refuses_after_max_depth_splits(monkeypatch):
+    # 325 at seed 3 needs 7 splits; with 3 allowed the width error names
+    # them, and it comes before the cell check of the level that would
+    # follow: the spy drops the cell cap to 0 once the last allowed level is
+    # evaluated, so a cell check first would refuse as too flat instead
+    f = torus.random_eigenfunction(325, 3)
+    monkeypatch.setattr(torus, "MAX_DEPTH", 3)
+    levels, abs2 = [], torus._abs2
+
+    def spy(f, pts, h, split=torus._SPLIT):
+        levels.append(len(pts))
+        if len(levels) == torus.MAX_DEPTH + 1:  # the grid's level and 3 splits
+            monkeypatch.setattr(torus, "MAX_CELLS", 0)
+        return abs2(f, pts, h, split)
+
+    monkeypatch.setattr(torus, "_abs2", spy)
+    with pytest.raises(ArithmeticError, match=r"N=325: width \S+ after 3 splits, above 1e-09$"):
+        torus.grid_sup_norm(f)
+    assert len(levels) == 4 and torus.MAX_CELLS == 0
 
 
 def test_grid_sup_underresolved_error():
