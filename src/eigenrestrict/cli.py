@@ -155,6 +155,9 @@ def _family(text):
                      "highest-weight-s3 | averaged:<delta>)")
 
 
+SEEDS_MAX = 1000  # each seed is one certified sup enclosure per circle
+ORACLE_INT_MAX = 2**53  # d and k enter the oracle as floats, exact up to here
+
 KEYS = {
     "family": _family,
     "curve": _curve,
@@ -172,10 +175,13 @@ KEYS = {
     "n-list": _list(_circle_number),
     "n-max": _checked(int, lambda n: 1000 < n <= torus.DESK_N_MAX,
                       f"need 1000 < n-max <= {torus.DESK_N_MAX}"),
-    "seeds": _checked(int, lambda n: n >= 1, "need at least one seed"),
+    "seeds": _checked(_checked(int, lambda n: n >= 1, "need at least one seed"),
+                      lambda n: n <= SEEDS_MAX, f"need at most {SEEDS_MAX} seeds"),
     "seed": _checked(int, lambda n: n >= 0, "need a seed >= 0"),
-    "d": _checked(int, lambda d: d >= 2, "need a sphere dimension d >= 2"),
-    "k": _checked(int, lambda k: k >= 1, "need a submanifold dimension k >= 1"),
+    "d": _checked(int, lambda d: 2 <= d <= ORACLE_INT_MAX,
+                  "need a sphere dimension 2 <= d <= 2**53"),
+    "k": _checked(int, lambda k: 1 <= k <= ORACLE_INT_MAX,
+                  "need a submanifold dimension 1 <= k <= 2**53"),
     "p-list": _list(lambda t: "critical" if t == "critical" else _p(t)),
     "curved": _boolean,
     "plot": _boolean,

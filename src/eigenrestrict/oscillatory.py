@@ -20,8 +20,9 @@ Three numerical experiments live here:
   scale, applied by FFT on a circulant embedding and never formed; otherwise
   its offset part is assembled densely, in row panels on a thread pool, from
   one half-angle tangent per entry, and the column scale enters the products.
-  Its top singular value comes from Hermitian Lanczos on A^H A with full
-  reorthogonalization against one basis, stopped by the Ritz residual bound.
+  Its top singular value comes from Hermitian Lanczos on A^H A from a
+  closed-form start, with full reorthogonalization against one basis,
+  stopped by the Ritz residual bound.
 
 psi_r(x, w) = -d(x, exp_center(r w)) throughout, with r the polar radius.
 """
@@ -244,7 +245,8 @@ AIRY_DOMAIN = 0.5          # half-width of the kernel's tau and D range
 AIRY_MAX_BYTES = 16 * 8192**2  # cap on the Airy and kernel working sets: 1 GiB
 LANCZOS_MAX_STEPS = 200    # Lanczos step limit
 LANCZOS_RTOL = 1e-12       # Ritz residual bound, relative to sigma_1
-_LANCZOS_SEED = 20050      # fixed start vector: byte-deterministic norms
+# Weyl steps of the Lanczos start: 1/phi and 1/rho, rho the plastic number
+_LANCZOS_WEYL = (0.6180339887498949, 0.7548776662466927)
 _FFT_BUFFERS = 5           # length-m complex arrays beside the basis that scale with m
 _PANEL_ROWS = 64           # dense-kernel rows built per thread-pool task
 
@@ -427,9 +429,12 @@ def _dense_kernel(spec, tau, offsets, weight):
 def _lanczos_sigma1(normal, n):
     """Top singular value of an n-column operator A by Hermitian Lanczos on A^H A.
 
-    A enters only through normal(v) = A^H (A v).  From a fixed-seed complex
-    unit vector q_1 the recurrence builds one orthonormal basis Q_k (each new
-    vector fully reorthogonalized against it, twice) with
+    A enters only through normal(v) = A^H (A v).  It starts from the complex
+    unit vector q_1 proportional to (frac(j a) - 1/2) + i (frac(j b) - 1/2),
+    j < n, with (a, b) = _LANCZOS_WEYL: a closed form of products and % 1.0,
+    so no random generator and no platform exp or sincos sets its bits.
+    The recurrence builds one orthonormal basis Q_k (each new vector fully
+    reorthogonalized against it, twice) with
     A^H A Q_k = Q_k T_k + beta_k q_{k+1} e_k^T, T_k real symmetric
     tridiagonal (Lanczos, J. Res. Nat. Bur. Standards 45, 1950).  If
     (theta, s) is the top eigenpair of T_k, sigma = sqrt(theta) and the Ritz
@@ -445,8 +450,9 @@ def _lanczos_sigma1(normal, n):
     entry.
     """
     limit = LANCZOS_MAX_STEPS
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    j = np.arange(n, dtype=float)
+    a, b = _LANCZOS_WEYL
+    q = (j * a % 1.0 - 0.5) + 1j * (j * b % 1.0 - 0.5)
     basis = np.empty((limit + 1, n), dtype=complex)
     basis[0] = q / np.linalg.norm(q)
     tridiag = np.zeros((limit + 1, limit + 1))

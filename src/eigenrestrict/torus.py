@@ -258,7 +258,7 @@ def _slack32(f):
     # The squares and their sum cost eps32 relative in |f|^2, the floor
     # rounded to float32 by the comparison u more: eps32 S / 2 and
     # eps32 S / 4 in |f|.  (4 K + 8) eps32 S covers all of it with room.
-    K = len(np.unique(f.freqs[:, 0]))
+    K = len(set(f.freqs[:, 0].tolist()))  # flagless np.unique would import numpy.ma
     return (4.0 * K + 8.0) * _EPS32 * float(np.sum(np.abs(f.coeffs)))
 
 

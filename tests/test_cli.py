@@ -428,6 +428,17 @@ def test_torus_without_seeds_exits_two(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_oracle_table_accepts_the_exact_float_range(tmp_path):
+    # d = 2**53 and k = d - 1 are still exact in the oracle's float arithmetic
+    out = tmp_path / "orc"
+    d = cli.ORACLE_INT_MAX
+    assert cli.main(["run", "oracle-table", "--d", str(d), "--k", str(d - 1),
+                     "--p-list", "inf", "--out", str(out)]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert (results["d"], results["k"]) == (d, d - 1)
+    assert results["table"][0]["exponent"] == (d - 1.0) / 2.0
+
+
 def test_oracle_table_run(tmp_path):
     out = tmp_path / "orc"
     code = cli.main(["run", "oracle-table", "--d", "2", "--k", "1",
@@ -480,8 +491,15 @@ SWEEP_ZONAL = ["run", "sweep", "--family", "zonal", "--curve", "equator",
     ("n-max", ["run", "torus", "--n-max", "1000"]),
     ("seed", ["run", "torus", "--n-list", "25", "--seed", "-1"]),
     ("case", ["run", "airy", "--lambda-list", "200,400", "--case", "caustic"]),
+    ("seeds", ["run", "torus", "--n-list", "25", "--seeds", "1001"]),
+    # once past the key table, these overflowed a C ssize_t (seeds) or a
+    # float (d) inside the runner
+    ("seeds", ["run", "torus", "--n-list", "25", "--seeds", str(10**33)]),
     ("d", ["run", "oracle-table", "--d", "1", "--k", "1"]),
+    ("d", ["run", "oracle-table", "--d", str(2**53 + 1), "--k", "1"]),
+    ("d", ["run", "oracle-table", "--d", str(10**330), "--k", "1"]),
     ("k", ["run", "oracle-table", "--d", "2", "--k", "2"]),
+    ("k", ["run", "oracle-table", "--d", "2", "--k", str(2**53 + 1)]),
     ("curved", ["run", "oracle-table", "--d", "3", "--k", "2", "--curved", "true"]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[1:]))
 def test_invalid_value_exits_two_naming_field(tmp_path, capsys, field, argv):
@@ -562,28 +580,66 @@ def test_airy_reports_its_fit_residual(tmp_path):
     assert abs(slope + 2.0 / 3.0) <= cli.AIRY_TOLERANCE
 
 
+# sigma_1 at lambda = 200, 400, 800 from a seeded Gaussian start: the
+# closed-form start must not move it beyond rounding
+_AIRY_SIGMAS = {
+    "model": [0.023680467592675874, 0.015349775394750473, 0.009844926870888934],
+    "variable": [0.02428438684946578, 0.01566466241852627, 0.01000852053385053],
+}
+
+
 # the Golub-Kahan bidiagonalization from the same start stops at these steps:
 # its Ritz residual is the stop quantity of Lanczos on A^H A
-@pytest.mark.parametrize("case,steps", [("model", [28, 34]), ("variable", [25, 29])])
+@pytest.mark.parametrize("case,steps", [("model", [28, 34, 40]), ("variable", [25, 29, 34])])
 def test_airy_reports_lanczos_diagnostics(tmp_path, case, steps):
     out = tmp_path / case
-    assert cli.main(["run", "airy", "--lambda-list", "200,400", "--case", case,
+    assert cli.main(["run", "airy", "--lambda-list", "200,400,800", "--case", case,
                      "--out", str(out)]) == 0
     results = json.loads((out / "summary.json").read_text())["results"]
     norms = results["opnorms"]
     assert results["lanczos_steps"] == steps
-    assert len(results["ritz_residuals"]) == len(norms) == 2
+    assert norms == pytest.approx(_AIRY_SIGMAS[case], rel=1e-12, abs=0.0)
+    assert len(results["ritz_residuals"]) == len(norms) == 3
     for norm, residual in zip(norms, results["ritz_residuals"]):
         assert 0.0 <= residual <= oscillatory.LANCZOS_RTOL * norm
 
 
-def test_cli_import_leaves_thread_pool_and_fft_unloaded():
-    # both load on first use, so a run that never needs them pays nothing
-    code = ("import sys, eigenrestrict.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'concurrent' or m.startswith('numpy.fft')))")
+def _loaded_after(statement, packages):
+    """The modules of `packages` that a fresh interpreter holds after `statement`."""
+    code = (f"import sys; {statement}; "
+            f"print(sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout
-    assert loaded.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip().splitlines()[-1]
+
+
+# numpy 2 loads these on first use; numpy 1.x imports them with numpy
+_LAZY = ("numpy.random", "numpy.ma")
+_NUMPY_LOADS_LAZY = _loaded_after("import numpy", _LAZY) != "[]"
+
+
+def test_cli_import_leaves_thread_pool_and_fft_unloaded():
+    # each loads on first use, so a run that never needs it pays nothing
+    lazy = () if _NUMPY_LOADS_LAZY else _LAZY
+    assert _loaded_after("import eigenrestrict.cli",
+                         ("concurrent", "numpy.fft") + lazy) == "[]"
+
+
+# numpy.random draws only the torus coefficients and numpy.ma serves no
+# function the package calls, so neither loads in a run that draws none
+@pytest.mark.skipif(_NUMPY_LOADS_LAZY, reason="this numpy imports numpy.random "
+                    "and numpy.ma with numpy itself")
+@pytest.mark.parametrize("argv,unloaded", [
+    (["run", "airy", "--case", "model", "--lambda-list", "200,400"], _LAZY),
+    (["run", "airy", "--case", "variable", "--lambda-list", "200,400"], _LAZY),
+    (["run", "torus", "--n-list", "25,65", "--seeds", "2", "--n-max", "2000"],
+     ("numpy.ma",)),
+    (SWEEP_ARGS, _LAZY),
+], ids=["airy-model", "airy-variable", "torus", "sweep"])
+def test_run_loads_no_unused_numpy_submodule(tmp_path, argv, unloaded):
+    statement = (f"from eigenrestrict import cli; "
+                 f"cli.main({argv + ['--out', str(tmp_path)]!r})")
+    assert _loaded_after(statement, unloaded) == "[]"

@@ -229,6 +229,17 @@ def test_enclosure_bits_are_pinned(key):
     assert (sup.lo.hex(), sup.hi.hex(), sup.m, sup.depth, sup.cells) == PINNED_ENCLOSURES[key]
 
 
+@pytest.mark.parametrize("N", [25, 169, 625, 4225, 34225])
+def test_slack32_counts_the_distinct_k1(N):
+    # (4 K + 8) eps32 sum |c_j| bit for bit, with K = len(np.unique(k1)),
+    # on the seeded draws and the witness of each circle
+    eps32 = float(np.finfo(np.float32).eps)
+    draws = [torus.random_eigenfunction(N, seed) for seed in range(3)]
+    for f in draws + [torus.equal_coefficient_witness(N)]:
+        K = len(np.unique(f.freqs[:, 0]))
+        assert torus._slack32(f) == (4.0 * K + 8.0) * eps32 * float(np.sum(np.abs(f.coeffs)))
+
+
 @pytest.mark.parametrize("N", [25, 65, 169])
 def test_enclosure_contains_fine_grid_max(N):
     # an m = 3000 grid is 16 to 42 times finer than the starting grid.  Its
