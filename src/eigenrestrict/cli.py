@@ -348,9 +348,7 @@ def _run_torus(cfg):
                            for r in report.rows]
         results["sup_bound"] = {
             "ok": report.bound_ok, "worst_margin": report.worst_margin,
-            "max_width": report.max_width,
-            "witnesses": [{"N": w.N, "ceiling": math.sqrt(w.r2), **_enclosure(w.sup)}
-                          for w in report.witnesses]}
+            "max_width": report.max_width}
         verdicts["sup_bound"] = "pass" if report.bound_ok else "fail"
         results["geodesic_l2"] = {
             "ok": report.geodesic_ok, "worst_ratio": report.geodesic_ratio,
@@ -385,11 +383,14 @@ def _run_oracle_table(cfg):
     if curved and (d, k) != (2, 1):
         raise ConfigError("curved: the curved refinement applies to curves on S^2 "
                           "only (d = 2, k = 1)")
+    from fractions import Fraction  # here, so that no other run imports it
+
     table = []
     for item in cfg["p-list"]:
-        p = 2.0 * d / (d - 1.0) if item == "critical" else item
+        # the exact p0, whose float may round onto a neighbouring branch
+        p = Fraction(2 * d, d - 1) if item == "critical" else item
         oracle = restriction.theoretical_exponent(d, k, p, curved=curved)
-        table.append({"p": "inf" if math.isinf(p) else p,
+        table.append({"p": "inf" if math.isinf(p) else float(p),
                       "exponent": oracle.value,
                       "log_endpoint": oracle.log_endpoint})
     results = {"d": d, "k": k, "curved": curved, "table": table}

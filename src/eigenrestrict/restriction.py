@@ -262,12 +262,14 @@ def theoretical_exponent(dim, k, p, curved=False):
     """Sharp restriction growth exponent for k-submanifolds of S^dim at L^p.
 
     Hypersurfaces (k = d-1): (d-1)/2 - (d-1)/p above the critical index
-    p0 = 2d/(d-1) and (d-1)/4 - (d-2)/(2p) below it; both branches meet at
-    p0, which carries the log-loss flag.  Codimension 2 (k = d-2):
-    (d-1)/2 - (d-2)/p for p > 2, log-flagged at p = 2.  Lower k:
-    (d-1)/2 - k/p.  For curves on S^2, `curved=True` selects the improved
-    exponent 1/3 - 1/(3p) available below p = 4 when the geodesic curvature
-    never vanishes.
+    p0 = 2d/(d-1) and (d-1)/4 - (d-2)/(2p) = 1/4 + (d-2)(p-2)/(4p) below
+    it; both branches meet at p0, which carries the log-loss flag.
+    Codimension 2 (k = d-2): (d-1)/2 - (d-2)/p for p > 2, log-flagged at
+    p = 2.  Lower k: (d-1)/2 - k/p.  For curves on S^2, `curved=True`
+    selects the improved exponent 1/3 - 1/(3p) available below p = 4 when
+    the geodesic curvature never vanishes.  p may be an int, a float or a
+    fractions.Fraction, and its side of p0 is decided exactly in integers;
+    a float also stands for p0 when it is p0 rounded (8/3 for d = 4).
     """
     d = dim
     if not (isinstance(d, int) and d >= 2):
@@ -280,16 +282,19 @@ def theoretical_exponent(dim, k, p, curved=False):
         raise ValueError("curved refinement only applies to curves on S^2")
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     if k == d - 1:
-        p0 = 2.0 * d / (d - 1.0)
-        if math.isclose(p, p0, rel_tol=0.0, abs_tol=1e-12):
+        a, b = (1, 0) if math.isinf(p) else p.as_integer_ratio()
+        side = a * (d - 1) - 2 * d * b  # the sign of p - p0
+        # past d = 2^53 the float nearest p0 is 2 itself, which keeps its branch
+        if side == 0 or (p != 2 and p == 2 * d / (d - 1)):
             return ExponentOracle((d - 1.0) / (2.0 * d), True)
-        if p > p0:
+        if side > 0:
             return ExponentOracle((d - 1.0) / 2.0 - (d - 1.0) * inv_p, False)
         if curved:
             return ExponentOracle(1.0 / 3.0 - inv_p / 3.0, False)
-        return ExponentOracle((d - 1.0) / 4.0 - (d - 2.0) * inv_p / 2.0, False)
+        # written so that nothing cancels at large d: exactly 1/4 at p = 2
+        return ExponentOracle(0.25 + (d - 2.0) * (p - 2.0) / (4.0 * p), False)
     if k == d - 2:
-        if math.isclose(p, 2.0, rel_tol=0.0, abs_tol=1e-12):
+        if p == 2:
             return ExponentOracle(0.5, True)
         return ExponentOracle((d - 1.0) / 2.0 - (d - 2.0) * inv_p, False)
     return ExponentOracle((d - 1.0) / 2.0 - k * inv_p, False)

@@ -412,9 +412,13 @@ def test_torus_run(tmp_path):
         assert row["circle_nodes"] == {25: 37, 169: 63}[row["N"]]
         assert 0.0 < row["circle_tail_bound"] <= 2.0 ** -52
     assert results["sup_bound"]["max_width"] <= 1e-9
-    assert [w["N"] for w in results["sup_bound"]["witnesses"]] == [25, 169]
-    for w in results["sup_bound"]["witnesses"]:
-        assert w["lo"] <= w["ceiling"] <= w["hi"]
+    # the witnesses attain the ceiling in closed form, so sup_bound holds
+    # only the random rows; their geodesic norms are still checked
+    assert "witnesses" not in results["sup_bound"]
+    assert [w["N"] for w in results["geodesic_l2"]["witnesses"]] == [25, 169]
+    for w in results["geodesic_l2"]["witnesses"]:
+        for label, norm in w["norms"].items():
+            assert abs(norm - w["expected"][label]) <= 1e-12
     # torus with neither n-list nor n-max is a config error
     assert cli.main(["run", "torus", "--out", str(tmp_path / "t2")]) == 2
 
@@ -437,6 +441,21 @@ def test_oracle_table_accepts_the_exact_float_range(tmp_path):
     results = json.loads((out / "summary.json").read_text())["results"]
     assert (results["d"], results["k"]) == (d, d - 1)
     assert results["table"][0]["exponent"] == (d - 1.0) / 2.0
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 10**12, 10**13, 2**53])
+def test_oracle_table_decides_the_critical_index_exactly(tmp_path, d):
+    # p0 = 2d/(d - 1) tends to 2 and lies within 2.3e-16 of it at d = 2^53:
+    # p = 2 still reads the lower branch, exactly 1/4 and unflagged, and the
+    # critical row, which reaches the oracle as an exact fraction, keeps
+    # its flag and value (d - 1) / (2 d)
+    out = tmp_path / "orc"
+    assert cli.main(["run", "oracle-table", "--d", str(d), "--k", str(d - 1),
+                     "--p-list", "2,critical", "--out", str(out)]) == 0
+    table = json.loads((out / "summary.json").read_text())["results"]["table"]
+    assert table[0] == {"p": 2.0, "exponent": 0.25, "log_endpoint": False}
+    assert table[1] == {"p": 2 * d / (d - 1), "exponent": (d - 1) / (2 * d),
+                        "log_endpoint": True}
 
 
 def test_oracle_table_run(tmp_path):

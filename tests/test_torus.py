@@ -253,9 +253,9 @@ def test_enclosure_contains_fine_grid_max(N):
         sup = torus.grid_sup_norm(f)
         fine = _fine_grid_max(f, 3000)
         assert fine <= sup.hi <= fine * ceiling * (1.0 + 2.0 * torus.SUP_RTOL)
-    witness = torus.witness(N)
-    assert witness.sup_ok
-    assert witness.sup.lo <= math.sqrt(witness.r2) <= witness.sup.hi
+    witness = torus.equal_coefficient_witness(N)
+    sup = torus.grid_sup_norm(witness)
+    assert sup.lo <= math.sqrt(len(witness.coeffs)) <= sup.hi
 
 
 def test_grid_sup_exact_for_aligned_phases():
@@ -646,6 +646,19 @@ def test_witness_geodesic_norms():
     assert math.isclose(torus.witness(25).geodesics["slope0"], math.sqrt(2.0 - 2.0 / 12.0))
     # slope 1/2 at N = 25: (4, 3) mirrors to (24/5, 7/5), not a lattice point
     assert torus.alone_on_level(np.array([[4, 3], [3, 4], [5, 0]]), (2, 1)) == 1
+
+
+def test_only_the_random_rows_are_enclosed(monkeypatch):
+    # the witness's sup is sqrt(r_2) by construction: one enclosure per
+    # (N, seed) row and none for the witness itself
+    calls = []
+    enclose = torus.grid_sup_norm
+    monkeypatch.setattr(torus, "grid_sup_norm", lambda f: calls.append(f) or enclose(f))
+    torus.verify_linfty_bound([25, 169], range(3))
+    assert len(calls) == 6
+    calls.clear()
+    torus.witness(25)
+    assert calls == []
 
 
 def test_verify_linfty_bound_report():
