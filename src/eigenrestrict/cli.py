@@ -387,8 +387,7 @@ def _run_oracle_table(cfg):
 
     table = []
     for item in cfg["p-list"]:
-        # the exact p0, whose float may round onto a neighbouring branch
-        p = Fraction(2 * d, d - 1) if item == "critical" else item
+        p = Fraction(2 * d, d - 1) if item == "critical" else item  # p0 exactly
         oracle = restriction.theoretical_exponent(d, k, p, curved=curved)
         table.append({"p": "inf" if math.isinf(p) else float(p),
                       "exponent": oracle.value,
