@@ -254,7 +254,11 @@ def _run_sweep(cfg):
     if curve.ambient_dim != member.dim:
         raise ConfigError("curve: curve and family live on different spheres")
     samples = restriction.sweep(factory, curve, cfg["p"], degrees)
-    return _sweep_report(samples, curve, cfg["p"])
+    rows, results, verdicts, series = _sweep_report(samples, curve, cfg["p"])
+    # the values each degree's norm read; 0 for a closed form
+    results["nodes"] = {str(n): restriction._curve_nodes(factory(n), curve, cfg["p"])
+                        for n in degrees}
+    return rows, results, verdicts, series
 
 
 def _run_turning_point(cfg):

@@ -203,6 +203,24 @@ def eval_averaged_raw(degree, delta, points, profile=unit_bump):
     return out[0] if single else out
 
 
+# working set of one point block of the zonal series sum (`Zonal.__call__`)
+BLOCK_BYTES = 1 << 18
+
+
+def _powers(z, count):
+    """z^0..z^{count-1} as the rows of a (count, z.size) array: rows [k, 2k)
+    are rows [0, k) times z^k, so O(log count) vector products fill it."""
+    out = np.empty((count, z.size), dtype=complex)
+    out[0] = 1.0
+    done, step = 1, z
+    while done < count:
+        take = min(done, count - done)
+        np.multiply(out[:take], step, out=out[done:done + take])
+        done += take
+        step = step * step
+    return out
+
+
 class _SphereFamily:
     """Shared surface for the sphere families: callable, graded, normalized."""
 
@@ -248,22 +266,44 @@ class Zonal(_SphereFamily):
     def __call__(self, points):
         """S^2: sqrt((2n+1)/4pi) P_n(<x, pole>); S^3: U_n(<x, pole>) / sqrt(2 pi^2).
 
-        The series at the angle theta from the pole, by Horner in
-        e^{-2 i theta}: its positive terms keep the error within ~ n eps of
-        the pole value.  theta = atan2(|x - t pole|, t), t = <x, pole>, is
-        accurate to eps; arccos(t) would lose eps / sin(theta) near the
-        poles, an n^2 eps error in f there.
+        At the angle theta from the pole f = Re(e^{i n theta} sum_k s_k z^k),
+        z = e^{-2 i theta}, over the series s_k of `_series`; s_k = s_{n-k},
+        so the terms k and n - k have the same real part there, and the
+        m + 1 = floor(n/2) + 1 terms 2 s_k (s_{n/2} once) give f.  That polynomial in z is summed by
+        baby-step giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2,
+        1973): with b = ceil(sqrt(m + 1)) its terms form r = ceil((m + 1) / b)
+        rows of b, one matrix product takes every row at the baby steps
+        z^0..z^{b-1}, and the r row sums are weighed by the giant steps
+        z^0, z^b, ..., z^{(r-1) b} (`_powers`): O(log n) vector steps per
+        block of points, each block within BLOCK_BYTES, in place of Horner's
+        n.  The terms are positive and |z| = 1, so the error stays within
+        ~ n eps of the pole value, as for Horner in z.  theta =
+        atan2(|x - t pole|, t), t = <x, pole>, is accurate to eps;
+        arccos(t) would lose eps / sin(theta) near the poles, an n^2 eps
+        error in f there.
         """
         pts, single = _points2d(points)
         t = pts @ self.pole
         theta = np.arctan2(np.linalg.norm(pts - np.outer(t, self.pole), axis=1), t)
-        step = np.exp(-2j * theta)
-        series = self._series()
-        acc = np.full(theta.shape, series[-1], dtype=complex)
-        for c in series[-2::-1]:
-            acc *= step
-            acc += c
-        vals = (acc * np.exp(1j * self.degree * theta)).real
+        n = self.degree
+        series = 2.0 * self._series()[:n // 2 + 1]  # the terms k and n - k paired
+        if n % 2 == 0:
+            series[-1] /= 2.0
+        b = math.isqrt(series.size - 1) + 1
+        r = -(-series.size // b)
+        rows = np.pad(series, (0, r * b - series.size)).reshape(r, b)
+        vals = np.empty(theta.shape)
+        # per point: b baby steps, their real and imaginary parts, and r row
+        # sums, giant steps and products, all 16 bytes each
+        block = max(1, BLOCK_BYTES // (16 * (2 * b + 4 * r)))
+        for lo in range(0, theta.size, block):
+            th = theta[lo:lo + block]
+            z = np.exp(-2j * th)
+            baby = _powers(z, b)
+            sums = rows @ np.concatenate([baby.real, baby.imag], axis=1)
+            giant = _powers(baby[-1] * z, r)
+            acc = np.sum((sums[:, :th.size] + 1j * sums[:, th.size:]) * giant, axis=0)
+            vals[lo:lo + th.size] = (acc * np.exp(1j * n * th)).real
         return vals[0] if single else vals
 
     def circle_coefficients(self):

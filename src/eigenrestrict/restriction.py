@@ -1,23 +1,26 @@
 """Restricted L^p norms of eigenfunctions and growth-exponent fits.
 
 The measurement pipeline is: take a family member's values on a curve grid
-dense enough to resolve its oscillation (>= 20 points per wavelength), form
-the restricted L^p norm, divide by the family's closed-form ambient L^2 norm
-(`l2_norm`), and regress the log of that ratio against log(lambda) across a
-geometric ladder of degrees.  Along a latitude circle, and along a great
-circle of the subsphere, a degree-n member is a trigonometric polynomial of
-degree n, so its grid values come from its 2n + 1 Fourier coefficients
+on which its norm is exact or resolved, form the restricted L^p norm, divide
+by the family's closed-form ambient L^2 norm (`l2_norm`), and regress the
+log of that ratio against log(lambda) across a geometric ladder of degrees.
+Along a latitude circle, and along a great circle of the subsphere, a
+degree-n member is a trigonometric polynomial of degree n, so at an even p
+|f|^p is one of degree pn, and a grid of more than pn nodes is exact for
+it; where that grid is not the smaller, and at every other p, the grid
+holds at least 20 points per wavelength.  One function
+sizes every grid from p, the degree and the eigenvalue (`_curve_nodes`); no
+caller picks it.  The grid values come from the 2n + 1 Fourier coefficients
 (`_circle_coefficients`: closed form for a zonal harmonic read along a
 great circle through its pole, one FFT of samples otherwise) and one
 zero-padded inverse FFT (`_fourier_values`), not from evaluating it at
 every node.  On the great 2-subsphere of S^3 only such zonal harmonics are
 read: every norm reads uniform values along a meridian through the pole,
-the sup is their max and the surface integral one |sin s|-weighted rule
-(`_meridian_weights`).  The highest-weight beam needs no values: its
-modulus is constant on a latitude circle and a power of 1 - x3^2 on the
-subsphere, so its norms are closed form (`_highest_weight_norm`).  The
-grid size is always derived from the family's eigenvalue
-(`required_curve_points`); no caller picks it.  The turning-point scan
+and the surface integral is one |sin s|-weighted rule (`_meridian_weights`).
+Two reads need no values: the sup of a zonal harmonic read from its pole is
+its pole value, and the highest-weight beam's modulus is constant on a
+latitude circle and a power of 1 - x3^2 on the subsphere, so its norms are
+closed form (`_highest_weight_norm`).  The turning-point scan
 needs no grid either: every order's restricted L^2 norm on a latitude
 circle comes from one zonal harmonic's coefficients on it per degree
 (`circle_spectrum`), and the scan takes the argmax over all m.  The
@@ -57,7 +60,8 @@ def _smooth_size(n):
 
 def required_curve_points(lam):
     """Oscillation-resolving floor max(4096, 20 lambda) for 1-d curve grids,
-    rounded up to a 5-smooth size (at most 5.5% more nodes)."""
+    rounded up to a 5-smooth size (at most 5.5% more nodes): the grid of
+    every norm that no exact rule covers (`_curve_nodes`)."""
     return _smooth_size(max(CURVE_FLOOR, int(math.ceil(POINTS_PER_WAVELENGTH * lam))))
 
 
@@ -78,45 +82,69 @@ def lp_norm_on_curve(f, curve, p):
     """Restricted L^p norm of f over a latitude circle of S^2 or the great
     subsphere {x4 = 0} of S^3.
 
-    A `harmonics.HighestWeight` takes its closed form (`_highest_weight_norm`).
-    Any other f sets N = max(4096, 20 lambda) from lambda = f.eigenvalue (a
-    ValueError when f has none), rounded up to a 5-smooth size.  A circle
-    takes the trapezoid rule in arc length on N uniform nodes; p = inf takes
-    the grid max over 2N nodes: the N-node grid is bit for bit its
-    even-index subset, so the one doubling already covers it.  The
-    subsphere reads only a `harmonics.Zonal` of S^3 whose pole lies on it
-    (pole[-1] == 0.0), and any other f raises ValueError.  Its |f| is zonal
-    about the pole, so every p reads f at the same 2N uniform points of a
-    meridian through it, both poles included: p = inf takes their max, and
-    a finite p weighs |f|^p there by `_meridian_weights(2N)`, which is exact
-    when |f|^p is a trigonometric polynomial of degree < N in the meridian's
-    angle (every even p <= 20).  Either way the values come from f's
-    coefficients along that circle (`_circle_coefficients`), and a zonal
-    harmonic read from its pole has a sup of its pole value to rounding.
+    A `harmonics.HighestWeight` takes its closed form (`_highest_weight_norm`),
+    and so does the sup of a zonal harmonic read from its pole: its
+    coefficients along the circle are all positive, so its sup is their sum,
+    its pole value.  Any other read takes `_curve_nodes(f, curve, p)`
+    values of f, interpolated from f's coefficients along that circle
+    (`_circle_coefficients`).  A circle takes the trapezoid rule in arc
+    length, and p = inf the max of the values.  The subsphere reads only a
+    `harmonics.Zonal` of S^3 whose pole lies on it (pole[-1] == 0.0), and
+    any other f raises ValueError.  Its |f| is zonal about the pole, so
+    every p reads f at uniform points of a meridian through it, both poles
+    included, and a finite p weighs |f|^p there by `_meridian_weights`.
     An f with a `dim` must live on the target's sphere: ValueError otherwise.
     """
     if getattr(f, "dim", curve.ambient_dim) != curve.ambient_dim:
         raise ValueError(f"the target lies in S^{curve.ambient_dim}, not S^{f.dim}")
+    n = _curve_nodes(f, curve, p)
     if isinstance(f, harmonics.HighestWeight):
         return _highest_weight_norm(f, curve, p)
-    if getattr(f, "eigenvalue", None) is None:
-        raise ValueError("f has no eigenvalue attribute, so no grid can be "
-                         "sized to resolve its oscillation")
-    n = required_curve_points(float(f.eigenvalue))
-    if math.isinf(p) or curve.dim == 2:
-        n *= 2
+    if n == 0:
+        return float(np.sum(f.circle_coefficients()))
     values = _fourier_values(_circle_coefficients(f, curve), f.degree, n)
     if curve.dim == 1:
         return lp_norm_weighted(values, curve.length / n, p)
     return lp_norm_weighted(values, None if math.isinf(p) else _meridian_weights(n), p)
 
 
+def _curve_nodes(f, curve, p):
+    """How many values of f `lp_norm_on_curve` reads for its L^p norm on
+    `curve`; 0 for a closed form (a `harmonics.HighestWeight`, or the sup of
+    a zonal harmonic read from its pole, `_reads_from_pole`).
+
+    Along the circle a degree-n f is a trigonometric polynomial of degree
+    n, so at an even integer p |f|^p is one of degree pn: the trapezoid rule
+    on N = _smooth_size(pn + 1) nodes, and the subsphere's
+    `_meridian_weights(2N)`, are exact for it.  That N is taken wherever it
+    is below the lambda grid N = `required_curve_points(f.eigenvalue)`, and
+    every other read takes the lambda grid.  p = inf and the subsphere read
+    2N values: the N-node grid is bit for bit their even-index subset, so
+    the one doubling already covers it.  ValueError when p is not positive
+    or f has no eigenvalue or no degree.
+    """
+    if not p > 0:  # NaN too
+        raise ValueError(f"p must be positive or inf, got {p!r}")
+    if isinstance(f, harmonics.HighestWeight) or (math.isinf(p) and _reads_from_pole(f, curve)):
+        return 0
+    if getattr(f, "eigenvalue", None) is None:
+        raise ValueError("f has no eigenvalue attribute, so no grid can be "
+                         "sized to resolve its oscillation")
+    if getattr(f, "degree", None) is None:
+        raise ValueError("f has no degree attribute, so its restriction "
+                         "cannot be sampled as a trigonometric polynomial")
+    n = required_curve_points(float(f.eigenvalue))
+    if p % 2 == 0 and p * f.degree < n:
+        n = _smooth_size(int(p) * f.degree + 1)
+    if math.isinf(p) or curve.dim == 2:
+        n *= 2
+    return n
+
+
 def _highest_weight_norm(f, curve, p):
     """||c (x1 + i x2)^n||_{L^p}, in logs.  On the latitude circle at theta0
     |f| = c sin(theta0)^n; on {x4 = 0} |f| = c (1 - x3^2)^{n/2}, so there
     int |f|^p = 2 pi c^p B(1/2, pn/2 + 1)."""
-    if not p > 0:  # NaN too
-        raise ValueError(f"p must be positive or inf, got {p!r}")
     log_norm = harmonics.highest_weight_log_const(f.dim, f.degree)
     if curve.dim == 1:  # x / inf is 0.0: p = inf drops the measure term
         return math.exp(log_norm + f.degree * math.log(math.sin(curve.colatitude))
@@ -146,25 +174,28 @@ def _meridian_weights(m):
     return math.pi * np.fft.irfft(coeffs, m)
 
 
+def _reads_from_pole(f, curve):
+    """True when f is a `harmonics.Zonal` read along a great circle through
+    its pole: the equator or the subsphere, with pole[-1] == 0.0."""
+    return (isinstance(f, harmonics.Zonal) and f.dim == curve.ambient_dim
+            and not curve.curved and f.pole[-1] == 0.0)
+
+
 def _circle_coefficients(f, curve):
     """f's Fourier coefficients c_j, in FFT order, along the circle its norm
-    reads: closed form (`Zonal.circle_coefficients`) for a `harmonics.Zonal`
-    read from its pole along a great circle, the equator or the subsphere,
-    which reads no other f (ValueError).  On a latitude circle of length L a
-    zonal harmonic with pole[1] == 0.0 is even about s = 0: its values at
+    reads: closed form (`Zonal.circle_coefficients`) for a zonal harmonic
+    read from its pole (`_reads_from_pole`), the only f the subsphere reads
+    (ValueError otherwise).  On a latitude circle of length L a zonal
+    harmonic with pole[1] == 0.0 is even about s = 0: its values at
     s = L j / M, j = 0..M/2, M = 2 _smooth_size(n + 1), are mirrored to all
     M and take one real FFT.  Any other f of degree n takes M =
     _smooth_size(2n + 1) samples (at least 4) and one FFT.
     """
-    if isinstance(f, harmonics.Zonal) and f.dim == curve.ambient_dim and not curve.curved \
-            and f.pole[-1] == 0.0:
+    if _reads_from_pole(f, curve):
         return f.circle_coefficients()
     if curve.dim != 1:
         raise ValueError("the great subsphere reads only a zonal harmonic of S^3 "
                          "whose pole lies on it, {x4 = 0}")
-    if getattr(f, "degree", None) is None:
-        raise ValueError("f has no degree attribute, so its restriction "
-                         "cannot be sampled as a trigonometric polynomial")
     if isinstance(f, harmonics.Zonal) and f.pole[1] == 0.0:
         m = 2 * _smooth_size(f.degree + 1)
         half = f(curve.points(curve.length * np.arange(m // 2 + 1) / m))

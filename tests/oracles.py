@@ -190,3 +190,20 @@ def zonal_gl_grid(pole, n):
     """
     t, w = gauss_legendre(n)
     return meridian(as_unit_vector(pole), t, np.sqrt(1.0 - t**2)), 2.0 * math.pi * w
+
+
+def zonal_horner(f, points):
+    """A `Zonal` f at points by Horner in z = e^{-2 i theta} over its
+    Gegenbauer series, one vector step per term: the reference for the
+    blocked sum of `Zonal.__call__`, within ~ n eps of the pole value."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    t = pts @ f.pole
+    theta = np.arctan2(np.linalg.norm(pts - np.outer(t, f.pole), axis=1), t)
+    step = np.exp(-2j * theta)
+    series = f._series()
+    acc = np.full(theta.shape, series[-1], dtype=complex)
+    for c in series[-2::-1]:
+        acc *= step
+        acc += c
+    vals = (acc * np.exp(1j * f.degree * theta)).real
+    return vals[0] if np.ndim(points) == 1 else vals

@@ -253,6 +253,24 @@ def test_runs_are_byte_deterministic(tmp_path):
     assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("family, curve, p, nodes", [
+    ("zonal", "equator", "inf", lambda n: 0),  # the pole value
+    ("highest-weight", "equator", "2", lambda n: 0),  # the closed form
+    ("zonal", "equator", "6", lambda n: restriction._smooth_size(6 * n + 1)),
+    ("zonal-s3", "subsphere", "4", lambda n: 2 * restriction._smooth_size(4 * n + 1)),
+    ("zonal-off", "latitude:1.0", "3", lambda n: restriction.CURVE_FLOOR),
+])
+def test_sweep_reports_the_values_each_degree_read(tmp_path, family, curve, p, nodes):
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        cli.main(["run", "sweep", "--family", family, "--curve", curve, "--p", p,
+                  "--degrees", "16:45", "--out", str(out)])
+    summary = (outs[0] / "summary.json").read_bytes()
+    assert summary == (outs[1] / "summary.json").read_bytes()
+    want = {str(n): nodes(n) for n in restriction.geometric_degrees(16, 45)}
+    assert json.loads(summary)["results"]["nodes"] == want
+
+
 def test_plot_flag_writes_svg(tmp_path):
     out = tmp_path / "p"
     code = cli.main(SWEEP_ARGS + ["--out", str(out), "--plot"])

@@ -10,7 +10,7 @@ from eigenrestrict import geometry as geo
 from eigenrestrict import harmonics as ha
 from eigenrestrict.profiles import unit_bump
 from eigenrestrict.restriction import lp_norm_weighted
-from oracles import exp_map, polar_pair_grid, sphere_grid, zonal_gl_grid
+from oracles import exp_map, polar_pair_grid, sphere_grid, zonal_gl_grid, zonal_horner
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -128,8 +128,8 @@ _ZONAL_POINTS = np.concatenate([ORACLE_POINTS,
                          ids=["s2-legendre", "s3-chebyshev"])
 @pytest.mark.parametrize("n", [0, 1, 9, 256, 1024, 4096])
 def test_zonal_series_matches_exact_polynomials(dim, exact, n):
-    # the Gegenbauer series by Horner in e^{-2 i theta} has positive terms,
-    # so its error stays within ~ n eps of the pole value: no n^2 eps drift
+    # the Gegenbauer series in e^{-2 i theta} has positive terms, so its
+    # blocked sum stays within ~ n eps of the pole value: no n^2 eps drift
     f = ha.Zonal(dim, n, np.eye(dim + 1)[dim])
     const = math.sqrt((2 * n + 1) / (4 * math.pi)) if dim == 2 else 1 / math.sqrt(2 * math.pi**2)
     pole_value = const * float(exact(n, 1.0))
@@ -238,6 +238,42 @@ def test_order_zero_is_bounded_by_its_endpoint_value():
     assert want > 1e150
     assert math.isclose(ha.assoc_legendre_norm(200, 0, np.array([3.0]))[0], want,
                         rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 1024, 16384])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_zonal_series_matches_horner(dim, n):
+    # baby-step giant-step against one Horner step per term, both within
+    # ~ n eps of the pole value; the pole and the antipode included
+    pole = np.eye(dim + 1)[0]
+    f = ha.Zonal(dim, n, pole)
+    pts = np.random.default_rng(n).normal(size=(300, dim + 1))
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1, keepdims=True), pole, -pole])
+    pole_value = (math.sqrt((2 * n + 1) / (4 * math.pi)) if dim == 2
+                  else (n + 1) / math.sqrt(2 * math.pi**2))
+    bound = 4 * max(n, 1) * np.finfo(float).eps * pole_value
+    got = f(pts)
+    assert got.shape == (302,)
+    assert np.max(np.abs(got - zonal_horner(f, pts))) <= bound
+    assert abs(got[-2] - pole_value) <= bound
+    assert abs(got[-1] - (-1) ** n * pole_value) <= bound
+    # one 1-d point gives a scalar, no points an empty array
+    single = f(pts[0])
+    assert np.ndim(single) == 0 and abs(single - zonal_horner(f, pts[0])) <= bound
+    assert f(np.empty((0, dim + 1))).shape == (0,)
+    # the same call gives the same bits
+    assert np.array_equal(f(pts), got)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000])
+def test_blocked_zonal_series_is_independent_of_the_block(monkeypatch, block_bytes):
+    # one point per block, and blocks that split the points unevenly
+    f = ha.Zonal(2, 181, np.array([0.6, 0.0, 0.8]))
+    pts = geo.LatitudeCircle(1.0).points(np.linspace(0.0, 5.0, 37))
+    whole = f(pts)
+    monkeypatch.setattr(ha, "BLOCK_BYTES", block_bytes)
+    bound = 4 * 181 * np.finfo(float).eps * math.sqrt(363 / (4 * math.pi))
+    assert np.max(np.abs(f(pts) - whole)) <= bound
 
 
 # ------------------------------------------------------------ sphere families

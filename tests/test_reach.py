@@ -29,6 +29,7 @@ ALLOWED = {
 _SWEEPS = (
     ("zonal", "equator", "inf"),
     ("zonal-off", "latitude:1.0", "2"),
+    ("zonal-off", "latitude:1.0", "3"),  # a non-even p: the lambda grid
     ("zonal-s3", "subsphere", "inf"),
     ("highest-weight", "equator", "2"),
     ("highest-weight-s3", "subsphere", "4"),

@@ -285,9 +285,84 @@ def test_curve_norm_needs_a_degree():
     for curve in (geo.equator(), geo.LatitudeCircle(1.0)):
         with pytest.raises(ValueError, match="degree"):
             re_.lp_norm_on_curve(undegreed, curve, 2)
-    # a degree the eigenvalue's grid cannot hold would alias, not interpolate
+    # a degree the eigenvalue's grid cannot hold would alias, not interpolate;
+    # an even p sizes its nodes from the degree, so this needs an odd one
     with pytest.raises(ValueError, match="cannot resolve degree 3000"):
-        re_.lp_norm_on_curve(_Const(lam=1.0, degree=3000), geo.equator(), 2)
+        re_.lp_norm_on_curve(_Const(lam=1.0, degree=3000), geo.equator(), 3)
+
+
+_EXACT_RULE_CASES = {
+    "zonal-off-lat1.0": (lambda n: ha.Zonal(2, n, np.array([math.sin(1.0), 0.0, math.cos(1.0)])),
+                         geo.LatitudeCircle(1.0)),
+    "averaged-equator": (lambda n: ha.Averaged(n, 0.9), geo.equator()),
+    "zonal-s3-subsphere": (lambda n: ha.Zonal(3, n, _E1), geo.GreatSubsphere()),
+}
+
+
+def _lambda_grid_norm(f, curve, p):
+    """The norm on the lambda grid N = required_curve_points, 2N on the subsphere."""
+    n = re_.required_curve_points(f.eigenvalue) * curve.dim
+    values = re_._fourier_values(re_._circle_coefficients(f, curve), f.degree, n)
+    weights = curve.length / n if curve.dim == 1 else re_._meridian_weights(n)
+    return re_.lp_norm_weighted(values, weights, p)
+
+
+@pytest.mark.parametrize("label", sorted(_EXACT_RULE_CASES))
+@pytest.mark.parametrize("degree", [16, 181, 1024])
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_even_p_reads_pn_plus_1_nodes_and_matches_the_lambda_grid(label, degree, p):
+    # |f|^p has degree pn along the circle: both rules are exact for it
+    family, curve = _EXACT_RULE_CASES[label]
+    f = family(degree)
+    nodes = re_._smooth_size(p * degree + 1) * curve.dim
+    assert re_._curve_nodes(f, curve, p) == nodes
+    assert nodes < re_.required_curve_points(f.eigenvalue) * curve.dim
+    got = re_.lp_norm_on_curve(f, curve, p)
+    assert math.isclose(got, _lambda_grid_norm(f, curve, p), rel_tol=1e-13)
+
+
+def test_even_p_past_the_lambda_grid_keeps_it():
+    # 22 n + 1 = 6601 nodes would exceed the lambda grid's 6075 at n = 300
+    family, curve = _EXACT_RULE_CASES["zonal-off-lat1.0"]
+    f = family(300)
+    grid = re_.required_curve_points(f.eigenvalue)
+    assert 22 * 300 + 1 > grid
+    assert re_._curve_nodes(f, curve, 22) == grid
+    assert re_.lp_norm_on_curve(f, curve, 22) == _lambda_grid_norm(f, curve, 22)
+
+
+@pytest.mark.parametrize("degree", [16, 1024, 8192])
+def test_subsphere_zonal_sup_is_the_pole_value(degree):
+    # read from its pole: no values, the sum of its positive coefficients
+    f = ha.Zonal(3, degree, _E1)
+    assert re_._curve_nodes(f, geo.GreatSubsphere(), math.inf) == 0
+    got = re_.lp_norm_on_curve(f, geo.GreatSubsphere(), math.inf)
+    assert math.isclose(got, (degree + 1) / math.sqrt(2 * math.pi**2), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("family, curve, p", [
+    (lambda n: ha.Zonal(2, n, np.array([1.0, 0.0, 0.0])), geo.equator(), math.inf),
+    (lambda n: ha.Zonal(2, n, np.array([1.0, 0.0, 0.0])), geo.equator(), 6),
+    (lambda n: ha.Zonal(2, n, np.array([0.6, 0.0, 0.8])), geo.equator(), math.inf),
+    (lambda n: ha.Zonal(2, n, np.array([0.6, 0.0, 0.8])), geo.LatitudeCircle(1.0), 3),
+    (lambda n: ha.Zonal(3, n, _E1), geo.GreatSubsphere(), 4),
+    (lambda n: ha.Zonal(3, n, _E1), geo.GreatSubsphere(), 3),
+    (lambda n: ha.HighestWeight(2, n), geo.equator(), 2),
+    (lambda n: ha.Averaged(n, 0.9), geo.equator(), 2),
+])
+def test_curve_nodes_count_the_values_the_norm_reads(monkeypatch, family, curve, p):
+    read, kernel = [], re_.lp_norm_weighted
+
+    def counting(values, weights, q):
+        read.append(np.size(values))
+        return kernel(values, weights, q)
+
+    monkeypatch.setattr(re_, "lp_norm_weighted", counting)
+    for degree in (16, 181):
+        read.clear()
+        f = family(degree)
+        re_.lp_norm_on_curve(f, curve, p)
+        assert sum(read) == re_._curve_nodes(f, curve, p)
 
 
 def test_curve_norm_needs_an_eigenvalue():
@@ -316,8 +391,10 @@ def test_subsphere_norm_and_floor():
     nodes, weights = zonal_gl_grid(z.pole[:3], 2 * (int(math.ceil(2 * z.eigenvalue)) + 16))
     fine = re_.lp_norm_weighted(z(_pad(nodes)), weights, 2)
     assert math.isclose(re_.lp_norm_on_curve(z, sub, 2), fine, rel_tol=1e-12)
-    # below the curve floor every p reads 2 CURVE_FLOOR meridian values
+    # below the curve floor the exact rule on 2 _smooth_size(4n + 1) = 36
+    # meridian values agrees with the 2 CURVE_FLOOR of the lambda grid
     small = ha.Zonal(3, 4, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert re_._curve_nodes(small, sub, 4) == 36
     m = 2 * re_.CURVE_FLOOR
     assert re_.required_curve_points(small.eigenvalue) == re_.CURVE_FLOOR
     values = small(_meridian_nodes(small.pole[:3], m))
