@@ -118,10 +118,10 @@ def _curve_nodes(f, curve, p):
     on N = _smooth_size(pn + 1) nodes, and the subsphere's
     `_meridian_weights(2N)`, are exact for it.  That N is taken wherever it
     is below the lambda grid N = `required_curve_points(f.eigenvalue)`, and
-    every other read takes the lambda grid.  p = inf and the subsphere read
-    2N values: the N-node grid is bit for bit their even-index subset, so
-    the one doubling already covers it.  ValueError when p is not positive
-    or f has no eigenvalue or no degree.
+    every other read takes the lambda grid.  p = inf reads 2N values, whose
+    even-index subset is the N-node grid bit for bit, and the subsphere
+    reads 2N values along a full meridian.  ValueError when p is not
+    positive or f has no eigenvalue or no degree.
     """
     if not p > 0:  # NaN too
         raise ValueError(f"p must be positive or inf, got {p!r}")
